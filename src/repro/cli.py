@@ -11,7 +11,7 @@ Examples::
     python -m repro lint --strict     # CI gate: warnings fail too
     python -m repro profile           # cProfile one simulation run
     python -m repro profile mg --scenario large-high --top 40
-    python -m repro profile --stepping fixed --output run.pstats
+    python -m repro profile --output run.pstats
     python -m repro serve-soak --tiny # chaos-soak the serving runtime
     python -m repro serve-soak --tiny --kill-at 5000 --verify-recovery
     python -m repro serve-fleet --tiny --shards 4   # sharded serving
@@ -487,7 +487,6 @@ def profile_main(argv: Optional[Sequence[str]] = None) -> int:
     from .core.policies import DefaultPolicy
     from .exec.request import PolicySpec, RunRequest, WorkloadSpec
     from .experiments.scenarios import ALL_SCENARIOS
-    from .runtime.engine import STEPPING_MODES
     from .workload.spec import workload_sets
 
     scenarios = {s.name: s for s in ALL_SCENARIOS}
@@ -506,10 +505,6 @@ def profile_main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument(
         "--threads", type=int, default=8, metavar="N",
         help="fixed thread policy for the target (default: 8)",
-    )
-    parser.add_argument(
-        "--stepping", choices=STEPPING_MODES, default="event",
-        help="engine stepping mode (default: event)",
     )
     parser.add_argument(
         "--seed", type=int, default=0,
@@ -549,7 +544,6 @@ def profile_main(argv: Optional[Sequence[str]] = None) -> int:
         workload=workload,
         seed=args.seed,
         iterations_scale=args.scale,
-        stepping=args.stepping,
     )
 
     from .exec.request import execute_request
@@ -566,9 +560,8 @@ def profile_main(argv: Optional[Sequence[str]] = None) -> int:
 
     print(
         f"profiled {args.target} / fixed-{args.threads} / "
-        f"{scenario.name} (seed={args.seed}, scale={args.scale}, "
-        f"stepping={args.stepping}): target_time="
-        f"{summary.target_time:.2f}s simulated"
+        f"{scenario.name} (seed={args.seed}, scale={args.scale}): "
+        f"target_time={summary.target_time:.2f}s simulated"
     )
     stats = pstats.Stats(profiler, stream=sys.stdout)
     stats.sort_stats(pstats.SortKey.CUMULATIVE)
@@ -1178,8 +1171,7 @@ def _exec_footer(before: dict) -> str:
     """Fault-tolerance and transport footer for one experiment.
 
     Renders the pool-rebuild and serial-fallback activity (with the
-    triggering causes) plus the batching and result-serialization
-    traffic that :class:`~repro.exec.executor.ExecutionStats`
+    triggering causes) plus the result-serialization traffic that :class:`~repro.exec.executor.ExecutionStats`
     accumulated since ``before`` — empty when the run was clean and
     nothing was serialized, so quiet experiments stay quiet.
     """
@@ -1201,13 +1193,6 @@ def _exec_footer(before: dict) -> str:
         if causes:
             note += " (cause: " + "; ".join(causes) + ")"
         parts.append(note)
-    batched = delta("batched_runs")
-    if batched:
-        groups = delta("batched_groups")
-        parts.append(
-            f"{batched} runs batched into {groups} "
-            f"group{'s' if groups != 1 else ''}"
-        )
     pickled = delta("pickled_bytes")
     shm = delta("shm_bytes")
     if pickled or shm:
@@ -1278,14 +1263,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
              "repro-checkpoint.pkl) and resume from it after an "
              "interrupted grid (also: $REPRO_CHECKPOINT)",
     )
-    parser.add_argument(
-        "--batch", nargs="?", const="auto", default=None,
-        choices=["auto", "inproc", "pool", "off"], metavar="MODE",
-        help="batch compatible runs through shared SoA kernel "
-             "invocations: auto, inproc, pool, or off "
-             "(default: $REPRO_BATCH, else off; bare --batch means "
-             "auto; physics stays bit-identical)",
-    )
     args = parser.parse_args(argv)
 
     if args.jobs is not None:
@@ -1306,10 +1283,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         os.environ["REPRO_RUN_TIMEOUT"] = str(args.run_timeout)
     if args.resume is not None:
         os.environ["REPRO_CHECKPOINT"] = args.resume
-    if args.batch is not None:
-        # Executors resolve the batching mode from the environment
-        # (repro.exec.resolve_batch), same as the other knobs.
-        os.environ["REPRO_BATCH"] = args.batch
 
     if args.experiment == "list":
         for name, (description, _) in EXPERIMENTS.items():

@@ -14,21 +14,18 @@ interrupted grid resumes from partial results.  Each run is accounted
 for in a structured :class:`FailureReport`.  See
 ``docs/robustness.md``.
 
-Compatible requests can additionally be *batched*: grouped by scenario
-shape and advanced through shared SoA kernel invocations
-(:mod:`repro.exec.batch`, ``REPRO_BATCH``), with pool results
-transported through shared-memory SoA segments instead of pickles
-(:mod:`repro.exec.shm`, ``REPRO_SHM``).  Physics stays bit-identical
-in every mode.  See ``docs/performance.md``.
+Every request runs on its own, event-stepped, in a pool worker or in
+this process.  Pool results travel back through shared-memory SoA
+segments instead of pickles when the platform allows it
+(:mod:`repro.exec.shm`, ``REPRO_SHM``).  Both transports return
+bit-identical summaries.  See ``docs/performance.md``.
 """
 
-from .batch import MemberOutcome, group_key, plan_groups, run_group
 from .cache import RunCache, cache_enabled, default_cache_root
 from .executor import (
     STATS,
     ExecutionStats,
     Executor,
-    resolve_batch,
     resolve_jobs,
 )
 from .fault import (
@@ -60,7 +57,6 @@ __all__ = [
     "ExecutionStats",
     "Executor",
     "FailureReport",
-    "MemberOutcome",
     "PolicySpec",
     "RecordedSelection",
     "RequestReport",
@@ -76,13 +72,9 @@ __all__ = [
     "cache_enabled",
     "default_cache_root",
     "execute_request",
-    "group_key",
-    "plan_groups",
-    "resolve_batch",
     "resolve_checkpoint",
     "resolve_jobs",
     "resolve_max_pool_rebuilds",
     "resolve_retry",
     "resolve_run_timeout",
-    "run_group",
 ]

@@ -46,11 +46,10 @@ import os
 import time
 import warnings
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from typing import Dict, List, Optional, Sequence, Union
 
 from . import shm
-from .batch import plan_groups, run_group
 from .cache import RunCache, cache_enabled
 from .fault import (
     AttemptRecord,
@@ -93,35 +92,6 @@ def resolve_jobs(jobs: Optional[int] = None) -> int:
     return 1
 
 
-def resolve_batch(batch=None) -> str:
-    """Batch-mode resolution: argument > ``REPRO_BATCH`` > off.
-
-    Returns one of ``"off"``, ``"auto"`` (pick in-process or pool-of-
-    groups from the machine at run time), ``"inproc"`` (coalesce
-    groups in this process) or ``"pool"`` (ship whole groups to
-    workers).  The per-run paths are untouched when off, which is the
-    default — batching is opt-in via ``batch=`` or ``REPRO_BATCH=1``.
-    """
-    if batch is None or batch is False:
-        return "off"
-    if batch is True:
-        return "auto"
-    raw = str(batch).strip().lower()
-    if raw == "default":
-        raw = os.environ.get("REPRO_BATCH", "").strip().lower()
-    if raw in ("", "0", "off", "false", "no"):
-        return "off"
-    if raw in ("1", "on", "auto", "true", "yes"):
-        return "auto"
-    if raw in ("inproc", "pool"):
-        return raw
-    warnings.warn(
-        f"ignoring unknown batch mode {raw!r}; batching disabled",
-        stacklevel=2,
-    )
-    return "off"
-
-
 @dataclass
 class ExecutionStats:
     """Process-wide run counters (read by the benchmark timing harness)."""
@@ -132,10 +102,6 @@ class ExecutionStats:
     timeouts: int = 0
     pool_rebuilds: int = 0
     serial_fallbacks: int = 0
-    #: Runs completed through the cross-run batched SoA path, and the
-    #: number of groups they were coalesced into.
-    batched_runs: int = 0
-    batched_groups: int = 0
     #: Parent-side serialization cost of pool execution: bytes of
     #: pickled request blobs, wall seconds spent pickling them plus
     #: decoding results, and bytes moved through shared-memory SoA
@@ -156,8 +122,6 @@ class ExecutionStats:
             "timeouts": self.timeouts,
             "pool_rebuilds": self.pool_rebuilds,
             "serial_fallbacks": self.serial_fallbacks,
-            "batched_runs": self.batched_runs,
-            "batched_groups": self.batched_groups,
             "pickled_bytes": self.pickled_bytes,
             "serialize_seconds": self.serialize_seconds,
             "shm_bytes": self.shm_bytes,
@@ -224,57 +188,6 @@ def _execute_blob_shm(blob: bytes, shm_name: str):
     return ("shm", shm_name, 1, nbytes)
 
 
-def _execute_group_blob(blob: bytes, shm_name: Optional[str]):
-    """Worker entry point for one batched group of requests.
-
-    Chaos exposure is charged once per member (a group of N runs the
-    same worker-crash gauntlet N independent runs would).  Returns
-    ``(transport, meta, payload)`` where ``meta`` lists
-    ``(position, ok, error_class, error_message, elapsed)`` per member
-    and the payload carries the successful summaries — through the
-    shared-memory segment when possible, pickled otherwise.
-    """
-    import cloudpickle
-
-    requests = cloudpickle.loads(blob)
-    for _ in requests:
-        _maybe_chaos_crash()
-    outcomes = run_group(requests)
-    meta = [
-        (
-            outcome.position,
-            outcome.ok,
-            type(outcome.error).__name__ if outcome.error else "",
-            str(outcome.error)[:200] if outcome.error else "",
-            outcome.elapsed,
-        )
-        for outcome in outcomes
-    ]
-    summaries = [o.summary for o in outcomes if o.ok]
-    if shm_name and summaries:
-        try:
-            nbytes = shm.encode_summaries(summaries, shm_name)
-        except Exception:
-            pass
-        else:
-            return ("shm", meta, (shm_name, len(summaries), nbytes))
-    return ("pickle", meta, summaries)
-
-
-def _normalize_outcomes(outcomes) -> list:
-    """Flatten in-process :class:`MemberOutcome`s to transport tuples."""
-    return [
-        (
-            outcome.ok,
-            outcome.summary,
-            type(outcome.error).__name__ if outcome.error else "",
-            str(outcome.error)[:200] if outcome.error else "",
-            outcome.elapsed,
-        )
-        for outcome in outcomes
-    ]
-
-
 class _PoolBroken(Exception):
     """Internal marker: the current pool crashed; rebuild and resume."""
 
@@ -302,10 +215,9 @@ class Executor:
     run_timeout: Union[float, None, str] = "default"
     checkpoint: Union[Checkpoint, str, None] = "default"
     max_pool_rebuilds: Optional[int] = None
-    #: Cross-run batching mode: ``"default"`` honours ``REPRO_BATCH``,
-    #: else ``"off"``/``"auto"``/``"inproc"``/``"pool"`` (see
-    #: :func:`resolve_batch`).  Physics is bit-identical in every mode.
-    batch: Union[str, None, bool] = "default"
+    #: Accepted for callers written before cross-run batching was
+    #: removed: ``None`` or ``"off"`` only, and never stored.
+    batch: InitVar[Optional[str]] = None
     last_report: Optional[FailureReport] = field(
         default=None, init=False, repr=False
     )
@@ -314,7 +226,12 @@ class Executor:
         default_factory=ShmLedger, init=False, repr=False
     )
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, batch: Optional[str]) -> None:
+        if batch not in (None, "off"):
+            raise ValueError(
+                f"batch={batch!r}: cross-run batching was removed; "
+                f"every run executes on its own (pass None or 'off')"
+            )
         self.jobs = resolve_jobs(self.jobs)
         if self.cache == "default":
             self.cache = RunCache() if cache_enabled() else None
@@ -328,7 +245,6 @@ class Executor:
         self.max_pool_rebuilds = resolve_max_pool_rebuilds(
             self.max_pool_rebuilds
         )
-        self.batch = resolve_batch(self.batch)
 
     def run(self, requests: Sequence[RunRequest]) -> List[RunSummary]:
         """Execute ``requests``; summaries come back in request order."""
@@ -371,19 +287,14 @@ class Executor:
                 pending.append(index)
 
         try:
-            if pending and self.batch != "off":
-                pending = self._run_batched(
+            if self.jobs > 1 and len(pending) > 1:
+                self._run_parallel(
                     requests, pending, fingerprints, results, report
                 )
-            if pending:
-                if self.jobs > 1 and len(pending) > 1:
-                    self._run_parallel(
-                        requests, pending, fingerprints, results, report
-                    )
-                else:
-                    self._run_serial(
-                        requests, pending, fingerprints, results, report
-                    )
+            elif pending:
+                self._run_serial(
+                    requests, pending, fingerprints, results, report
+                )
         finally:
             self._shm_ledger.sweep()
             if checkpoint is not None:
@@ -427,211 +338,6 @@ class Executor:
                 fingerprints[index] or f"#{index}",
             )
             self._complete(index, summary, fingerprints, results)
-
-    # -- cross-run batching ------------------------------------------------
-
-    def _batch_mode(self) -> str:
-        """Concretise ``"auto"``: pool-of-groups only helps with real
-        spare cores; on a single-CPU machine (or a serial executor) the
-        in-process coalesced path is strictly better — no pool setup,
-        no transport, same batched kernels."""
-        if self.batch != "auto":
-            return self.batch
-        if self.jobs > 1 and (os.cpu_count() or 1) > 1:
-            return "pool"
-        return "inproc"
-
-    def _run_batched(
-        self, requests, pending, fingerprints, results, report,
-    ) -> List[int]:
-        """Run vectorizable groups through the batched SoA path.
-
-        Returns the indices still pending afterwards: stragglers that
-        never grouped plus any member whose batch attempt failed —
-        those degrade (alone) to the proven per-run retry machinery.
-        The batch attempt is recorded but never charged against the
-        retry budget.
-        """
-        mode = self._batch_mode()
-        max_group = None
-        if mode == "pool":
-            # Enough groups to occupy every worker, when the buckets
-            # allow it.
-            import math
-
-            max_group = max(2, math.ceil(len(pending) / self.jobs))
-        groups, stragglers = plan_groups(
-            requests, pending, max_group=max_group
-        )
-        if not groups:
-            return pending
-        remaining = list(stragglers)
-        STATS.batched_groups += len(groups)
-        if mode == "pool":
-            group_results = self._run_groups_pool(requests, groups)
-        else:
-            group_results = [
-                (indices,
-                 _normalize_outcomes(run_group(
-                     [requests[i] for i in indices]
-                 )))
-                for indices in groups
-            ]
-        for indices, outcomes in group_results:
-            if outcomes is None:
-                # Whole-group transport/pool failure: every member
-                # degrades to the per-run path, uncharged.
-                remaining.extend(indices)
-                continue
-            for index, outcome in zip(indices, outcomes):
-                ok, summary, error_class, error_message, elapsed = (
-                    outcome
-                )
-                req_report = report.requests[index]
-                if ok:
-                    req_report.attempts.append(AttemptRecord(
-                        attempt=1,
-                        kind="ok",
-                        message=f"batched group of {len(indices)}",
-                        elapsed=elapsed,
-                    ))
-                    STATS.batched_runs += 1
-                    self._complete(
-                        index, summary, fingerprints, results
-                    )
-                else:
-                    req_report.attempts.append(AttemptRecord(
-                        attempt=1,
-                        kind="batch-error",
-                        error=error_class,
-                        message=error_message,
-                        elapsed=elapsed,
-                    ))
-                    remaining.append(index)
-        remaining.sort()
-        return remaining
-
-    def _run_groups_pool(self, requests, groups):
-        """Ship each group to a worker; one shm segment per group.
-
-        Deliberately simpler than :meth:`_pump_pool`: any pool-level
-        failure (crash, timeout, unserialisable group) degrades the
-        affected groups wholesale to the per-run machinery — which owns
-        rebuild budgets and per-run timeouts — instead of duplicating
-        that logic here.  Returns ``(indices, outcomes-or-None)`` per
-        group, where outcomes are normalized member tuples.
-        """
-        import multiprocessing
-        from concurrent.futures import FIRST_COMPLETED, wait
-        from concurrent.futures import ProcessPoolExecutor
-
-        results = []
-        use_shm = shm.shm_enabled()
-        try:
-            import cloudpickle
-
-            started_pickle = time.perf_counter()
-            blobs = []
-            for indices in groups:
-                blob = cloudpickle.dumps(
-                    [requests[i] for i in indices], protocol=4
-                )
-                STATS.pickled_bytes += len(blob)
-                blobs.append(blob)
-            STATS.serialize_seconds += (
-                time.perf_counter() - started_pickle
-            )
-            context = multiprocessing.get_context("fork")
-        except Exception:
-            return [(indices, None) for indices in groups]
-
-        workers = min(self.jobs, len(groups))
-        in_flight = {}
-        outcome_map: Dict[int, Optional[list]] = {}
-        try:
-            with ProcessPoolExecutor(
-                max_workers=workers, mp_context=context
-            ) as pool:
-                for position, indices in enumerate(groups):
-                    name = None
-                    if use_shm:
-                        name = self._shm_ledger.issue(
-                            shm.segment_name()
-                        )
-                    future = pool.submit(
-                        _execute_group_blob, blobs[position], name
-                    )
-                    in_flight[future] = (
-                        position, name, time.monotonic(),
-                        len(groups[position]),
-                    )
-                while in_flight:
-                    timeout = None
-                    if self.run_timeout is not None:
-                        deadline = min(
-                            started + self.run_timeout * size
-                            for _, _, started, size in in_flight.values()
-                        )
-                        timeout = max(0.0, deadline - time.monotonic())
-                    done, _ = wait(
-                        set(in_flight), timeout=timeout,
-                        return_when=FIRST_COMPLETED,
-                    )
-                    if not done:
-                        # A group overran its collective deadline;
-                        # degrade everything still in flight and let
-                        # the per-run path enforce real timeouts.
-                        break
-                    for future in done:
-                        position, name, _, _ = in_flight.pop(future)
-                        outcome_map[position] = self._collect_group(
-                            future, name
-                        )
-        except Exception:
-            pass
-        finally:
-            for future, (position, name, _, _) in in_flight.items():
-                future.cancel()
-                if name is not None:
-                    self._shm_ledger.release(name)
-                outcome_map.setdefault(position, None)
-        for position, indices in enumerate(groups):
-            results.append((indices, outcome_map.get(position)))
-        return results
-
-    def _collect_group(self, future, name):
-        """Decode one finished group future; ``None`` = degrade whole
-        group."""
-        try:
-            transport, meta, payload = future.result()
-            if transport == "shm":
-                shm_name, count, nbytes = payload
-                started = time.perf_counter()
-                summaries = shm.decode_summaries(shm_name)
-                STATS.serialize_seconds += (
-                    time.perf_counter() - started
-                )
-                STATS.shm_bytes += nbytes
-                if len(summaries) != count:
-                    return None
-            else:
-                summaries = payload
-        except Exception:
-            return None
-        finally:
-            if name is not None:
-                self._shm_ledger.release(name)
-        outcomes = []
-        cursor = 0
-        for position, ok, error_class, error_message, elapsed in meta:
-            summary = None
-            if ok:
-                summary = summaries[cursor]
-                cursor += 1
-            outcomes.append(
-                (ok, summary, error_class, error_message, elapsed)
-            )
-        return outcomes
 
     def _run_one_with_retry(self, request, req_report, key: str):
         retry: RetryPolicy = self.retry  # type: ignore[assignment]

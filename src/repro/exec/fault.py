@@ -164,11 +164,9 @@ class AttemptRecord:
     """One execution attempt of one request."""
 
     attempt: int
-    #: "ok", "error", "timeout", "pool-crash", "preempted" (the pool
+    #: "ok", "error", "timeout", "pool-crash", or "preempted" (the pool
     #: was killed because of *another* request's timeout; does not count
-    #: against this request's retry budget), or "batch-error" (the run
-    #: failed inside a cross-run batch; it degrades to the per-run path
-    #: with its full retry budget intact).
+    #: against this request's retry budget).
     kind: str
     error: str = ""
     message: str = ""

@@ -36,13 +36,12 @@ from typing import Callable, Dict, Optional, Tuple
 #: Version 3: workload specs carry ``start_times``/``restart`` (burst
 #: storms) and summaries carry ``policy_fallbacks``; old entries lack
 #: the new fields, so their fingerprints must never hit.
-#: Version 4: summaries may be produced by the cross-run batched
-#: execution path and transported through shared-memory SoA blocks
-#: (:mod:`repro.exec.batch` / :mod:`repro.exec.shm`).  Both are
-#: specified bit-identical to per-run pickled execution, but the bump
-#: orphans every pre-batch cache entry so any assembly or transport
-#: drift can never silently replay stale results.
-RUN_FORMAT_VERSION = 4
+#: Version 4: summaries could come from the cross-run batched path
+#: and travel through shared-memory SoA blocks (:mod:`repro.exec.shm`).
+#: Version 5: requests lost the ``stepping`` field (every run is event-
+#: stepped) and the batched path was removed, so the fingerprint tuple
+#: changed shape.
+RUN_FORMAT_VERSION = 5
 
 
 def _stable_token(factory: Callable) -> Optional[str]:
@@ -240,19 +239,6 @@ class RunRequest:
     target_affinity: Optional[object] = None
     workload_affinity: Optional[object] = None
     record: bool = False
-    #: Engine stepping mode: ``"event"`` (event-driven fast-forward) or
-    #: ``"fixed"`` (the per-tick reference).  Part of the fingerprint, so
-    #: runs from different modes never share cache entries.
-    stepping: str = "event"
-
-    def __post_init__(self) -> None:
-        from ..runtime.engine import STEPPING_MODES
-
-        if self.stepping not in STEPPING_MODES:
-            raise ValueError(
-                f"unknown stepping mode {self.stepping!r}; "
-                f"expected one of {STEPPING_MODES}"
-            )
 
     def resolved_topology(self):
         if self.topology is not None:
@@ -290,7 +276,6 @@ class RunRequest:
             repr(self.target_affinity),
             repr(self.workload_affinity),
             self.record,
-            self.stepping,
             simulator_fingerprint(),
         )
         return hashlib.sha256(repr(parts).encode()).hexdigest()
@@ -304,14 +289,14 @@ def _availability(request: RunRequest, topology):
     return StaticAvailability(request.processors or topology.cores)
 
 
-def _build_simulation(request: RunRequest, stepping: str):
-    """Build one ready-to-run engine for ``request`` with fresh policies.
+def _simulate(request: RunRequest, stepping: str):
+    """Build and run one engine for ``request`` with fresh policies.
 
-    Returns ``(engine, recorder, base_policy)`` without running the
-    engine, so callers can choose the drive mode: solo
-    (:func:`_simulate` calls ``engine.run()``) or interleaved with
-    other engines through the span-step generator
-    (:mod:`repro.exec.batch`).
+    Returns ``(result, engine, recorder, base_policy)``; separate from
+    :func:`execute_request` so the determinism cross-check and the
+    stepping tests can re-run the identical scenario under the
+    fixed-tick reference with their own freshly-built (stateful) policy
+    objects.
     """
     from ..core.policies.fixed import RecordingPolicy
     from ..core.training import scale_program
@@ -363,25 +348,13 @@ def _build_simulation(request: RunRequest, stepping: str):
         timeline_period=None,
         stepping=stepping,
     )
-    base_policy = recorder.inner if recorder is not None else policy
-    return engine, recorder, base_policy
-
-
-def _simulate(request: RunRequest, stepping: str):
-    """Build and run one engine for ``request`` with fresh policies.
-
-    Returns ``(result, engine, recorder, base_policy)``; separate from
-    :func:`execute_request` so the determinism cross-check can re-run
-    the identical scenario under the other stepping mode with its own
-    freshly-built (stateful) policy objects.
-    """
-    engine, recorder, base_policy = _build_simulation(request, stepping)
     result = engine.run()
+    base_policy = recorder.inner if recorder is not None else policy
     return result, engine, recorder, base_policy
 
 
 def _sanitize_cross_check(request: RunRequest, engine) -> None:
-    """Replay the run under the other stepping mode and compare digests.
+    """Replay the run under fixed stepping and compare state digests.
 
     Under ``REPRO_SANITIZE=1`` every engine folds its decision-relevant
     event stream (consultations, completions, the final result) into a
@@ -395,15 +368,14 @@ def _sanitize_cross_check(request: RunRequest, engine) -> None:
 
     if engine.state_digest is None:
         return
-    other = "fixed" if request.stepping == "event" else "event"
-    _result, shadow, _recorder, _policy = _simulate(request, other)
+    _result, shadow, _recorder, _policy = _simulate(request, "fixed")
     ours = engine.state_digest.hexdigest()
     theirs = shadow.state_digest.hexdigest()
     if ours != theirs:
         raise DeterminismError(
             f"stepping interleavings diverged for {request.target!r} "
-            f"(seed={request.seed}): {request.stepping}-mode digest "
-            f"{ours} != {other}-mode digest {theirs} after "
+            f"(seed={request.seed}): event-mode digest "
+            f"{ours} != fixed-mode digest {theirs} after "
             f"{engine.state_digest.events} vs "
             f"{shadow.state_digest.events} events"
         )
@@ -415,24 +387,12 @@ def execute_request(request: RunRequest) -> RunSummary:
     Deterministic: the same request always yields an identical summary,
     which is what makes both memoisation and the serial/parallel
     equivalence guarantee of :class:`repro.exec.executor.Executor` hold.
-    Under ``REPRO_SANITIZE=1`` the run is additionally replayed under
-    the other stepping mode and the two engines' state digests are
-    cross-checked (see :func:`_sanitize_cross_check`).
+    The run is event-stepped.  Under ``REPRO_SANITIZE=1`` it is
+    additionally replayed under fixed stepping and the two engines'
+    state digests are cross-checked (see :func:`_sanitize_cross_check`).
     """
-    result, engine, recorder, base_policy = _simulate(
-        request, request.stepping
-    )
+    result, engine, recorder, base_policy = _simulate(request, "event")
     _sanitize_cross_check(request, engine)
-    return _summarize(request, result, recorder, base_policy)
-
-
-def _summarize(request, result, recorder, base_policy) -> RunSummary:
-    """Assemble the :class:`RunSummary` for one finished simulation.
-
-    Shared by solo execution (:func:`execute_request`) and the batch
-    driver (:mod:`repro.exec.batch`), so both produce byte-identical
-    summaries from identical simulation results.
-    """
     if result.target_time is None:
         scenario = getattr(request.scenario, "name", "static")
         raise RuntimeError(

@@ -9,7 +9,7 @@ scenarios.  Figure 8: the cross-scenario summary.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, List, Optional, Sequence
 
 from ..core.training import TrainingConfig
 from ..runtime.metrics import harmonic_mean, median
@@ -35,13 +35,12 @@ def run_static_isolated(
     seeds: Sequence[int] = (0,),
     executor: Optional[Executor] = None,
     jobs: Optional[int] = None,
-    batch: Union[str, bool, None] = "default",
 ) -> ScenarioTable:
     """Figure 7: isolated static system."""
     if policies is None:
         policies = standard_policies()
     if executor is None:
-        executor = Executor(jobs=resolve_jobs(jobs), batch=batch)
+        executor = Executor(jobs=resolve_jobs(jobs))
     return evaluate_scenario(
         STATIC_ISOLATED, targets, policies,
         seeds=seeds, iterations_scale=iterations_scale,
@@ -57,13 +56,12 @@ def run_dynamic_scenario(
     seeds: Sequence[int] = (0, 1),
     executor: Optional[Executor] = None,
     jobs: Optional[int] = None,
-    batch: Union[str, bool, None] = "default",
 ) -> ScenarioTable:
     """One of Figures 9-12."""
     if policies is None:
         policies = standard_policies()
     if executor is None:
-        executor = Executor(jobs=resolve_jobs(jobs), batch=batch)
+        executor = Executor(jobs=resolve_jobs(jobs))
     return evaluate_scenario(
         scenario, targets, policies,
         seeds=seeds, iterations_scale=iterations_scale,
@@ -137,17 +135,16 @@ def run_dynamic_summary(
     scenarios: Sequence[Scenario] = DYNAMIC_SCENARIOS,
     executor: Optional[Executor] = None,
     jobs: Optional[int] = None,
-    batch: Union[str, bool, None] = "default",
 ) -> DynamicSummary:
     """Figure 8 (and the underlying Figures 9-12 tables).
 
-    All scenarios share one executor, so the run cache, the worker
-    pool and the batch planner persist across the four tables.
+    All scenarios share one executor, so the run cache and the
+    fault-tolerance settings persist across the four tables.
     """
     if policies is None:
         policies = standard_policies()
     if executor is None:
-        executor = Executor(jobs=resolve_jobs(jobs), batch=batch)
+        executor = Executor(jobs=resolve_jobs(jobs))
     tables = {
         scenario.name: run_dynamic_scenario(
             scenario, targets, policies,

@@ -17,7 +17,6 @@ from typing import (
     Optional,
     Sequence,
     Tuple,
-    Union,
 )
 
 from ..core.policies import (
@@ -257,7 +256,6 @@ def _comparison_requests(
     target_affinity: Optional[AffinityPolicy],
     workload_affinity: Optional[AffinityPolicy],
     max_time: float,
-    stepping: str = "event",
 ) -> List[RunRequest]:
     """The request batch for one comparison, in sets x seeds x policies
     order (the same workload/seed configuration for every policy, per the
@@ -282,7 +280,6 @@ def _comparison_requests(
                     max_time=max_time,
                     target_affinity=target_affinity,
                     workload_affinity=workload_affinity,
-                    stepping=stepping,
                 ))
     return requests
 
@@ -351,22 +348,19 @@ def compare_policies(
     max_time: float = 3600.0,
     executor: Optional[Executor] = None,
     jobs: Optional[int] = None,
-    stepping: str = "event",
-    batch: Union[str, bool, None] = "default",
 ) -> PolicyComparison:
     """Evaluate all policies on one target in one scenario.
 
     Runs go through the :mod:`repro.exec` layer: spread over the
-    executor's worker pool (``jobs``/``REPRO_JOBS``; default serial),
-    optionally batched through shared SoA kernel invocations
-    (``batch``/``REPRO_BATCH``; physics stays bit-identical) and
-    memoised on disk, while keeping the paper's protocol — identical
-    workload sets, seeds and availability schedules across policies.
+    executor's worker pool (``jobs``/``REPRO_JOBS``; default serial)
+    and memoised on disk, while keeping the paper's protocol —
+    identical workload sets, seeds and availability schedules across
+    policies.
     """
     if "default" not in policies:
         raise ValueError("policies must include the 'default' baseline")
     if executor is None:
-        executor = Executor(jobs=resolve_jobs(jobs), batch=batch)
+        executor = Executor(jobs=resolve_jobs(jobs))
     specs = {
         name: PolicySpec.of(factory, label=name)
         for name, factory in policies.items()
@@ -374,7 +368,6 @@ def compare_policies(
     requests = _comparison_requests(
         target_name, scenario, specs, seeds, topology,
         iterations_scale, target_affinity, workload_affinity, max_time,
-        stepping=stepping,
     )
     summaries = executor.run(requests)
     comparison = _assemble_comparison(
@@ -444,21 +437,18 @@ def evaluate_scenario(
     topology: Topology = XEON_L7555,
     executor: Optional[Executor] = None,
     jobs: Optional[int] = None,
-    stepping: str = "event",
-    batch: Union[str, bool, None] = "default",
 ) -> ScenarioTable:
     """One full per-benchmark figure (Figures 7, 9-12).
 
     All targets' runs are submitted as a single list so the worker pool
-    stays saturated across row boundaries — and so the batch planner
-    sees the whole grid at once when batching is enabled.
+    stays saturated across row boundaries.
     """
     if policies is None:
         policies = standard_policies()
     if "default" not in policies:
         raise ValueError("policies must include the 'default' baseline")
     if executor is None:
-        executor = Executor(jobs=resolve_jobs(jobs), batch=batch)
+        executor = Executor(jobs=resolve_jobs(jobs))
     specs = {
         name: PolicySpec.of(factory, label=name)
         for name, factory in policies.items()
@@ -468,7 +458,6 @@ def evaluate_scenario(
         requests.extend(_comparison_requests(
             target, scenario, specs, seeds, topology,
             iterations_scale, None, None, 3600.0,
-            stepping=stepping,
         ))
     summaries = executor.run(requests)
     chunk = len(_scenario_sets(scenario)) * len(seeds) * len(specs)

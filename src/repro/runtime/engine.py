@@ -19,7 +19,9 @@ the one-sample lag a real runtime reading ``/proc`` would have.
 Two stepping modes share that tick-grid semantics:
 
 * ``stepping="fixed"`` — the reference implementation: one loop
-  iteration per tick, every statistic updated incrementally.
+  iteration per tick, every statistic updated incrementally.  It is a
+  test oracle, not a production mode: the equivalence tests and the
+  ``REPRO_SANITIZE=1`` digest cross-check replay runs under it.
 * ``stepping="event"`` (default) — event-driven: between *events*
   (phase completions, availability transitions, job arrivals, timeline
   samples) the system's dynamics are piecewise-constant, so the engine
@@ -79,9 +81,8 @@ _SPIN_BASE = 1.0 - MAX_SPIN_WASTE
 
 #: Largest active-row count for which a fast-forward span is applied
 #: with scalar Python instead of the NumPy kernels (re-exported from
-#: :mod:`repro.runtime.kernels`, where the batch-aware threshold now
-#: lives).  Both paths compute the same products in the same order, so
-#: results are bit-identical.
+#: :mod:`repro.runtime.kernels`).  Both paths compute the same products
+#: in the same order, so results are bit-identical.
 SCALAR_SPAN_MAX = kernels.SCALAR_SPAN_MAX
 
 
@@ -313,34 +314,10 @@ class CoExecutionEngine:
         )
 
     def run(self) -> SimulationResult:
-        """Execute the co-execution scenario and collect results.
-
-        Drives :meth:`span_steps` to completion, applying each yielded
-        span plan immediately — the solo execution mode.  A batch
-        driver (:mod:`repro.exec.batch`) instead interleaves the
-        generators of several engines and applies their plans together
-        through one batched kernel invocation.
-        """
-        steps = self.span_steps()
-        while True:
-            try:
-                plan = next(steps)
-            except StopIteration as stop:
-                return stop.value
-            plan.apply()
-
-    def span_steps(self):
-        """Generator form of the tick loop for external span drivers.
-
-        Yields a :class:`repro.runtime.kernels.SpanPlan` at every
-        event-free fast-forward point; the caller must apply the plan
-        (solo or batched — bit-identical either way) before resuming
-        the generator.  The generator's return value is the
-        :class:`SimulationResult`.
-        """
+        """Execute the co-execution scenario and collect results."""
         return self._run_loop(event=self._stepping == "event")
 
-    def _run_loop(self, event: bool):
+    def _run_loop(self, event: bool) -> SimulationResult:
         """The tick loop; ``event=True`` adds event-free fast-forwards.
 
         Every tick that *executes* runs the identical code path in both
@@ -534,27 +511,13 @@ class CoExecutionEngine:
             # threads, allocation) — no recomputation, and no job can
             # have finished (``active`` needs no re-filtering).  The
             # rows double as the span working set.
-            min_ticks = math.inf
-            span_rows = []
             allocs = allocation.allocations
-            for state in active:
-                instance = state.instance
-                rate = state._tick_rate
-                span_rows.append(
-                    (state, instance, allocs[state.spec.job_id], rate,
-                     state.region is None)
-                )
-                if rate > kernels.RATE_EPSILON:
-                    ticks_left = instance.remaining / (rate * dt)
-                    if ticks_left < min_ticks:
-                        min_ticks = ticks_left
-            if math.isinf(min_ticks):
-                horizon = math.inf
-            else:
-                horizon = max(
-                    0.0,
-                    math.ceil(min_ticks - kernels.HORIZON_FUZZ) - 1.0,
-                )
+            span_rows = [
+                (state, state.instance, allocs[state.spec.job_id],
+                 state._tick_rate, state.region is None)
+                for state in active
+            ]
+            horizon = kernels.completion_horizon(span_rows, dt)
             if horizon >= 1:
                 # `time` already points at the *next* tick; the last
                 # executed tick was one dt ago, which is what the
@@ -579,18 +542,11 @@ class CoExecutionEngine:
                 span_blocked = True
                 continue
             ticks = int(horizon)
-            # Hand the span to the driver instead of applying it here:
-            # `run()` applies it immediately (the historical scalar /
-            # NumPy split lives in SpanPlan.apply), while a cross-run
-            # batch driver coalesces plans from many engines into one
-            # kernel invocation.  Either way the plan is applied before
-            # the generator resumes, so the code below always sees
-            # fully advanced job state.
-            yield kernels.SpanPlan(
+            kernels.SpanPlan(
                 rows=span_rows, ticks=ticks, dt=dt,
                 allocation=allocation, spin_coeff=SPIN_WASTE_COEFF,
                 max_spin_waste=MAX_SPIN_WASTE,
-            )
+            ).apply()
             # Accumulate `time` tick by tick: span ticks must leave the
             # float trajectory bit-identical to fixed stepping, or grid
             # predicates (availability periods, arrival comparisons)

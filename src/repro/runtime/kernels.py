@@ -13,21 +13,17 @@ operation (same constants, same evaluation order), so a span accrues the
 same work the fixed-tick reference would, up to floating-point
 accumulation order (one multiply per span instead of one per tick).
 
-Every kernel also accepts a **leading batch axis**: a
-:class:`BatchSpanState` stacks the spans of N independent runs into
-``(B, Jmax)`` padded arrays so a whole group of simulations advances
-its event-free spans in a single set of NumPy operations
-(:func:`apply_span_plans`).  Since every operation is elementwise, a
-row's results are bit-identical whether it is processed alone or
-inside a batch — the cross-run batch path inherits the per-run
-equivalence guarantee for free.
+Spans are applied one run at a time: stacking many runs' spans into
+one kernel call lost to per-run execution on a 2-core host, and no
+fig08 span has enough rows to leave the scalar path (see
+``docs/performance.md``).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from dataclasses import dataclass
+from typing import List
 
 import numpy as np
 
@@ -41,14 +37,12 @@ RATE_EPSILON = 1e-12
 #: blanket ``-1`` would waste at every event.
 HORIZON_FUZZ = 1e-6
 
-#: Largest *total* active-row count for which a fast-forward span (or a
-#: batch of spans) is applied with scalar Python instead of the NumPy
-#: kernels: below this the array gather in :func:`build_span_state` /
-#: :func:`build_batch_span_state` costs more than the vectorization
-#: saves.  Both paths compute the same products in the same order, so
-#: results are bit-identical.  For batches the threshold applies to the
-#: aggregate row count across members, so small-N groups take the same
-#: scalar arithmetic a solo engine would — never a third code path.
+#: Largest active-row count for which a fast-forward span is applied
+#: with scalar Python instead of the NumPy kernels: below this the
+#: array gather in :func:`build_span_state` costs more than the
+#: vectorization saves.  Both paths compute the same products in the
+#: same order and write back Python floats, so results are
+#: bit-identical down to their pickled bytes.
 SCALAR_SPAN_MAX = 12
 
 
@@ -136,12 +130,6 @@ def span_rates(span: SpanState, spin_coeff: float,
     glue progresses at ``min(1, share) * switch_factor``; parallel
     regions at granted CPU discounted by context-switch, memory,
     scaling-efficiency and spin-waste factors.
-
-    Shape-polymorphic: accepts the 1-D arrays of a :class:`SpanState`
-    or the ``(B, Jmax)`` arrays of a :class:`BatchSpanState`.  Padded
-    batch rows (``threads == share == switch_factor == 0``) come out
-    with rate exactly ``0.0``, below :data:`RATE_EPSILON`, so they are
-    inert everywhere downstream.
     """
     if span.threads.size == 0:
         return np.empty_like(span.threads)
@@ -159,10 +147,12 @@ def span_rates(span: SpanState, spin_coeff: float,
     return np.where(span.serial, serial_rates, region_rates)
 
 
-def completion_horizon(span: SpanState, dt: float) -> float:
+def completion_horizon(rows, dt: float) -> float:
     """Max whole ticks before any job could complete its phase.
 
-    For a job progressing at rate ``r`` with ``w = m * r * dt`` work
+    ``rows`` are :class:`SpanPlan` rows, ``(state, instance, alloc,
+    rate, serial)`` — the engine's span pre-pass working set.  For a
+    job progressing at rate ``r`` with ``w = m * r * dt`` work
     remaining, the fixed-tick engine completes the phase *during* tick
     index ``ceil(m) - 1`` (for integer ``m`` the final tick consumes
     exactly the remaining work), so up to ``ceil(m) - 1`` whole ticks
@@ -172,89 +162,51 @@ def completion_horizon(span: SpanState, dt: float) -> float:
     work totals can never push the completion across a tick boundary.
     Stalled jobs (``rate <= RATE_EPSILON``) never complete and impose
     no bound.
-
-    With a leading batch axis the bound is per member: a ``(B, Jmax)``
-    :class:`BatchSpanState` yields a ``(B,)`` array of horizons, the
-    padded rows contributing nothing (their rate is 0, i.e. stalled).
     """
-    if span.threads.size == 0:
-        if span.threads.ndim == 2:
-            return np.full(span.threads.shape[0], math.inf)
+    min_ticks = math.inf
+    for _state, instance, _alloc, rate, _serial in rows:
+        if rate > RATE_EPSILON:
+            ticks_left = instance.remaining / (rate * dt)
+            if ticks_left < min_ticks:
+                min_ticks = ticks_left
+    if math.isinf(min_ticks):
         return math.inf
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ticks = np.where(
-            span.rates > RATE_EPSILON,
-            span.remaining / (span.rates * dt),
-            np.inf,
-        )
-    if span.rates.ndim == 2:
-        per_member = np.min(ticks, axis=1)
-        return np.where(
-            np.isinf(per_member),
-            np.inf,
-            np.maximum(0.0, np.ceil(per_member - HORIZON_FUZZ) - 1.0),
-        )
-    horizon = float(np.min(ticks))
-    if math.isinf(horizon):
-        return math.inf
-    return max(0.0, math.ceil(horizon - HORIZON_FUZZ) - 1.0)
+    return max(0.0, math.ceil(min_ticks - HORIZON_FUZZ) - 1.0)
 
 
-def apply_span(span, ticks, dt: float) -> None:
+def apply_span(span: SpanState, ticks: int, dt: float) -> None:
     """Write ``ticks`` ticks of progress back onto the job states.
 
     Work, CPU time and region residency all accrue linearly while rates
     hold, so the whole span is two vector multiplies.  The phase cannot
     complete inside the span (:func:`completion_horizon` guarantees a
     full tick of headroom), so ``remaining`` is decremented directly
-    without boundary handling.
-
-    For a :class:`BatchSpanState`, ``ticks`` is one count per member
-    and the two multiplies broadcast a ``(B, 1)`` elapsed column over
-    the ``(B, Jmax)`` rate/grant planes — per element the identical
-    IEEE product the solo path computes, so batching cannot perturb a
-    single bit of simulated state.
+    without boundary handling.  The products are converted to Python
+    floats before they touch job state: a NumPy scalar would otherwise
+    leak into run summaries, equal in value to the scalar path's result
+    but different in ``repr`` and pickled bytes.
     """
-    if isinstance(span, BatchSpanState):
-        elapsed = np.asarray(ticks, dtype=float) * dt
-        work = span.rates * elapsed[:, None]
-        cpu = span.granted_cpus * elapsed[:, None]
-        for b, states in enumerate(span.members):
-            member_elapsed = float(elapsed[b])
-            serial = span.serial[b]
-            for j, state in enumerate(states):
-                state.work_done += work[b, j]
-                state.cpu_time += cpu[b, j]
-                state.instance.remaining -= work[b, j]
-                if not serial[j]:
-                    state.region_elapsed += member_elapsed
-        return
     if ticks < 1 or len(span) == 0:
         return
     elapsed = ticks * dt
-    work = span.rates * elapsed
-    cpu = span.granted_cpus * elapsed
-    for row, state in enumerate(span.states):
-        state.work_done += work[row]
-        state.cpu_time += cpu[row]
-        state.instance.remaining -= work[row]
-        if not span.serial[row]:
+    work = (span.rates * elapsed).tolist()
+    cpu = (span.granted_cpus * elapsed).tolist()
+    for state, row_work, row_cpu, serial in zip(
+        span.states, work, cpu, span.serial.tolist()
+    ):
+        state.work_done += row_work
+        state.cpu_time += row_cpu
+        state.instance.remaining -= row_work
+        if not serial:
             state.region_elapsed += elapsed
 
 
 @dataclass
 class SpanPlan:
-    """One engine's pending event-free fast-forward, not yet applied.
+    """One engine's event-free fast-forward, applied by :meth:`apply`.
 
-    The engine's stepping generator
-    (:meth:`repro.runtime.engine.CoExecutionEngine.span_steps`) yields
-    one of these at every span point instead of applying the progress
-    itself, so a driver can choose *how* to apply it: solo
-    (:meth:`apply`, the classic scalar/vector split) or coalesced with
-    the plans of other engines into one batched kernel invocation
-    (:func:`apply_span_plans`).  ``rows`` carries
-    ``(state, instance, alloc, rate, serial)`` tuples — the span
-    pre-pass working set — and ``allocation`` the
+    ``rows`` carries ``(state, instance, alloc, rate, serial)`` tuples —
+    the span pre-pass working set — and ``allocation`` the
     :class:`~repro.sched.scheduler.TickAllocation` in force for the
     span.
     """
@@ -270,7 +222,8 @@ class SpanPlan:
         return len(self.rows)
 
     def apply(self) -> None:
-        """Solo application: the engine's historical scalar/NumPy split."""
+        """Apply the span: scalar Python for few rows, NumPy above
+        :data:`SCALAR_SPAN_MAX`."""
         if len(self.rows) <= SCALAR_SPAN_MAX:
             self.apply_scalar()
         else:
@@ -294,118 +247,3 @@ class SpanPlan:
             instance.remaining -= work
             if not serial:
                 state.region_elapsed += elapsed
-
-
-@dataclass
-class BatchSpanState:
-    """Structure-of-arrays snapshot of N independent runs' spans.
-
-    The leading axis is the batch member; the trailing axis is the
-    member's active-job row, padded to the widest member.  Pad rows use
-    ``threads = share = switch_factor = 0`` so :func:`span_rates`
-    evaluates them to exactly ``0.0`` — stalled, hence invisible to
-    :func:`completion_horizon` — and :func:`apply_span` never writes
-    them back (``members`` only holds the real job states).
-    """
-
-    members: List[list]       # per-member _JobState lists (row order)
-    ticks: np.ndarray         # (B,) span length per member
-    dt: float
-    threads: np.ndarray       # all (B, Jmax)
-    share: np.ndarray
-    granted_cpus: np.ndarray
-    switch_factor: np.ndarray
-    memory_factor: np.ndarray
-    efficiency: np.ndarray
-    sync: np.ndarray
-    serial: np.ndarray
-    remaining: np.ndarray
-    rates: np.ndarray = field(default_factory=lambda: np.empty((0, 0)))
-
-    def __len__(self) -> int:
-        return len(self.members)
-
-
-def build_batch_span_state(plans: Sequence[SpanPlan]) -> BatchSpanState:
-    """Stack the spans of ``plans`` into one padded ``(B, Jmax)`` batch.
-
-    The per-row gather is the same as :func:`build_span_state` — same
-    fields, same expressions — just written into row ``(b, j)`` of the
-    batch planes instead of row ``j`` of a 1-D snapshot.
-    """
-    if not plans:
-        raise ValueError("cannot batch zero span plans")
-    batch = len(plans)
-    width = max(len(plan.rows) for plan in plans)
-    shape = (batch, width)
-    threads = np.zeros(shape, dtype=float)
-    share = np.zeros(shape, dtype=float)
-    granted_cpus = np.zeros(shape, dtype=float)
-    switch_factor = np.zeros(shape, dtype=float)
-    memory_factor = np.zeros(shape, dtype=float)
-    efficiency = np.ones(shape, dtype=float)
-    sync = np.zeros(shape, dtype=float)
-    serial = np.zeros(shape, dtype=bool)
-    remaining = np.zeros(shape, dtype=float)
-    members: List[list] = []
-    for b, plan in enumerate(plans):
-        states = []
-        for j, (state, instance, alloc, _rate, _serial) in enumerate(
-            plan.rows
-        ):
-            region = state.region
-            threads[b, j] = float(state.threads)
-            share[b, j] = alloc.granted_cpus / max(alloc.threads, 1)
-            granted_cpus[b, j] = alloc.granted_cpus
-            switch_factor[b, j] = alloc.switch_factor
-            memory_factor[b, j] = alloc.memory_factor
-            remaining[b, j] = instance.remaining
-            if region is None:
-                serial[b, j] = True
-            else:
-                efficiency[b, j] = region.scaling.efficiency(
-                    state.threads
-                )
-                sync[b, j] = region.sync_intensity
-            states.append(state)
-        members.append(states)
-    state = BatchSpanState(
-        members=members,
-        ticks=np.array([plan.ticks for plan in plans], dtype=np.int64),
-        dt=plans[0].dt,
-        threads=threads,
-        share=share,
-        granted_cpus=granted_cpus,
-        switch_factor=switch_factor,
-        memory_factor=memory_factor,
-        efficiency=efficiency,
-        sync=sync,
-        serial=serial,
-        remaining=remaining,
-    )
-    state.rates = span_rates(
-        state, plans[0].spin_coeff, plans[0].max_spin_waste
-    )
-    return state
-
-
-def apply_span_plans(plans: Sequence[Optional[SpanPlan]]) -> None:
-    """Advance a whole group of runs' spans in one kernel invocation.
-
-    The cross-run analogue of :meth:`SpanPlan.apply`, including the
-    batch-aware scalar fallback: when the *aggregate* row count is at
-    most :data:`SCALAR_SPAN_MAX`, each plan takes the identical scalar
-    arithmetic a solo engine would (so tiny groups cannot diverge from
-    the solo path); above it, the plans are stacked into one
-    :class:`BatchSpanState` and a single :func:`span_rates` +
-    :func:`apply_span` pass advances every member at once.
-    """
-    live = [plan for plan in plans if plan is not None]
-    if not live:
-        return
-    if sum(len(plan.rows) for plan in live) <= SCALAR_SPAN_MAX:
-        for plan in live:
-            plan.apply_scalar()
-        return
-    batch = build_batch_span_state(live)
-    apply_span(batch, batch.ticks, batch.dt)

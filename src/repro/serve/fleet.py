@@ -17,11 +17,16 @@ decision but routing, batching and bookkeeping.
 * **Micro-batching** — per-shard bounded queues flush on ``batch_max``
   or a ``batch_linger`` deadline, feeding the vectorized
   :meth:`~repro.serve.server.PolicyServer.offer_batch` path.  Batch
-  boundaries are wall-clock-dependent; decisions are not: the batch
-  plan is bit-identical to the scalar loop, every flush starts at
-  arrival position 0, and ``batch_max <= queue_capacity`` is enforced
-  so admission never depends on where a linger deadline happened to
-  fall.
+  boundaries are wall-clock-dependent; batching itself never changes a
+  decision: the batch plan is bit-identical to the scalar loop, every
+  flush starts at arrival position 0, and ``batch_max <=
+  queue_capacity`` is enforced so admission never depends on where a
+  linger deadline happened to fall.  One wall-clock input does reach a
+  served decision: the per-decision deadline check can demote a slow
+  answer to a lower tier after tier 0 has already updated the
+  selector.  Selector state is unaffected, but the served
+  ``threads@tier`` is not, so twin checks exempt deadline-missed
+  decisions.
 * **Transport** — request and decision blocks travel through
   :class:`~repro.exec.shm.ShmRing` shared-memory rings as
   structure-of-arrays columns (``float64`` round-trips every IEEE

@@ -457,7 +457,8 @@ def verify_fleet_recovery(
     runs it through a process fleet whose owning shard is SIGKILLed at
     ``kill_at``.  Afterwards every stream's online-learning state must
     be bit-identical between the twins, and every decision B actually
-    served (everything except its ``recovered`` re-delivery markers)
+    served (everything except its ``recovered`` re-delivery markers
+    and deadline-missed decisions, see :func:`_compare_decisions`)
     must equal A's decision for the same request.
     """
     if not 0 < kill_at < spec.requests:
@@ -475,13 +476,14 @@ def verify_fleet_recovery(
     )
 
     _compare_stream_states(twin_states, crash_states, "failover")
-    recovered, compared = _compare_decisions(
+    recovered, missed, compared = _compare_decisions(
         twin_decisions, crash_decisions, "failover")
     return {
         "kill_at": kill_at,
         "shards": config.shards,
         "failovers": crash_report.failovers,
         "recovered": recovered,
+        "deadline_missed": missed,
         "compared_decisions": compared,
         "identical": True,
     }
@@ -507,7 +509,8 @@ def verify_resize(
     only on the stream's own request prefix — never on fleet shape or
     placement — B must end with every stream's selector state
     bit-identical to A's, and every decision B actually served
-    (excluding ``recovered`` re-delivery markers) must equal A's.
+    (excluding ``recovered`` re-delivery markers and deadline-missed
+    decisions) must equal A's.
     """
     if not resize_at:
         raise ValueError("resize_at must schedule at least one resize")
@@ -529,7 +532,7 @@ def verify_resize(
     )
 
     _compare_stream_states(twin_states, resized_states, "resharding")
-    recovered, compared = _compare_decisions(
+    recovered, missed, compared = _compare_decisions(
         twin_decisions, resized_decisions, "resharding")
     return {
         "resize_at": {int(k): v for k, v in sorted(resize_at.items())},
@@ -541,6 +544,7 @@ def verify_resize(
         "failovers": resized_report.failovers,
         "restarts": resized_report.restarts,
         "recovered": recovered,
+        "deadline_missed": missed,
         "compared_decisions": compared,
         "streams": len(twin_states),
         "identical": True,
@@ -570,32 +574,51 @@ def _compare_stream_states(twin_states: Dict[str, dict],
 
 def _compare_decisions(twin_decisions: List[ServeDecision],
                        other_decisions: List[ServeDecision],
-                       what: str) -> Tuple[int, int]:
-    """Bit-identical served decisions, ``recovered`` markers exempt.
+                       what: str) -> Tuple[int, int, int]:
+    """Bit-identical served decisions, two kinds of decision exempt.
 
     The interrupted run's ``recovered`` markers stand in for answers
-    that were journaled but whose delivery died with a shard;
-    everything it actually served must match the twin.  Returns the
-    (recovered, compared) counts.
+    that were journaled but whose delivery died with a shard.  A
+    decision that missed its wall-clock deadline (on either side) may
+    have been demoted to a lower tier after tier 0 already updated the
+    selector, so its ``threads@tier`` can differ from the twin's while
+    the selector state stays twin-equal; the deadline check is the only
+    wall-clock input to a served decision.  Everything else must match
+    the twin.  Returns the (recovered, deadline_missed, compared)
+    counts.
     """
     by_index = {d.index: d for d in twin_decisions}
     compared = 0
     recovered = 0
+    missed = 0
     for decision in other_decisions:
         if decision.tier == RECOVERED_TIER:
             recovered += 1
             continue
         twin_decision = by_index[decision.index]
+        if decision.deadline_missed or twin_decision.deadline_missed:
+            missed += 1
+            continue
         if (decision.threads, decision.tier, decision.shed) != (
                 twin_decision.threads, twin_decision.tier,
                 twin_decision.shed):
             raise SoakInvariantError(
                 f"decision {decision.index} diverged after {what}: "
-                f"{decision.threads}@{decision.tier} vs twin "
-                f"{twin_decision.threads}@{twin_decision.tier}"
+                f"{_describe(decision)} vs twin "
+                f"{_describe(twin_decision)}"
             )
         compared += 1
-    return recovered, compared
+    return recovered, missed, compared
+
+
+def _describe(decision: ServeDecision) -> str:
+    """One decision's answer plus the wall-clock facts behind it."""
+    return (
+        f"{decision.threads}@{decision.tier} "
+        f"(deadline_missed={decision.deadline_missed}, "
+        f"failure={decision.failure}, "
+        f"latency_s={decision.latency_s:.6f})"
+    )
 
 
 def _state_mismatches(left: dict, right: dict) -> List[str]:

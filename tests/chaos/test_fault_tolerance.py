@@ -31,14 +31,6 @@ CRASH_RATE = "0.3"
 RETRY = RetryPolicy(max_retries=40, base_delay=0.005, max_delay=0.05)
 
 
-@pytest.fixture(autouse=True)
-def _per_run_semantics(monkeypatch):
-    """Crash injection fires in pool workers; in-process batching (an
-    ambient ``REPRO_BATCH``, e.g. the CI batching leg) would absorb
-    runs before they reach a worker and starve the chaos assertions."""
-    monkeypatch.delenv("REPRO_BATCH", raising=False)
-
-
 def grid_requests():
     """A 52-request grid: 2 targets x 2 policies x 13 seeds."""
     return [

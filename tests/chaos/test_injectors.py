@@ -29,6 +29,7 @@ from repro.compiler.features import CodeFeatures
 from repro.core.policies.fixed import FixedPolicy
 from repro.core.policies.base import PolicyContext
 from repro.exec import Executor, PolicySpec, RunRequest
+from repro.exec.request import _simulate
 from repro.experiments.scenarios import SMALL_LOW
 from repro.machine.availability import FailureWindow, StaticAvailability
 from repro.sched.stats import ENV_FEATURE_NAMES, EnvironmentSample
@@ -371,7 +372,7 @@ CHAOS_SCENARIO = ChaosScenario(
 )
 
 
-def chaos_requests(stepping="event"):
+def chaos_requests():
     storm = storm_workload(
         ("is", "ft"), PolicySpec.fixed(4),
         bursts=2, interval=40.0, spread=4.0,
@@ -380,7 +381,7 @@ def chaos_requests(stepping="event"):
         RunRequest(
             target=target, policy=PolicySpec.fixed(threads),
             scenario=CHAOS_SCENARIO, workload=storm,
-            iterations_scale=SCALE, stepping=stepping,
+            iterations_scale=SCALE,
         )
         for target in ("cg", "ep")
         for threads in (8, 16)
@@ -400,9 +401,9 @@ class TestChaosDeterminism:
         assert all(s.selections for s in serial)
 
     def test_event_stepping_matches_fixed_under_faults(self):
-        executor = Executor(jobs=1, cache=None, checkpoint=None)
-        event = executor.run(chaos_requests("event"))
-        fixed = executor.run(chaos_requests("fixed"))
+        requests = chaos_requests()
+        event = Executor(jobs=1, cache=None, checkpoint=None).run(requests)
+        fixed = [_simulate(request, "fixed")[0] for request in requests]
         for e, f in zip(event, fixed):
             assert [
                 (s.job_id, s.loop_name, s.threads) for s in e.selections
@@ -412,4 +413,4 @@ class TestChaosDeterminism:
             assert e.target_time == pytest.approx(
                 f.target_time, rel=1e-6
             )
-            assert e.workload_runs == f.workload_runs
+            assert e.workload_runs == tuple(f.workload_runs.items())

@@ -55,6 +55,20 @@ class TestResolveJobs:
         assert resolve_jobs(-4) == 1
 
 
+class TestBatchArgument:
+    """Cross-run batching is gone; ``batch`` survives only as "off"."""
+
+    def test_off_is_accepted(self):
+        executor = Executor(jobs=1, cache=None, batch="off")
+        assert executor.jobs == 1
+        assert "batch" not in vars(executor)
+
+    @pytest.mark.parametrize("mode", ["auto", "pool"])
+    def test_batching_modes_are_rejected(self, mode):
+        with pytest.raises(ValueError, match="batching was removed"):
+            Executor(jobs=1, cache=None, batch=mode)
+
+
 class TestDeterminism:
     def test_parallel_matches_serial_exactly(self):
         """jobs=4 must reproduce jobs=1 bit-for-bit (no cache assist).

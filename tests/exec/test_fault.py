@@ -40,15 +40,6 @@ SCALE = 0.05
 _MARKER_ENV = "REPRO_TEST_HANG_MARKER_DIR"
 
 
-@pytest.fixture(autouse=True)
-def _per_run_semantics(monkeypatch):
-    """These tests assert the *per-run* pool mechanics — crash counts,
-    rebuild counts, timeout reaping.  Neutralise any ambient
-    ``REPRO_BATCH`` (e.g. the CI batching leg) so batching cannot
-    absorb runs before they reach the pool."""
-    monkeypatch.delenv("REPRO_BATCH", raising=False)
-
-
 def tiny_request(**overrides) -> RunRequest:
     base = dict(
         target="cg",

@@ -7,11 +7,19 @@ completion-horizon rounding rules, and the `apply_span` writeback.
 """
 
 import math
+import pickle
 
 import numpy as np
 import pytest
 
 from repro.core.policies import FixedPolicy
+from repro.exec.request import (
+    PolicySpec,
+    RunRequest,
+    WorkloadSpec,
+    execute_request,
+)
+from repro.experiments.scenarios import SMALL_LOW
 from repro.machine.machine import SimMachine
 from repro.machine.topology import XEON_L7555
 from repro.runtime import kernels
@@ -24,6 +32,8 @@ from repro.runtime.engine import (
 )
 from repro.runtime.kernels import (
     HORIZON_FUZZ,
+    SCALAR_SPAN_MAX,
+    SpanPlan,
     SpanState,
     apply_span,
     build_span_state,
@@ -31,6 +41,7 @@ from repro.runtime.kernels import (
     span_rates,
 )
 from repro.sched.scheduler import JobDemand, ProportionalShareScheduler
+from repro.workload.spec import workload_sets
 from tests.runtime.test_engine import tiny_program
 
 
@@ -158,7 +169,7 @@ class TestSpanRatesMatchEngine:
         )
         assert len(span) == 0
         assert span_rates(span, SPIN_WASTE_COEFF, MAX_SPIN_WASTE).size == 0
-        assert completion_horizon(span, 0.1) == math.inf
+        assert completion_horizon([], 0.1) == math.inf
 
 
 def hand_span(rates, remaining, serial=None, granted=None):
@@ -187,42 +198,51 @@ def hand_span(rates, remaining, serial=None, granted=None):
     )
 
 
+def hand_rows(rates, remaining):
+    """Span-plan rows ``(state, instance, alloc, rate, serial)`` with
+    prescribed rates, for horizon tests."""
+    return [
+        (state, state.instance, None, rate, False)
+        for state, rate in zip(hand_span(rates, remaining).states, rates)
+    ]
+
+
 class TestCompletionHorizon:
     def test_integer_tick_count_leaves_final_tick_to_the_engine(self):
         # Exactly 10 ticks of work: 9 are event-free, the 10th (the
         # completing tick) must run through the per-tick path.
-        span = hand_span([2.0], [2.0 * 0.1 * 10])
-        assert completion_horizon(span, 0.1) == 9.0
+        rows = hand_rows([2.0], [2.0 * 0.1 * 10])
+        assert completion_horizon(rows, 0.1) == 9.0
 
     def test_fractional_tick_count_rounds_up(self):
         # 10.4 ticks of work: completion happens during tick index 10,
         # so 10 whole ticks are safe.
-        span = hand_span([2.0], [2.0 * 0.1 * 10.4])
-        assert completion_horizon(span, 0.1) == 10.0
+        rows = hand_rows([2.0], [2.0 * 0.1 * 10.4])
+        assert completion_horizon(rows, 0.1) == 10.0
 
     def test_fuzz_absorbs_accumulation_jitter(self):
         # A hair over an integer boundary (well inside HORIZON_FUZZ)
         # must round *down* like the exact integer, not claim an extra
         # safe tick that per-tick accumulation might contradict.
         ticks = 10.0 + HORIZON_FUZZ / 10.0
-        span = hand_span([2.0], [2.0 * 0.1 * ticks])
-        assert completion_horizon(span, 0.1) == 9.0
+        rows = hand_rows([2.0], [2.0 * 0.1 * ticks])
+        assert completion_horizon(rows, 0.1) == 9.0
 
     def test_minimum_over_jobs(self):
-        span = hand_span([1.0, 4.0], [1.0 * 0.1 * 30, 4.0 * 0.1 * 6])
-        assert completion_horizon(span, 0.1) == 5.0
+        rows = hand_rows([1.0, 4.0], [1.0 * 0.1 * 30, 4.0 * 0.1 * 6])
+        assert completion_horizon(rows, 0.1) == 5.0
 
     def test_stalled_job_imposes_no_bound(self):
-        span = hand_span([2.0, 0.0], [2.0 * 0.1 * 8, 5.0])
-        assert completion_horizon(span, 0.1) == 7.0
+        rows = hand_rows([2.0, 0.0], [2.0 * 0.1 * 8, 5.0])
+        assert completion_horizon(rows, 0.1) == 7.0
 
     def test_all_stalled_is_unbounded(self):
-        span = hand_span([0.0, kernels.RATE_EPSILON], [5.0, 5.0])
-        assert completion_horizon(span, 0.1) == math.inf
+        rows = hand_rows([0.0, kernels.RATE_EPSILON], [5.0, 5.0])
+        assert completion_horizon(rows, 0.1) == math.inf
 
     def test_imminent_completion_clamps_to_zero(self):
-        span = hand_span([2.0], [2.0 * 0.1 * 0.5])
-        assert completion_horizon(span, 0.1) == 0.0
+        rows = hand_rows([2.0], [2.0 * 0.1 * 0.5])
+        assert completion_horizon(rows, 0.1) == 0.0
 
 
 class TestApplySpan:
@@ -302,3 +322,66 @@ class TestBuildSpanState:
         assert span.serial[0]
         assert span.efficiency[0] == 1.0
         assert span.sync[0] == 0.0
+
+
+def plan_for(states, allocation, ticks=5, dt=0.1):
+    """A SpanPlan over real states, rows gathered like the engine's span
+    pre-pass (rates from the engine's own scalar ``_rate``)."""
+    engine = CoExecutionEngine(SimMachine(topology=XEON_L7555), [])
+    rows = []
+    for state in states:
+        alloc = allocation.allocations[state.spec.job_id]
+        rate = engine._rate_uncached(
+            state, alloc, state.region, alloc.thread_share
+        )
+        rows.append(
+            (state, state.instance, alloc, rate, state.region is None)
+        )
+    return SpanPlan(
+        rows=rows, ticks=ticks, dt=dt, allocation=allocation,
+        spin_coeff=SPIN_WASTE_COEFF, max_spin_waste=MAX_SPIN_WASTE,
+    )
+
+
+class TestSpanPlanPaths:
+    """`SpanPlan.apply` takes the scalar path up to `SCALAR_SPAN_MAX`
+    rows and the NumPy path above it; both must leave identical state."""
+
+    def applied(self, monkeypatch, scalar_max):
+        monkeypatch.setattr(kernels, "SCALAR_SPAN_MAX", scalar_max)
+        _, states, allocation = engine_and_states([6, 8], available=8)
+        plan_for(states, allocation, ticks=7).apply()
+        return states
+
+    def test_scalar_and_vector_paths_are_bit_identical(self, monkeypatch):
+        scalar = self.applied(monkeypatch, SCALAR_SPAN_MAX)
+        vector = self.applied(monkeypatch, 0)
+        for s, v in zip(scalar, vector):
+            assert v.work_done == s.work_done
+            assert v.cpu_time == s.cpu_time
+            assert v.region_elapsed == s.region_elapsed
+            assert v.instance.remaining == s.instance.remaining
+
+    def test_vector_path_writes_python_floats(self, monkeypatch):
+        for state in self.applied(monkeypatch, 0):
+            assert type(state.work_done) is float
+            assert type(state.cpu_time) is float
+            assert type(state.instance.remaining) is float
+
+
+class TestVectorPathSummaries:
+    def test_forced_vector_path_pickles_identically(self, monkeypatch):
+        # A workload scenario has spans with several active rows; with
+        # SCALAR_SPAN_MAX = 0 every one of them takes the NumPy path.
+        request = RunRequest(
+            target="cg", policy=PolicySpec.fixed(8), scenario=SMALL_LOW,
+            workload=WorkloadSpec.from_set(
+                workload_sets(SMALL_LOW.workload_size)[0],
+                PolicySpec.fixed(4),
+            ),
+            seed=1, iterations_scale=0.1,
+        )
+        scalar = execute_request(request)
+        monkeypatch.setattr(kernels, "SCALAR_SPAN_MAX", 0)
+        vector = execute_request(request)
+        assert pickle.dumps(vector) == pickle.dumps(scalar)

@@ -13,7 +13,12 @@ in the same process must be *bit-identical* to its first execution.
 import math
 
 from repro.core.policies import FixedPolicy
-from repro.exec.request import PolicySpec, RunRequest, execute_request
+from repro.exec.request import (
+    PolicySpec,
+    RunRequest,
+    _simulate,
+    execute_request,
+)
 from repro.experiments.scenarios import SMALL_HIGH, SMALL_LOW
 from repro.machine.availability import PeriodicAvailability
 from repro.machine.machine import SimMachine
@@ -44,10 +49,10 @@ class TestRepeatedRunsAreBitIdentical:
     of the physical inputs) would make the replay diverge.
     """
 
-    def request(self, seed=1, scenario=SMALL_LOW, stepping="event"):
+    def request(self, seed=1, scenario=SMALL_LOW):
         return RunRequest(
             target="cg", policy=PolicySpec.fixed(8), scenario=scenario,
-            seed=seed, iterations_scale=0.1, stepping=stepping,
+            seed=seed, iterations_scale=0.1,
         )
 
     def test_interleaved_requests_replay_identically(self):
@@ -58,7 +63,7 @@ class TestRepeatedRunsAreBitIdentical:
         # scaling efficiencies) with other keys.
         execute_request(self.request(seed=2))
         execute_request(self.request(scenario=SMALL_HIGH))
-        execute_request(self.request(stepping="fixed"))
+        _simulate(self.request(), "fixed")
         replay = execute_request(self.request())
         assert summary_signature(replay) == summary_signature(first)
 

@@ -5,8 +5,9 @@ drop-in* for the per-tick reference (``stepping="fixed"``): identical
 Selection sequences, identical workload run counts, and work/finish
 times equal to within floating-point accumulation error.  These tests
 pin that contract over every scenario the experiments layer defines,
-plus the structural guarantees around tracing, timeline sampling and
-run-cache separation.
+plus the structural guarantees around tracing and timeline sampling.
+Fixed stepping is a test oracle only: production runs (``RunRequest``)
+are always event-stepped.
 """
 
 import math
@@ -14,9 +15,6 @@ import math
 import pytest
 
 from repro.core.policies import FixedPolicy
-from repro.exec.cache import RunCache
-from repro.exec.executor import Executor
-from repro.exec.request import PolicySpec, RunRequest
 from repro.experiments.scenarios import ALL_SCENARIOS, STATIC_ISOLATED
 from repro.experiments.runner import run_target
 from repro.machine.machine import SimMachine
@@ -179,39 +177,3 @@ class TestSteppingValidation:
             CoExecutionEngine(
                 SimMachine(topology=XEON_L7555), jobs, stepping="warp",
             )
-
-    def test_request_rejects_unknown_mode(self):
-        with pytest.raises(ValueError, match="stepping"):
-            RunRequest(
-                target="cg", policy=PolicySpec.fixed(4), stepping="warp",
-            )
-
-
-class TestCacheSeparation:
-    """Runs from different stepping modes never share cache entries."""
-
-    def request(self, mode):
-        return RunRequest(
-            target="cg", policy=PolicySpec.fixed(4),
-            iterations_scale=0.05, stepping=mode,
-        )
-
-    def test_fingerprints_differ_only_by_mode(self):
-        event_fp = self.request("event").fingerprint()
-        fixed_fp = self.request("fixed").fingerprint()
-        assert event_fp is not None and fixed_fp is not None
-        assert event_fp != fixed_fp
-        # Same mode, same config: the fingerprint is stable.
-        assert self.request("event").fingerprint() == event_fp
-
-    def test_modes_miss_each_others_entries(self, tmp_path):
-        cache = RunCache(root=tmp_path)
-        executor = Executor(jobs=1, cache=cache)
-        executor.run([self.request("event")])
-        executor.run([self.request("fixed")])
-        assert cache.stores == 2
-        assert cache.hits == 0
-        # Replaying either mode is now a pure cache read.
-        executor.run([self.request("event"), self.request("fixed")])
-        assert cache.hits == 2
-        assert cache.stores == 2

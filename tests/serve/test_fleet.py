@@ -25,6 +25,7 @@ from repro.serve.server import ServeConfig, ServeDecision
 from repro.serve.soak import (
     SoakInvariantError,
     SoakSpec,
+    _compare_decisions,
     build_policy,
     make_request,
     run_fleet_soak,
@@ -343,8 +344,8 @@ class TestFailover:
         )
         assert outcome["identical"] is True
         assert outcome["failovers"] >= 1
-        assert outcome["compared_decisions"] + outcome["recovered"] \
-            == SPEC.requests
+        assert (outcome["compared_decisions"] + outcome["recovered"]
+                + outcome["deadline_missed"]) == SPEC.requests
 
     def test_kill_without_failover_is_an_invariant_error(
             self, tiny_bundle, tmp_path, monkeypatch):
@@ -365,6 +366,39 @@ class TestFailover:
                 SPEC, tiny_bundle, config=FleetConfig(shards=1),
                 state_root=tmp_path, kill_at=10,
             )
+
+
+class TestCompareDecisions:
+    """The twin check exempts only recovered markers and deadline
+    misses; every other divergence is an invariant error."""
+
+    TWIN = [
+        ServeDecision(index=0, threads=8, tier="mixture", latency_s=0.001),
+        ServeDecision(index=1, threads=4, tier="mixture", latency_s=0.001),
+    ]
+
+    def test_deadline_missed_divergence_is_exempt(self):
+        other = [
+            self.TWIN[0],
+            ServeDecision(index=1, threads=2, tier="analytic",
+                          latency_s=0.07, deadline_missed=True,
+                          failure="deadline"),
+        ]
+        assert _compare_decisions(self.TWIN, other, "failover") == (0, 1, 1)
+
+    def test_plain_divergence_raises_with_wall_clock_facts(self):
+        other = [
+            self.TWIN[0],
+            ServeDecision(index=1, threads=2, tier="analytic",
+                          latency_s=0.002, failure="exception"),
+        ]
+        with pytest.raises(SoakInvariantError,
+                           match="decision 1 diverged") as caught:
+            _compare_decisions(self.TWIN, other, "failover")
+        message = str(caught.value)
+        assert "deadline_missed=False" in message
+        assert "failure=exception" in message
+        assert "latency_s=0.002000" in message
 
 
 class TestBreakerIsolation:

@@ -307,5 +307,5 @@ class TestProcessResize:
         assert outcome["resizes"] == 2
         assert outcome["final_shards"] == 3
         assert outcome["failovers"] >= 1
-        assert outcome["compared_decisions"] + outcome["recovered"] \
-            == SPEC.requests
+        assert (outcome["compared_decisions"] + outcome["recovered"]
+                + outcome["deadline_missed"]) == SPEC.requests

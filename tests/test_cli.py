@@ -321,7 +321,6 @@ class TestProfile:
         out = capsys.readouterr().out
         assert "cumulative" in out
         assert "_run_loop" in out
-        assert "stepping=event" in out
 
     def test_output_writes_pstats(self, tmp_path, capsys):
         import pstats
@@ -331,17 +330,11 @@ class TestProfile:
         stats = pstats.Stats(str(dump))
         assert stats.total_calls > 0
 
-    def test_fixed_stepping_mode(self, capsys):
-        assert profile_main(self.ARGS + ["--stepping", "fixed"]) == 0
-        assert "stepping=fixed" in capsys.readouterr().out
-
     def test_rejects_bad_arguments(self):
         with pytest.raises(SystemExit):
             profile_main(["--threads", "0"])
         with pytest.raises(SystemExit):
             profile_main(["--scale", "0"])
-        with pytest.raises(SystemExit):
-            profile_main(["--stepping", "warp"])
 
     def test_main_dispatches_profile(self, capsys):
         assert main(["profile"] + self.ARGS) == 0
