@@ -20,15 +20,22 @@ higher request index, driven through the selector's *real*
 normalizer, and tie-breaker phase are bit-identical to the state at the
 moment of the crash (see ``tests/serve/test_crash_recovery.py``).
 
-Durability model: records are flushed to the OS on every commit, so
-state survives any *process* death (kill -9, unhandled exception, OOM).
-Surviving power loss would additionally need an fsync per record, which
-costs more per decision than the decision itself; a mapping runtime
-restarted after power loss retrains cheaply from the last snapshot.
+Durability model: group commit.  :meth:`SelectorJournal.append`
+encodes a record once and buffers the line; :meth:`SelectorJournal.flush`
+writes every buffered line in one ``write`` and flushes it to the OS.
+The server flushes once per served batch, *before* that batch's
+decisions leave it, so no answered decision is ever missing from the
+journal after any *process* death (kill -9, unhandled exception, OOM).
+Records committed but not yet flushed die with the process, together
+with the decisions nobody has seen.  Surviving power loss would
+additionally need an fsync per batch, which costs more than the
+decisions themselves; a mapping runtime restarted after power loss
+retrains cheaply from the last snapshot.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 from pathlib import Path
@@ -65,14 +72,13 @@ class _OpBuffer:
     def record_update(self, features, errors) -> None:
         self.ops.append([
             "update",
-            [float(v) for v in np.asarray(features, dtype=float)],
-            [float(e) for e in errors],
+            np.asarray(features, dtype=float).tolist(),
+            np.asarray(errors, dtype=float).tolist(),
         ])
 
     def record_select(self, features) -> None:
         self.ops.append([
-            "select",
-            [float(v) for v in np.asarray(features, dtype=float)],
+            "select", np.asarray(features, dtype=float).tolist(),
         ])
 
     def record_clear(self) -> None:
@@ -86,16 +92,19 @@ class _OpBuffer:
 class SelectorJournal:
     """Append-only, per-record-checksummed journal of served requests.
 
-    One line per record: ``{"req": k, "ops": [...], "extra": {...},
-    "crc": "..."}`` where ``crc`` covers everything else.  Lines are
-    written whole and flushed; a crash can therefore only damage the
-    final line, which :meth:`replay` detects, quarantines and truncates.
+    One line per record: ``{"crc": "...", "extra": {...}, "ops": [...],
+    "req": k}`` where ``crc`` covers everything else.  :meth:`append`
+    buffers lines and :meth:`flush` writes them whole in one group; a
+    crash can therefore only damage the final group, which
+    :meth:`replay` cuts back to its last whole record, quarantining and
+    truncating the rest.
     """
 
     def __init__(self, path: Union[str, Path]):
         self.path = Path(path)
         self.path.parent.mkdir(parents=True, exist_ok=True)
         self._fh = None
+        self._pending: List[str] = []
         self.records_written = 0
         self.tails_quarantined = 0
 
@@ -103,35 +112,54 @@ class SelectorJournal:
 
     def append(self, req: int, ops: Sequence[list],
                extra: Optional[dict] = None) -> None:
-        record = {"req": int(req), "ops": list(ops),
-                  "extra": extra or {}}
-        record["crc"] = payload_checksum(
-            {"req": record["req"], "ops": record["ops"],
-             "extra": record["extra"]}
+        """Encode one record and buffer it until the next :meth:`flush`.
+
+        The payload is encoded once, in exactly the canonical form
+        :func:`~repro.core.persistence.payload_checksum` hashes, so the
+        records must already be plain JSON (Python floats, ints, strings
+        — what :class:`_OpBuffer` and the breaker emit); anything else
+        raises ``TypeError`` here rather than writing an unverifiable
+        line.
+        """
+        canonical = json.dumps(
+            {"req": int(req), "ops": list(ops), "extra": extra or {}},
+            sort_keys=True, separators=(",", ":"), allow_nan=False,
         )
-        if self._fh is None:
-            self._fh = open(self.path, "a")
-        self._fh.write(
-            json.dumps(record, allow_nan=False, sort_keys=True) + "\n"
-        )
-        self._fh.flush()
+        crc = hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
+        # "crc" sorts before every payload key, so the spliced line is
+        # itself the sorted-key encoding of the whole record.
+        self._pending.append(f'{{"crc":"{crc}",{canonical[1:]}\n')
         self.records_written += 1
 
-    def sync(self) -> None:
-        """fsync the journal file (the migration drain barrier).
+    def flush(self) -> None:
+        """Write every buffered record in one group and flush it to the
+        OS — the durability point against process death."""
+        if not self._pending:
+            return
+        if self._fh is None:
+            self._fh = open(self.path, "a")
+        lines, self._pending = self._pending, []
+        self._fh.write("".join(lines))
+        self._fh.flush()
 
-        Steady-state appends flush to the OS only (see the module
+    def sync(self) -> None:
+        """Flush, then fsync the journal file (the migration drain
+        barrier).
+
+        Steady-state flushes reach the OS only (see the module
         docstring's durability model); a stream about to be *shipped*
         to another shard is different — the copy must observe every
         record, so the drain barrier pays one explicit fsync per
         migrating stream before the hand-off.
         """
+        self.flush()
         if self._fh is not None:
-            self._fh.flush()
             os.fsync(self._fh.fileno())
 
     def truncate(self) -> None:
-        """Empty the journal (its contents are covered by a snapshot)."""
+        """Empty the journal (its contents, buffered records included,
+        are covered by a snapshot)."""
+        self._pending = []
         self.close()
         # Truncation IS the committed state here: the snapshot written
         # just before covers every record, so a crash mid-truncate only
@@ -140,6 +168,7 @@ class SelectorJournal:
             pass
 
     def close(self) -> None:
+        self.flush()
         if self._fh is not None:
             self._fh.close()
             self._fh = None
@@ -167,6 +196,8 @@ class SelectorJournal:
     def replay(self, after_req: int = -1) -> Iterator[Tuple[int, list, dict]]:
         """Yield ``(req, ops, extra)`` for good records with
         ``req > after_req``; stops at (and repairs) a torn tail.
+        Records in either encoding verify: the compact one
+        :meth:`append` writes and the spaced one older journals hold.
 
         Materialised eagerly so the tail repair happens even if the
         caller stops consuming early.
@@ -178,6 +209,12 @@ class SelectorJournal:
         damaged = False
         with open(self.path, "rb") as fh:
             for raw in fh:
+                if not raw.endswith(b"\n"):
+                    # A group write cut just before its last newline:
+                    # keeping that record would glue the next append
+                    # onto its line, so it is a torn tail too.
+                    damaged = True
+                    break
                 try:
                     line = raw.decode("utf-8")
                     record = json.loads(line)
@@ -296,9 +333,14 @@ class ServeStateStore:
       mixture, from which point every mutation is captured;
     * :meth:`commit` — one journal record per served request (written
       even when no ops happened, so the resume point and extra state
-      always advance);
-    * :meth:`maybe_snapshot` — every ``snapshot_interval`` requests,
-      write a full snapshot and truncate the journal it covers.
+      always advance), buffered until :meth:`flush`;
+    * :meth:`flush` — write the buffered records as one group (the
+      server calls it once per served batch, before answering);
+    * :meth:`maybe_snapshot` — once ``snapshot_interval`` records have
+      been committed since the last snapshot, write a full snapshot and
+      truncate the journal it covers.  Counting records, not request
+      indices, matters for a fleet stream: its indices are a sparse
+      subsequence of the global stream.
     """
 
     def __init__(self, directory: Union[str, Path], policy,
@@ -313,6 +355,8 @@ class ServeStateStore:
         self._buffer = _OpBuffer()
         self.recovered_req = -1
         self.replayed_records = 0
+        #: Records committed since the newest snapshot.
+        self._since_snapshot = 0
 
     # -- recovery ---------------------------------------------------------
 
@@ -354,6 +398,7 @@ class ServeStateStore:
             extra = record_extra
             self.replayed_records += 1
         self.recovered_req = last_req
+        self._since_snapshot = self.replayed_records
         return last_req + 1, extra
 
     # -- steady state -----------------------------------------------------
@@ -368,10 +413,16 @@ class ServeStateStore:
 
     def commit(self, req: int, extra: Optional[dict] = None) -> None:
         self.journal.append(req, self._buffer.drain(), extra)
+        self._since_snapshot += 1
+
+    def flush(self) -> None:
+        """Group-write the committed records
+        (see :meth:`SelectorJournal.flush`)."""
+        self.journal.flush()
 
     def maybe_snapshot(self, req: int,
                        extra: Optional[dict] = None) -> bool:
-        if (req + 1) % self.snapshot_interval != 0:
+        if self._since_snapshot < self.snapshot_interval:
             return False
         self.snapshot(req, extra)
         return True
@@ -386,6 +437,7 @@ class ServeStateStore:
         # replay filters them out by request index.
         self.snapshots.save(req, state)
         self.journal.truncate()
+        self._since_snapshot = 0
 
     def sync(self) -> None:
         """Journal-barrier fsync (see :meth:`SelectorJournal.sync`)."""

@@ -397,6 +397,10 @@ class PolicyServer:
                 self.store.commit(request.index, extra)
                 self.store.maybe_snapshot(request.index, extra)
             self.next_index = request.index + 1
+        if self.store is not None:
+            # Group commit: every record of the batch reaches the OS
+            # before any of its decisions leaves the server.
+            self.store.flush()
         return decisions
 
     def serve_one(self, request: ServeRequest) -> ServeDecision:

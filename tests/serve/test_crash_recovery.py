@@ -61,15 +61,52 @@ def held_out_decisions(policy, rng: np.random.Generator, count: int = 16):
     ]
 
 
+def random_groups(rng: np.random.Generator, count: int):
+    """Random group-commit boundaries: ``[0, b1, ..., count]``."""
+    bounds = [0]
+    while bounds[-1] < count:
+        bounds.append(min(count, bounds[-1] + int(rng.integers(1, 6))))
+    return bounds
+
+
+def run_victim(policy, state_dir, ops, bounds, crash_at,
+               snapshot_interval):
+    """Serve ``ops`` in the groups ``bounds`` describes — commit and
+    maybe-snapshot per op, one flush per group, as the server does —
+    then "crash" after ``crash_at`` ops (abandon the store without
+    flushing, detaching or closing)."""
+    store = ServeStateStore(state_dir, policy,
+                            snapshot_interval=snapshot_interval)
+    store.recover()
+    store.attach()
+    for req, op in enumerate(ops[:crash_at]):
+        apply_op(policy, op)
+        store.commit(req)
+        store.maybe_snapshot(req)
+        if req + 1 in bounds:
+            store.flush()
+
+
+def durable_prefix(bounds, crash_at, snapshot_interval):
+    """Ops a crash after ``crash_at`` must not lose: everything up to
+    the last flushed group or the last snapshot, whichever is later."""
+    flushed = max(b for b in bounds if b <= crash_at)
+    snapshotted = crash_at - crash_at % snapshot_interval
+    return max(flushed, snapshotted)
+
+
 class TestCrashAtEveryPrefix:
-    """Random op sequences, a crash after every prefix, bit-identity."""
+    """Random op sequences in random group-commit batches, a crash
+    after every prefix, bit-identity."""
 
     OPS = 24
+    INTERVAL = 7
 
     def test_recovered_selector_is_bit_identical(self, tiny_bundle,
                                                  tmp_path):
         rng = np.random.default_rng(20260806)
         ops = random_ops(rng, self.OPS, len(tiny_bundle.experts))
+        bounds = random_groups(rng, self.OPS)
 
         # Reference: the full sequence with no crash.
         reference = build_policy(tiny_bundle)
@@ -77,26 +114,22 @@ class TestCrashAtEveryPrefix:
             apply_op(reference, op)
         reference_state = reference.export_online_state()["selector"]
 
+        # Every prefix, so the crash lands on each flush boundary and
+        # inside every group (its unflushed records die with it).
         for prefix in range(self.OPS + 1):
             state_dir = tmp_path / f"prefix-{prefix}"
-            # Run the prefix with journaling, then "crash" (abandon the
-            # store without detaching or closing).
-            victim = build_policy(tiny_bundle)
-            store = ServeStateStore(state_dir, victim, snapshot_interval=7)
-            store.recover()
-            store.attach()
-            for req, op in enumerate(ops[:prefix]):
-                apply_op(victim, op)
-                store.commit(req)
-                store.maybe_snapshot(req)
+            run_victim(build_policy(tiny_bundle), state_dir, ops, bounds,
+                       prefix, self.INTERVAL)
 
-            # Restart: recover, then replay the remainder of the world.
+            # Restart: recover, then the world re-delivers every op
+            # past the recovery point.
             revived = build_policy(tiny_bundle)
             resumed = ServeStateStore(state_dir, revived,
-                                      snapshot_interval=7)
+                                      snapshot_interval=self.INTERVAL)
             next_req, _ = resumed.recover()
-            assert next_req == prefix
-            for op in ops[prefix:]:
+            assert next_req == durable_prefix(bounds, prefix,
+                                              self.INTERVAL)
+            for op in ops[next_req:]:
                 apply_op(revived, op)
 
             mismatches = _state_mismatches(
@@ -104,9 +137,20 @@ class TestCrashAtEveryPrefix:
                 revived.export_online_state()["selector"],
             )
             assert not mismatches, (
-                f"crash after {prefix}/{self.OPS} ops diverged "
-                f"on {mismatches}"
+                f"crash after {prefix}/{self.OPS} ops (groups {bounds}) "
+                f"diverged on {mismatches}"
             )
+
+    def test_unflushed_records_are_not_recovered(self, tiny_bundle,
+                                                 tmp_path):
+        rng = np.random.default_rng(5)
+        ops = random_ops(rng, 6, len(tiny_bundle.experts))
+        # One flushed group of 4, then 2 committed-but-unflushed ops.
+        run_victim(build_policy(tiny_bundle), tmp_path, ops, [0, 4],
+                   crash_at=6, snapshot_interval=64)
+        resumed = ServeStateStore(tmp_path, build_policy(tiny_bundle))
+        assert resumed.recover()[0] == 4
+        assert resumed.replayed_records == 4
 
     def test_recovered_selector_decides_identically(self, tiny_bundle,
                                                     tmp_path):
@@ -116,18 +160,12 @@ class TestCrashAtEveryPrefix:
         for op in ops:
             apply_op(reference, op)
 
-        victim = build_policy(tiny_bundle)
-        store = ServeStateStore(tmp_path, victim, snapshot_interval=5)
-        store.recover()
-        store.attach()
-        for req, op in enumerate(ops[:7]):
-            apply_op(victim, op)
-            store.commit(req)
-            store.maybe_snapshot(req)
-        # Crash, revive, finish.
+        # Crash right after the second group's flush.
+        run_victim(build_policy(tiny_bundle), tmp_path, ops, [0, 3, 7],
+                   crash_at=7, snapshot_interval=5)
         revived = build_policy(tiny_bundle)
         resumed = ServeStateStore(tmp_path, revived, snapshot_interval=5)
-        resumed.recover()
+        assert resumed.recover()[0] == 7
         for op in ops[7:]:
             apply_op(revived, op)
 
@@ -182,9 +220,9 @@ class TestServingKillRestart:
 
     def test_mid_burst_resume_sheds_consistently(self, tiny_bundle,
                                                  tmp_path):
-        # A crash *inside* a burst batch (commits are per request, so
-        # this is a real crash window): the revived server must shed by
-        # logical burst position, matching the uninterrupted twin.
+        # A crash *inside* a burst (the victim had served only part of
+        # it): the revived server must shed by logical burst position,
+        # matching the uninterrupted twin.
         spec = SoakSpec(requests=60, burst_period=20, burst_size=10)
         config = ServeConfig(queue_capacity=4, snapshot_interval=16)
 

@@ -20,7 +20,7 @@ from repro.serve.fleet import (
     encode_requests,
     stream_dirname,
 )
-from repro.serve.journal import ship_state
+from repro.serve.journal import SelectorJournal, ship_state
 from repro.serve.server import ServeConfig, ServeDecision
 from repro.serve.soak import (
     SoakInvariantError,
@@ -204,6 +204,21 @@ class TestInlineFleet:
         assert len(fleet.decisions) >= 1
         fleet.close()
 
+    def test_every_stream_snapshots(self, tiny_bundle, tmp_path):
+        # Each of the 4 soak streams sees every 4th request index; the
+        # snapshot cadence counts a stream's own records, so all four
+        # keep their journals short, not just the one whose indices
+        # happen to hit the interval.
+        config = FleetConfig(shards=2, batch_max=16,
+                             serve=ServeConfig(snapshot_interval=64))
+        run_fleet_soak(SoakSpec(requests=2000), tiny_bundle,
+                       config=config, state_root=tmp_path)
+        journals = list(tmp_path.glob("*/*/journal.jsonl"))
+        assert len(journals) == 4
+        for journal in journals:
+            assert any(journal.parent.glob("snapshot-*.json"))
+            assert len(journal.read_text().splitlines()) < 64
+
     def test_closed_fleet_rejects_submits(self, tiny_bundle, tmp_path):
         fleet = PolicyFleet(
             lambda: build_policy(tiny_bundle),
@@ -253,8 +268,8 @@ class TestShipState:
         worker.serve_batch(0, pairs)
         worker.close()
 
-        # snapshots key on the stream's own request indices — ship a
-        # stream that actually crossed a snapshot boundary
+        # snapshots count the stream's own records — ship a stream
+        # that actually crossed a snapshot boundary
         stream = next(
             s for s in dict(pairs)
             if any((source / stream_dirname(s)).glob("snapshot-*.json"))
@@ -277,6 +292,28 @@ class TestShipState:
         decisions, deduped = twin.serve_batch(0, redelivery)
         assert deduped == len(redelivery)
         twin.close()
+
+    def test_drain_ships_buffered_records(self, tiny_bundle, tmp_path):
+        # The migration drain barrier flushes records committed but not
+        # yet group-written, so the shipped copy holds all of them.
+        source = tmp_path / "source"
+        worker = ShardWorker(lambda: build_policy(tiny_bundle),
+                             ServeConfig(), source)
+        pairs = stream_pairs(stream_requests()[:8])
+        worker.serve_batch(0, pairs)
+        stream = pairs[0][0]
+        server = worker.servers[stream]
+        buffered = server.next_index + 100
+        server.store.commit(buffered, {"breaker":
+                                       server.breaker.export_state()})
+        assert worker.drain_streams([stream]) == {
+            stream: server.next_index}
+
+        destination = tmp_path / "copy"
+        ship_state(source / stream_dirname(stream), destination)
+        replayed = SelectorJournal(destination / "journal.jsonl").replay()
+        assert [req for req, _, _ in replayed] == [
+            r.index for s, r in pairs if s == stream] + [buffered]
 
     def test_empty_source_ships_nothing(self, tmp_path):
         assert ship_state(tmp_path / "missing", tmp_path / "dest") == []

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 
+import numpy as np
 import pytest
 
 from repro.core.persistence import payload_checksum
@@ -88,9 +89,103 @@ class TestSelectorJournal:
         path = tmp_path / "journal.jsonl"
         journal = SelectorJournal(path)
         journal.append(0, [["clear"]])
+        journal.flush()
+        # Buffered records are covered by the snapshot too: dropped.
+        journal.append(1, [["clear"]])
         journal.truncate()
+        journal.close()
         assert path.read_text() == ""
         assert list(journal.replay()) == []
+
+    def test_lines_are_the_canonical_encoding(self, tmp_path):
+        journal = SelectorJournal(tmp_path / "journal.jsonl")
+        journal.append(3, [["update", [0.1, -2.5e-300], [1.0]]],
+                       {"breaker": {"tier": 0, "cooldown": 2}})
+        journal.close()
+        (line,) = (tmp_path / "journal.jsonl").read_text().splitlines()
+        record = json.loads(line)
+        assert line == json.dumps(record, sort_keys=True,
+                                  separators=(",", ":"))
+
+    def test_non_json_values_fail_loudly(self, tmp_path):
+        journal = SelectorJournal(tmp_path / "journal.jsonl")
+        with pytest.raises(TypeError):
+            journal.append(0, [["select", [np.int64(1)]]])
+        with pytest.raises(ValueError):
+            journal.append(0, [["select", [float("nan")]]])
+
+
+class TestGroupCommit:
+    def test_appends_reach_the_file_only_on_flush(self, tmp_path):
+        path = tmp_path / "journal.jsonl"
+        journal = SelectorJournal(path)
+        journal.append(0, [["clear"]])
+        journal.append(1, [["clear"]])
+        assert not path.exists() or path.read_text() == ""
+        journal.flush()
+        assert len(path.read_text().splitlines()) == 2
+        journal.append(2, [["clear"]])
+        journal.close()  # close flushes
+        assert [req for req, _, _ in journal.replay()] == [0, 1, 2]
+
+    def test_torn_group_resumes_at_last_whole_record(self, tmp_path):
+        source = tmp_path / "source.jsonl"
+        journal = SelectorJournal(source)
+        for req in range(3):
+            journal.append(req, [["select", [float(req), 0.5]]])
+        journal.flush()
+        group_start = source.stat().st_size
+        for req in range(3, 7):
+            journal.append(req, [["update", [0.25], [float(req)]]],
+                           {"breaker": {"tier": 0}})
+        journal.flush()
+        journal.close()
+        data = source.read_bytes()
+        line_ends = {i + 1 for i, byte in enumerate(data)
+                     if byte == ord("\n")}
+
+        # A crash mid-group leaves the file cut at any byte of the
+        # group write; recovery keeps exactly the whole records.
+        for cut in range(group_start, len(data)):
+            path = tmp_path / f"cut-{cut}" / "journal.jsonl"
+            path.parent.mkdir()
+            path.write_bytes(data[:cut])
+            torn = SelectorJournal(path)
+            whole = sum(1 for end in line_ends if end <= cut)
+            assert [req for req, _, _ in torn.replay()] == \
+                list(range(whole))
+            good = max((end for end in line_ends if end <= cut),
+                       default=0)
+            assert torn.tails_quarantined == (cut != good)
+            assert path.stat().st_size == good
+            # The repaired journal takes the re-served records cleanly.
+            for req in range(whole, 7):
+                torn.append(req, [["clear"]])
+            torn.close()
+            assert [req for req, _, _ in torn.replay()] == list(range(7))
+
+    def test_old_spaced_format_still_replays(self, tmp_path):
+        # Journals written before group commit used json.dumps'
+        # default separators; replay re-verifies the canonical form.
+        path = tmp_path / "journal.jsonl"
+        records = [
+            (0, [["select", [1.0, 2.0]]], {"breaker": {"tier": 0}}),
+            (1, [["update", [1.0], [0.5, 0.25]], ["clear"]], {}),
+        ]
+        with open(path, "w") as fh:
+            for req, ops, extra in records:
+                record = {"req": req, "ops": ops, "extra": extra}
+                record["crc"] = payload_checksum(dict(record))
+                fh.write(json.dumps(record, allow_nan=False,
+                                    sort_keys=True) + "\n")
+        assert ", " in path.read_text()
+        journal = SelectorJournal(path)
+        assert list(journal.replay()) == records
+        # New compact records continue an old journal.
+        journal.append(2, [["clear"]])
+        journal.close()
+        assert [req for req, _, _ in journal.replay()] == [0, 1, 2]
+        assert journal.tails_quarantined == 0
 
 
 class TestSnapshotStore:
@@ -194,6 +289,34 @@ class TestServeStateStore:
         assert next_req == 5
         assert restarted.loaded is not None
         assert resumed.replayed_records == 1
+
+    def test_snapshot_cadence_counts_records_not_indices(self, tmp_path):
+        # A fleet stream sees every 4th global index; with cadence keyed
+        # on the index ((req + 1) % 8), indices 0, 4, 8, ... would never
+        # snapshot.  Counting records snapshots every 8th one.
+        store = ServeStateStore(tmp_path, _RecordingPolicy(),
+                                snapshot_interval=8)
+        store.attach()
+        snapshotted = []
+        for req in range(0, 80, 4):
+            store.commit(req)
+            if store.maybe_snapshot(req):
+                snapshotted.append(req)
+        store.close()
+        assert snapshotted == [28, 60]
+        # Recovery seeds the count from the replayed records: four
+        # more records, not eight, complete the next interval.
+        resumed = ServeStateStore(tmp_path, _RecordingPolicy(),
+                                  snapshot_interval=8)
+        assert resumed.recover()[0] == 77
+        assert resumed.replayed_records == 4
+        resumed.attach()
+        snapshotted = []
+        for req in range(80, 120, 4):
+            resumed.commit(req)
+            if resumed.maybe_snapshot(req):
+                snapshotted.append(req)
+        assert snapshotted == [92]
 
     def test_snapshot_interval_validated(self, tmp_path):
         with pytest.raises(ValueError):
