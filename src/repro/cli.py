@@ -12,11 +12,11 @@ Examples::
     python -m repro profile           # cProfile one simulation run
     python -m repro profile mg --scenario large-high --top 40
     python -m repro profile --output run.pstats
-    python -m repro serve-soak --tiny # chaos-soak the serving runtime
-    python -m repro serve-soak --tiny --kill-at 5000 --verify-recovery
+    python -m repro serve-fleet --tiny --shards 1 --inline  # one server
     python -m repro serve-fleet --tiny --shards 4   # sharded serving
-    python -m repro serve-fleet --tiny --kill-at 5000 --verify-recovery
-    python -m repro serve-resize --tiny --kill-at 5000 --verify-twin
+    python -m repro serve-fleet --tiny --kill-at 5000 --verify-twin
+    python -m repro serve-fleet --tiny --resize-at 3333:4,6666:3 \
+        --kill-at 5000 --supervise --verify-twin
 """
 
 from __future__ import annotations
@@ -572,118 +572,126 @@ def profile_main(argv: Optional[Sequence[str]] = None) -> int:
     return 0
 
 
-def serve_soak_main(argv: Optional[Sequence[str]] = None) -> int:
-    """``repro serve-soak``: soak the policy-serving runtime under chaos.
+def serve_fleet_main(argv: Optional[Sequence[str]] = None) -> int:
+    """``repro serve-fleet``: soak the policy-serving fleet under chaos.
 
-    Drives a :class:`~repro.serve.server.PolicyServer` through a long
-    synthetic request stream with composed chaos (sensor faults inside
-    a window, availability flapping, burst arrivals), asserting the
-    serving invariants; optionally kills the server mid-run and
-    verifies the restarted server resumes learning losslessly.
-    See the "Serving failure model" section of docs/robustness.md.
+    Routes a synthetic request stream (sensor faults inside a window,
+    availability flapping) across a consistent-hash ring of shards,
+    micro-batched into the vectorized decision path, asserting the
+    serving invariants.  Optionally kills the shard owning a chosen
+    request and/or live-resizes the fleet mid-stream; ``--verify-twin``
+    then proves the run bit-identical to an uninterrupted, never-resized
+    inline twin.  A single server is ``--shards 1 --inline``.  See the
+    "Serving failure model" section of docs/robustness.md.
     """
     import json as json_module
+    import tempfile as tempfile_module
+    from pathlib import Path
 
-    from .chaos import SENSOR_FAULT_MODES, SensorFaultSpec
+    from .chaos import (
+        SENSOR_FAULT_MODES,
+        SensorFaultSpec,
+        churn_resize_map,
+        parse_churn_schedule,
+    )
     from .core.training import default_experts
     from .serve import (
+        FleetConfig,
         ServeConfig,
         SoakInvariantError,
         SoakSpec,
-        run_soak,
+        run_fleet_soak,
         tiny_training_config,
-        verify_recovery,
+        verify_twin,
     )
-    from .serve.breaker import BreakerConfig
 
     parser = argparse.ArgumentParser(
-        prog="repro serve-soak",
-        description="Soak the resilient policy-serving runtime under "
+        prog="repro serve-fleet",
+        description="Soak the sharded policy-serving fleet under "
                     "composed chaos injection.",
     )
-    parser.add_argument(
-        "--requests", type=int, default=10_000, metavar="N",
-        help="length of the request stream (default: 10000)",
-    )
-    parser.add_argument(
-        "--seed", type=int, default=0,
-        help="stream seed (default: 0)",
-    )
-    parser.add_argument(
-        "--tiny", action="store_true",
+    add = parser.add_argument
+    add("--requests", type=int, default=10_000, metavar="N",
+        help="length of the request stream (default: 10000)")
+    add("--seed", type=int, default=0, help="stream seed (default: 0)")
+    add("--tiny", action="store_true",
         help="serve experts trained on the miniature configuration "
-             "(seconds to train, disk-cached) instead of the full one",
-    )
-    parser.add_argument(
-        "--sensor", choices=SENSOR_FAULT_MODES, default=None,
+             "(seconds to train, disk-cached) instead of the full one")
+    add("--shards", type=int, default=2, metavar="N",
+        help="shards on the consistent-hash ring (default: 2)")
+    add("--batch-max", type=int, default=32, metavar="N",
+        help="micro-batch flush threshold (default: 32)")
+    add("--batch-linger", type=float, default=0.002, metavar="SECONDS",
+        help="micro-batch flush deadline (default: 0.002)")
+    add("--ring-slots", type=int, default=4, metavar="N",
+        help="shared-memory ring slots per direction (default: 4)")
+    add("--slot-bytes", type=int, default=1 << 16, metavar="BYTES",
+        help="bytes per ring slot (default: 65536)")
+    add("--queue-capacity", type=int, default=64, metavar="N",
+        help="per-stream admission queue capacity (default: 64)")
+    add("--deadline", type=float, default=0.050, metavar="SECONDS",
+        help="per-decision wall-clock budget (default: 0.050)")
+    add("--snapshot-interval", type=int, default=256, metavar="N",
+        help="requests between full-state snapshots (default: 256)")
+    add("--sensor", choices=SENSOR_FAULT_MODES, default=None,
         help="sensor fault mode injected inside the fault window "
-             "(default: none)",
-    )
-    parser.add_argument(
-        "--sensor-rate", type=float, default=1.0, metavar="P",
+             "(default: none)")
+    add("--sensor-rate", type=float, default=1.0, metavar="P",
         help="per-request sensor fault probability inside the window "
-             "(default: 1.0)",
-    )
-    parser.add_argument(
-        "--fault-window", type=float, nargs=2, default=(0.3, 0.6),
+             "(default: 1.0)")
+    add("--fault-window", type=float, nargs=2, default=(0.3, 0.6),
         metavar=("LO", "HI"),
-        help="sensor-fault window as fractions of the stream "
-             "(default: 0.3 0.6)",
-    )
-    parser.add_argument(
-        "--flap-period", type=float, default=40.0, metavar="SECONDS",
+        help="sensor-fault window as stream fractions (default: 0.3 0.6)")
+    add("--flap-period", type=float, default=40.0, metavar="SECONDS",
         help="availability flapping period in simulated seconds "
-             "(default: 40)",
-    )
-    parser.add_argument(
-        "--burst-period", type=int, default=97, metavar="N",
-        help="every N-th request opens a burst batch (default: 97)",
-    )
-    parser.add_argument(
-        "--burst-size", type=int, default=12, metavar="N",
-        help="requests per burst batch (default: 12)",
-    )
-    parser.add_argument(
-        "--queue-capacity", type=int, default=64, metavar="N",
-        help="admission queue capacity per batch (default: 64)",
-    )
-    parser.add_argument(
-        "--deadline", type=float, default=0.050, metavar="SECONDS",
-        help="per-decision wall-clock budget (default: 0.050)",
-    )
-    parser.add_argument(
-        "--snapshot-interval", type=int, default=256, metavar="N",
-        help="requests between full-state snapshots (default: 256)",
-    )
-    parser.add_argument(
-        "--state-dir", metavar="DIR", default=None,
-        help="journal/snapshot directory (default: a temporary "
-             "directory, removed afterwards)",
-    )
-    parser.add_argument(
-        "--kill-at", type=int, default=None, metavar="INDEX",
-        help="kill the server before serving request INDEX, then "
-             "restart it from its journal and finish the stream",
-    )
-    parser.add_argument(
-        "--verify-recovery", action="store_true",
-        help="with --kill-at: also run an uninterrupted twin and fail "
-             "unless the restarted server's learning state and "
-             "decisions are bit-identical to it",
-    )
-    parser.add_argument(
-        "--format", choices=("text", "json"), default="text",
-        help="report format (default: text)",
-    )
+             "(default: 40)")
+    add("--inline", action="store_true",
+        help="serve every shard on the caller's thread (deterministic, "
+             "no processes, no shared memory; decisions are identical)")
+    add("--state-root", metavar="DIR", default=None,
+        help="root of the per-shard journal/snapshot directories "
+             "(default: a temporary directory, removed afterwards)")
+    add("--kill-at", type=int, default=None, metavar="INDEX",
+        help="kill the shard owning request INDEX just before it is "
+             "submitted (SIGKILL, or an abandoned inline worker)")
+    add("--resize-at", metavar="IDX:SHARDS,...", default=None,
+        help="churn schedule: live-resize to SHARDS just before request "
+             "IDX (default: no resize)")
+    add("--supervise", action="store_true",
+        help="arbitrate shard losses with the supervising controller "
+             "(heartbeats, restart budgets, evacuation)")
+    add("--verify-twin", action="store_true",
+        help="with --kill-at and/or --resize-at: also run an "
+             "uninterrupted, never-resized inline twin and fail unless "
+             "every stream's learning state and every served decision "
+             "are bit-identical to it")
+    add("--format", choices=("text", "json"), default="text",
+        help="report format (default: text)")
     args = parser.parse_args(argv)
     if args.requests < 1:
         parser.error("--requests must be >= 1")
+    if args.shards < 1:
+        parser.error("--shards must be >= 1")
     if not 0.0 <= args.sensor_rate <= 1.0:
         parser.error("--sensor-rate must be in [0, 1]")
-    if args.verify_recovery and args.kill_at is None:
-        parser.error("--verify-recovery requires --kill-at")
     if args.kill_at is not None and not 0 < args.kill_at < args.requests:
         parser.error("--kill-at must fall inside the stream")
+    if args.batch_max > args.queue_capacity:
+        parser.error("--batch-max cannot exceed --queue-capacity "
+                     "(full flushes must always fit the admission "
+                     "queue, or decisions depend on flush timing)")
+    resize_at = {}
+    if args.resize_at is not None:
+        try:
+            resize_at = churn_resize_map(
+                parse_churn_schedule(args.resize_at))
+        except ValueError as error:
+            parser.error(str(error))
+    for index in resize_at:
+        if not 0 <= index < args.requests:
+            parser.error(f"resize at {index} falls outside the stream")
+    if args.verify_twin and args.kill_at is None and not resize_at:
+        parser.error("--verify-twin requires --kill-at or --resize-at")
 
     sensor = None
     if args.sensor is not None:
@@ -696,202 +704,6 @@ def serve_soak_main(argv: Optional[Sequence[str]] = None) -> int:
         sensor=sensor,
         fault_window=tuple(args.fault_window),
         flap_period=args.flap_period,
-        burst_period=args.burst_period,
-        burst_size=args.burst_size,
-    )
-    config = ServeConfig(
-        queue_capacity=args.queue_capacity,
-        deadline_s=args.deadline,
-        breaker=BreakerConfig(),
-        snapshot_interval=args.snapshot_interval,
-    )
-    if args.tiny:
-        bundle = default_experts(tiny_training_config())
-    else:
-        bundle = default_experts()
-
-    import tempfile as tempfile_module
-    from pathlib import Path
-
-    def run(state_dir) -> int:
-        state_dir = Path(state_dir)
-        try:
-            if args.verify_recovery:
-                outcome = verify_recovery(
-                    spec, bundle, kill_at=args.kill_at,
-                    state_dir=state_dir / "verify", config=config,
-                )
-                report, _ = run_soak(
-                    spec, bundle, state_dir=state_dir / "soak",
-                    config=config,
-                )
-            else:
-                outcome = None
-                if args.kill_at is not None:
-                    run_soak(spec, bundle,
-                             state_dir=state_dir / "soak",
-                             config=config, kill_at=args.kill_at)
-                report, _ = run_soak(
-                    spec, bundle, state_dir=state_dir / "soak",
-                    config=config,
-                )
-        except SoakInvariantError as error:
-            print(f"SOAK FAILED: {error}", file=sys.stderr)
-            return 1
-        if args.format == "json":
-            payload = report.to_jsonable()
-            if outcome is not None:
-                payload["recovery"] = outcome
-            print(json_module.dumps(payload, indent=2))
-        else:
-            print(report.format())
-            if outcome is not None:
-                print(
-                    "recovery: killed before request "
-                    "{kill_at}, resumed at {resumed_from}, "
-                    "{compared_decisions} post-restart decisions "
-                    "bit-identical to the uninterrupted twin".format(
-                        **outcome
-                    )
-                )
-        return 0
-
-    if args.state_dir is not None:
-        return run(args.state_dir)
-    with tempfile_module.TemporaryDirectory() as tmp:
-        return run(tmp)
-
-
-def serve_fleet_main(argv: Optional[Sequence[str]] = None) -> int:
-    """``repro serve-fleet``: drive the sharded serving fleet.
-
-    Routes a synthetic request stream across a consistent-hash ring of
-    shard processes (micro-batched into the vectorized decision path,
-    transported over shared-memory rings), asserting the fleet
-    invariants; optionally SIGKILLs the shard owning a chosen request
-    mid-stream and verifies lossless failover against an uninterrupted
-    inline twin.  See the "Serving fleet" section of
-    docs/performance.md and the failover notes in docs/robustness.md.
-    """
-    import json as json_module
-
-    from .chaos import SENSOR_FAULT_MODES, SensorFaultSpec
-    from .core.training import default_experts
-    from .serve import (
-        FleetConfig,
-        ServeConfig,
-        SoakInvariantError,
-        SoakSpec,
-        run_fleet_soak,
-        tiny_training_config,
-        verify_fleet_recovery,
-    )
-
-    parser = argparse.ArgumentParser(
-        prog="repro serve-fleet",
-        description="Drive the sharded policy-serving fleet over a "
-                    "synthetic request stream.",
-    )
-    parser.add_argument(
-        "--requests", type=int, default=10_000, metavar="N",
-        help="length of the request stream (default: 10000)",
-    )
-    parser.add_argument(
-        "--seed", type=int, default=0,
-        help="stream seed (default: 0)",
-    )
-    parser.add_argument(
-        "--tiny", action="store_true",
-        help="serve experts trained on the miniature configuration",
-    )
-    parser.add_argument(
-        "--shards", type=int, default=2, metavar="N",
-        help="shard processes on the consistent-hash ring (default: 2)",
-    )
-    parser.add_argument(
-        "--batch-max", type=int, default=32, metavar="N",
-        help="micro-batch flush threshold (default: 32)",
-    )
-    parser.add_argument(
-        "--batch-linger", type=float, default=0.002, metavar="SECONDS",
-        help="micro-batch flush deadline (default: 0.002)",
-    )
-    parser.add_argument(
-        "--ring-slots", type=int, default=4, metavar="N",
-        help="shared-memory ring slots per direction (default: 4)",
-    )
-    parser.add_argument(
-        "--slot-bytes", type=int, default=1 << 16, metavar="BYTES",
-        help="bytes per ring slot (default: 65536)",
-    )
-    parser.add_argument(
-        "--queue-capacity", type=int, default=64, metavar="N",
-        help="per-shard admission queue capacity (default: 64)",
-    )
-    parser.add_argument(
-        "--deadline", type=float, default=0.050, metavar="SECONDS",
-        help="per-decision wall-clock budget (default: 0.050)",
-    )
-    parser.add_argument(
-        "--snapshot-interval", type=int, default=256, metavar="N",
-        help="requests between full-state snapshots (default: 256)",
-    )
-    parser.add_argument(
-        "--sensor", choices=SENSOR_FAULT_MODES, default=None,
-        help="sensor fault mode injected inside the fault window",
-    )
-    parser.add_argument(
-        "--fault-window", type=float, nargs=2, default=(0.3, 0.6),
-        metavar=("LO", "HI"),
-        help="sensor-fault window as stream fractions (default: 0.3 0.6)",
-    )
-    parser.add_argument(
-        "--inline", action="store_true",
-        help="serve every shard on the caller's thread (deterministic, "
-             "no processes, no shared memory; decisions are identical)",
-    )
-    parser.add_argument(
-        "--state-root", metavar="DIR", default=None,
-        help="root of the per-shard journal/snapshot directories "
-             "(default: a temporary directory, removed afterwards)",
-    )
-    parser.add_argument(
-        "--kill-at", type=int, default=None, metavar="INDEX",
-        help="SIGKILL the shard owning request INDEX just before it "
-             "is submitted (process mode only)",
-    )
-    parser.add_argument(
-        "--verify-recovery", action="store_true",
-        help="with --kill-at: also run an uninterrupted inline twin "
-             "and fail unless every shard's learning state and every "
-             "served decision are bit-identical to it",
-    )
-    parser.add_argument(
-        "--format", choices=("text", "json"), default="text",
-        help="report format (default: text)",
-    )
-    args = parser.parse_args(argv)
-    if args.requests < 1:
-        parser.error("--requests must be >= 1")
-    if args.verify_recovery and args.kill_at is None:
-        parser.error("--verify-recovery requires --kill-at")
-    if args.kill_at is not None and not 0 < args.kill_at < args.requests:
-        parser.error("--kill-at must fall inside the stream")
-    if args.kill_at is not None and args.inline:
-        parser.error("--kill-at requires process mode (drop --inline)")
-    if args.batch_max > args.queue_capacity:
-        parser.error("--batch-max cannot exceed --queue-capacity "
-                     "(full flushes must always fit the admission "
-                     "queue, or decisions depend on flush timing)")
-
-    sensor = None
-    if args.sensor is not None:
-        sensor = SensorFaultSpec(mode=args.sensor, seed=args.seed)
-    spec = SoakSpec(
-        requests=args.requests,
-        seed=args.seed,
-        sensor=sensor,
-        fault_window=tuple(args.fault_window),
     )
     config = FleetConfig(
         shards=args.shards,
@@ -909,253 +721,51 @@ def serve_fleet_main(argv: Optional[Sequence[str]] = None) -> int:
         bundle = default_experts(tiny_training_config())
     else:
         bundle = default_experts()
+    run_options = dict(
+        config=config, processes=not args.inline, kill_at=args.kill_at,
+        resize_at=resize_at, supervise=args.supervise,
+    )
 
-    import tempfile as tempfile_module
-    from pathlib import Path
-
-    def run(state_root) -> int:
-        state_root = Path(state_root)
+    def run(state_root: Path) -> int:
         try:
-            if args.verify_recovery:
-                outcome = verify_fleet_recovery(
-                    spec, bundle, kill_at=args.kill_at,
-                    state_root=state_root / "verify", config=config,
-                )
+            if args.verify_twin:
+                outcome = verify_twin(spec, bundle, state_root,
+                                      **run_options)
+                report = outcome.pop("report")
             else:
                 outcome = None
-            report, _, _ = run_fleet_soak(
-                spec, bundle, config=config,
-                state_root=state_root / "fleet",
-                processes=not args.inline,
-                kill_at=None if args.verify_recovery else args.kill_at,
-            )
+                report, _, _ = run_fleet_soak(
+                    spec, bundle, state_root=state_root, **run_options,
+                )
         except SoakInvariantError as error:
             print(f"FLEET SOAK FAILED: {error}", file=sys.stderr)
             return 1
         if args.format == "json":
             payload = report.to_jsonable()
             if outcome is not None:
-                payload["recovery"] = outcome
+                payload["twin"] = outcome
             print(json_module.dumps(payload, indent=2))
-        else:
-            print(report.format())
-            if outcome is not None:
-                print(
-                    "failover: shard killed before request {kill_at}, "
-                    "{failovers} failovers, {recovered} re-deliveries "
-                    "deduplicated, {compared_decisions} served "
-                    "decisions bit-identical to the inline twin".format(
-                        **outcome
-                    )
-                )
-        return 0
-
-    if args.state_root is not None:
-        return run(args.state_root)
-    with tempfile_module.TemporaryDirectory() as tmp:
-        return run(tmp)
-
-
-def serve_resize_main(argv: Optional[Sequence[str]] = None) -> int:
-    """``repro serve-resize``: chaos-soak live elastic resharding.
-
-    Drives the sharded fleet over a synthetic request stream while a
-    churn schedule live-resizes it (drain barrier → staged state
-    shipping → atomic topology-epoch swap) under a supervising
-    controller, optionally SIGKILLing one shard mid-soak; with
-    ``--verify-twin`` the whole run must be bit-identical to an
-    uninterrupted, never-resized inline twin.  See the "Live
-    resharding & supervision" section of docs/robustness.md.
-    """
-    import json as json_module
-
-    from .chaos import (
-        SENSOR_FAULT_MODES,
-        SensorFaultSpec,
-        churn_resize_map,
-        parse_churn_schedule,
-    )
-    from .core.training import default_experts
-    from .serve import (
-        FleetConfig,
-        ServeConfig,
-        SoakInvariantError,
-        SoakSpec,
-        run_fleet_soak,
-        tiny_training_config,
-        verify_resize,
-    )
-
-    parser = argparse.ArgumentParser(
-        prog="repro serve-resize",
-        description="Live-reshard the policy-serving fleet mid-stream "
-                    "and prove the migration lossless.",
-    )
-    parser.add_argument(
-        "--requests", type=int, default=10_000, metavar="N",
-        help="length of the request stream (default: 10000)",
-    )
-    parser.add_argument(
-        "--seed", type=int, default=0,
-        help="stream seed (default: 0)",
-    )
-    parser.add_argument(
-        "--tiny", action="store_true",
-        help="serve experts trained on the miniature configuration",
-    )
-    parser.add_argument(
-        "--shards", type=int, default=2, metavar="N",
-        help="initial shard processes on the ring (default: 2)",
-    )
-    parser.add_argument(
-        "--resize-at", metavar="IDX:SHARDS,...", default=None,
-        help="churn schedule: resize to SHARDS just before request IDX "
-             "(default: the canonical 2x growth then -1 shrink at the "
-             "stream's third points, e.g. 2→4→3)",
-    )
-    parser.add_argument(
-        "--kill-at", type=int, default=None, metavar="INDEX",
-        help="SIGKILL the shard owning request INDEX just before it "
-             "is submitted (the supervisor must restart or evacuate)",
-    )
-    parser.add_argument(
-        "--batch-max", type=int, default=32, metavar="N",
-        help="micro-batch flush threshold (default: 32)",
-    )
-    parser.add_argument(
-        "--batch-linger", type=float, default=0.002, metavar="SECONDS",
-        help="micro-batch flush deadline (default: 0.002)",
-    )
-    parser.add_argument(
-        "--queue-capacity", type=int, default=64, metavar="N",
-        help="per-shard admission queue capacity (default: 64)",
-    )
-    parser.add_argument(
-        "--snapshot-interval", type=int, default=256, metavar="N",
-        help="requests between full-state snapshots (default: 256)",
-    )
-    parser.add_argument(
-        "--sensor", choices=SENSOR_FAULT_MODES, default=None,
-        help="sensor fault mode injected inside the fault window",
-    )
-    parser.add_argument(
-        "--state-root", metavar="DIR", default=None,
-        help="root of the per-shard journal/snapshot directories "
-             "(default: a temporary directory, removed afterwards)",
-    )
-    parser.add_argument(
-        "--no-supervise", action="store_true",
-        help="run without the supervising controller (losses then use "
-             "the plain restart-forever failover path)",
-    )
-    parser.add_argument(
-        "--verify-twin", action="store_true",
-        help="also run an uninterrupted, never-resized inline twin and "
-             "fail unless every stream's learning state and every "
-             "served decision are bit-identical to it",
-    )
-    parser.add_argument(
-        "--format", choices=("text", "json"), default="text",
-        help="report format (default: text)",
-    )
-    args = parser.parse_args(argv)
-    if args.requests < 1:
-        parser.error("--requests must be >= 1")
-    if args.shards < 1:
-        parser.error("--shards must be >= 1")
-    if args.kill_at is not None and not 0 < args.kill_at < args.requests:
-        parser.error("--kill-at must fall inside the stream")
-
-    if args.resize_at is None:
-        resize_at = {
-            args.requests // 3: args.shards * 2,
-            (2 * args.requests) // 3: args.shards * 2 - 1,
-        }
-    else:
-        try:
-            resize_at = churn_resize_map(
-                parse_churn_schedule(args.resize_at))
-        except ValueError as error:
-            parser.error(str(error))
-    for index in resize_at:
-        if not 0 <= index < args.requests:
-            parser.error(f"resize at {index} falls outside the stream")
-
-    sensor = None
-    if args.sensor is not None:
-        sensor = SensorFaultSpec(mode=args.sensor, seed=args.seed)
-    spec = SoakSpec(requests=args.requests, seed=args.seed, sensor=sensor)
-    config = FleetConfig(
-        shards=args.shards,
-        batch_max=args.batch_max,
-        batch_linger_s=args.batch_linger,
-        serve=ServeConfig(
-            queue_capacity=args.queue_capacity,
-            snapshot_interval=args.snapshot_interval,
-        ),
-    )
-    if args.tiny:
-        bundle = default_experts(tiny_training_config())
-    else:
-        bundle = default_experts()
-
-    import tempfile as tempfile_module
-    from pathlib import Path
-
-    def run(state_root) -> int:
-        state_root = Path(state_root)
-        try:
-            if args.verify_twin:
-                outcome = verify_resize(
-                    spec, bundle, resize_at,
-                    state_root / "verify",
-                    kill_at=args.kill_at, config=config,
-                )
-                report = None
-            else:
-                outcome = None
-                report, _, _ = run_fleet_soak(
-                    spec, bundle, config=config,
-                    state_root=state_root / "fleet",
-                    processes=True, kill_at=args.kill_at,
-                    resize_at=resize_at,
-                    supervise=not args.no_supervise,
-                )
-        except SoakInvariantError as error:
-            print(f"RESIZE SOAK FAILED: {error}", file=sys.stderr)
-            return 1
-        if args.format == "json":
-            payload = report.to_jsonable() if report is not None else {}
-            if outcome is not None:
-                payload["resize_verification"] = outcome
-            print(json_module.dumps(payload, indent=2))
-        elif report is not None:
-            print(report.format())
-        else:
-            schedule = ", ".join(
-                f"{index}→{shards} shards"
-                for index, shards in sorted(resize_at.items())
-            )
+            return 0
+        print(report.format())
+        if outcome is not None:
+            events = [f"resized {index}→{shards} shards"
+                      for index, shards in sorted(resize_at.items())]
+            if args.kill_at is not None:
+                events.append(f"shard killed before request {args.kill_at}")
             print(
-                "resize twin check passed: resized [{schedule}]{killed}"
-                ", {resizes} resizes over {epochs} epochs, "
-                "{streams_migrated} stream migrations, {failovers} "
-                "failovers, {recovered} re-deliveries deduplicated, "
+                "twin check: {events}; {failovers} failovers, "
+                "{recovered} re-deliveries deduplicated, "
                 "{compared_decisions} served decisions and {streams} "
-                "stream states bit-identical to the uninterrupted "
-                "twin".format(
-                    schedule=schedule,
-                    killed=(f" with shard kill at {args.kill_at}"
-                            if args.kill_at is not None else ""),
-                    **outcome,
+                "stream states bit-identical to the inline twin".format(
+                    events=", ".join(events), **outcome,
                 )
             )
         return 0
 
     if args.state_root is not None:
-        return run(args.state_root)
+        return run(Path(args.state_root))
     with tempfile_module.TemporaryDirectory() as tmp:
-        return run(tmp)
+        return run(Path(tmp))
 
 
 def _format_bytes(count: int) -> str:
@@ -1218,12 +828,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return sanitize_main(argv[1:])
     if argv and argv[0] == "profile":
         return profile_main(argv[1:])
-    if argv and argv[0] == "serve-soak":
-        return serve_soak_main(argv[1:])
     if argv and argv[0] == "serve-fleet":
         return serve_fleet_main(argv[1:])
-    if argv and argv[0] == "serve-resize":
-        return serve_resize_main(argv[1:])
 
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -1233,8 +839,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument(
         "experiment",
         help="experiment id (fig1..fig17, tab1), 'list' / 'all', or the "
-             "'lint' / 'sanitize' / 'profile' / 'serve-soak' / "
-             "'serve-fleet' / 'serve-resize' subcommands",
+             "'lint' / 'sanitize' / 'profile' / 'serve-fleet' "
+             "subcommands",
     )
     parser.add_argument(
         "--quick", action="store_true",
@@ -1293,12 +899,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
               f"sources ('repro sanitize --help')")
         print(f"{'profile':8s} cProfile one simulation run "
               f"('repro profile --help')")
-        print(f"{'serve-soak':8s} chaos-soak the resilient policy-serving "
-              f"runtime ('repro serve-soak --help')")
-        print(f"{'serve-fleet':8s} drive the sharded policy-serving fleet "
-              f"('repro serve-fleet --help')")
-        print(f"{'serve-resize':8s} live-reshard the fleet mid-stream, "
-              f"supervised ('repro serve-resize --help')")
+        print(f"{'serve-fleet':8s} chaos-soak the policy-serving fleet: "
+              f"kill, resize, twin-verify ('repro serve-fleet --help')")
         return 0
 
     names = (

@@ -26,9 +26,10 @@ decision loop such a deployment needs:
   exponential-backoff restart budgets, and graceful degradation
   (evacuate / reinstate);
 * :mod:`repro.serve.soak` — the chaos-composed soak harness behind
-  ``repro serve-soak``, ``repro serve-fleet`` and ``repro
-  serve-resize``, including the kill/restart, shard-kill, and live-
-  resize lossless-recovery verifiers.
+  ``repro serve-fleet`` and its one twin verifier, ``verify_twin``:
+  a shard kill and/or live resizes against an uninterrupted inline
+  twin.  A single server is a 1-shard inline fleet
+  (``serve-fleet --shards 1 --inline``).
 
 See the "Serving failure model" and "Live resharding & supervision"
 sections of ``docs/robustness.md``.
@@ -70,13 +71,9 @@ from .soak import (
     SoakSpec,
     build_policy,
     make_request,
-    request_batches,
     run_fleet_soak,
-    run_soak,
     tiny_training_config,
-    verify_fleet_recovery,
-    verify_recovery,
-    verify_resize,
+    verify_twin,
 )
 from .supervisor import FleetSupervisor, SupervisorConfig
 
@@ -110,14 +107,10 @@ __all__ = [
     "make_request",
     "merge_serve_reports",
     "plan_resize",
-    "request_batches",
     "run_fleet_soak",
-    "run_soak",
     "ship_state",
     "stream_dirname",
     "sweep_state_root",
     "tiny_training_config",
-    "verify_fleet_recovery",
-    "verify_recovery",
-    "verify_resize",
+    "verify_twin",
 ]

@@ -42,9 +42,10 @@ decision but routing, batching and bookkeeping.
   snapshot + journal replay, bit-identical state.  In-flight batches
   are re-dispatched; the replacement recognises already-journaled
   requests by index and answers them with a ``"recovered"`` marker
-  instead of serving them twice.  ``verify_fleet_recovery`` (in
-  :mod:`repro.serve.soak`) asserts the whole dance against an
-  uninterrupted inline twin.
+  instead of serving them twice.  An inline shard can be killed too
+  (its worker is abandoned unclosed), and takes the same failover
+  path.  ``verify_twin`` (in :mod:`repro.serve.soak`) asserts the
+  whole dance against an uninterrupted inline twin.
 """
 
 from __future__ import annotations
@@ -619,10 +620,15 @@ def _shard_worker_main(conn, policy_factory, state_dir, serve_config,
 class _InlineShard:
     """In-process shard: same micro-batching, no transport.
 
-    The deterministic twin for the soak verifiers and the single-core
-    fallback — decisions are bit-identical to the process mode's
-    because both run the same :class:`ShardWorker` over the same
-    per-stream substreams.
+    The deterministic twin for the soak verifiers, the single server
+    (a 1-shard inline fleet) and the single-core fallback — decisions
+    are bit-identical to the process mode's because both run the same
+    :class:`ShardWorker` over the same per-stream substreams.
+
+    :meth:`kill` abandons the worker without closing it, like a process
+    that just died: its journals hold exactly what was flushed, and
+    every later call raises the pipe error a dead process raises, so
+    the fleet's failover path runs unchanged.
     """
 
     def __init__(self, index: int, generation: int, policy_factory,
@@ -634,20 +640,37 @@ class _InlineShard:
                                   state_dir)
         self.pending: List[StreamRequest] = []
         self.deadline: Optional[float] = None
+        self.killed = False
+
+    def _live_worker(self) -> ShardWorker:
+        if self.killed:
+            raise BrokenPipeError(
+                f"inline shard {self.index} (gen {self.generation}) "
+                "was killed"
+            )
+        return self.worker
 
     def dispatch(self, batch: List[StreamRequest], sink) -> None:
-        decisions, deduped = self.worker.serve_batch(0, batch)
+        decisions, deduped = self._live_worker().serve_batch(0, batch)
         sink(self.index, decisions, deduped)
 
     def collect_one(self, sink, blocking: bool = False) -> bool:
         return False  # nothing is ever in flight inline
 
     def drain_streams(self, streams: Sequence[str]) -> Dict[str, int]:
-        return self.worker.drain_streams(streams)
+        return self._live_worker().drain_streams(streams)
 
     def stop(self, sink) -> Tuple[ServeReport, Dict[str, dict]]:
-        self.worker.close()
-        return self.worker.report(), self.worker.states()
+        worker = self._live_worker()
+        worker.close()
+        return worker.report(), worker.states()
+
+    def kill(self) -> None:
+        self.killed = True
+
+    def teardown(self, ledger: ShmLedger
+                 ) -> List[Tuple[int, List[StreamRequest]]]:
+        return []  # nothing is ever in flight inline
 
 
 class _ProcessShard:
@@ -917,8 +940,13 @@ class PolicyFleet:
         #: Stream -> on-disk source dir of state evacuated from a lost
         #: shard, shipped to the stream's new owner on first arrival.
         self._pending_ship: Dict[str, str] = {}
-        #: (member id, report) of shards retired by a resize.
+        #: (member id, report) of shards retired by a resize or an
+        #: evacuation.
         self._retired: List[Tuple[int, ServeReport]] = []
+        #: Member id -> ``(start, end)`` slices of :attr:`decisions`
+        #: the member delivered since it joined, across failover
+        #: generations (the source of each per-shard report row).
+        self._delivered: Dict[int, List[Tuple[int, int]]] = {}
         self._report_ids: List[int] = []
         self._supervisor: Optional[Any] = None
         if processes:
@@ -1107,6 +1135,8 @@ class PolicyFleet:
             raise RuntimeError("cannot evacuate the last shard")
         dead = self._shards.pop(index)
         unacked = dead.teardown(self.ledger)
+        # The dead worker's own report died with it.
+        self._retire(index, ServeReport())
         batches = [batch for _, batch in unacked]
         if dead.pending:
             batches.append(dead.pending)
@@ -1214,8 +1244,41 @@ class PolicyFleet:
 
     def _sink(self, shard_index: int, decisions: List[ServeDecision],
               deduped: int) -> None:
+        start = len(self.decisions)
         self.decisions.extend(decisions)
+        self._delivered.setdefault(shard_index, []).append(
+            (start, len(self.decisions)))
         self._recovered += deduped
+
+    def _delivered_row(self, member: int,
+                       report: ServeReport) -> ServeReport:
+        """``report`` with its request counts replaced by the decisions
+        ``member`` delivered since it joined.
+
+        A failover replaces the worker, whose own report then counts
+        only the live generation; the parent saw every generation's
+        decisions, so the row's ``total``, ``answered``, ``shed``,
+        ``deadline_misses`` and ``tier_decisions`` span them all.
+        """
+        report.total = report.answered = report.shed = 0
+        report.deadline_misses = 0
+        report.tier_decisions = {}
+        for start, end in self._delivered.pop(member, ()):
+            for decision in self.decisions[start:end]:
+                report.total += 1
+                report.deadline_misses += decision.deadline_missed
+                if decision.shed:
+                    report.shed += 1
+                elif decision.threads is not None:
+                    report.answered += 1
+                    report.tier_decisions[decision.tier] = (
+                        report.tier_decisions.get(decision.tier, 0) + 1
+                    )
+        return report
+
+    def _retire(self, member: int, report: ServeReport) -> None:
+        """Close ``member``'s report row (resize removal, evacuation)."""
+        self._retired.append((member, self._delivered_row(member, report)))
 
     # -- public API --------------------------------------------------------
 
@@ -1312,14 +1375,11 @@ class PolicyFleet:
             next_id += 1
         return members
 
-    def kill_shard(self, index: int) -> int:
-        """SIGKILL one shard process (chaos hook); returns its pid."""
-        shard = self._shards[index]
-        if not isinstance(shard, _ProcessShard):
-            raise RuntimeError("kill_shard requires process mode")
-        pid = shard.process.pid
-        shard.kill()
-        return pid
+    def kill_shard(self, index: int) -> None:
+        """Kill one shard (chaos hook): SIGKILL a shard process, or
+        abandon an inline shard's worker unclosed.  The next call that
+        reaches the shard fails over."""
+        self._shards[index].kill()
 
     def owner(self, stream: str) -> int:
         return self.router.route(stream)
@@ -1360,7 +1420,7 @@ class PolicyFleet:
                     # restart (never evacuate) — the shard must yield
                     # its report and per-stream states.
                     self._redeliver(self._failover(index), deaths=1)
-            reports.append((index, report))
+            reports.append((index, self._delivered_row(index, report)))
             self._merge_states(states)
         self._closed = True
         self.ledger.sweep()

@@ -1,7 +1,9 @@
 """Structured outcome of a serving session.
 
-Everything the soak harness asserts on — and everything an operator
-would want after an incident — in one plain-data object: admission
+:class:`FleetReport` is the one report the soak harness returns and
+the CLI prints.  Each of its per-shard rows is a :class:`ServeReport`,
+the same plain-data object :meth:`PolicyServer.report
+<repro.serve.server.PolicyServer.report>` returns: admission
 (answered/shed/deadline-missed counts), degradation (per-tier decision
 counts, every ladder transition), latency (p50/p99/mean/max), and the
 crash-safety machinery's bookkeeping (journal records, snapshots,
@@ -102,63 +104,6 @@ class ServeReport:
             "journal": dict(self.journal),
         }
 
-    def format(self) -> str:
-        """Human-readable multi-line summary."""
-        lines = [
-            f"requests: {self.total} "
-            f"(answered {self.answered}, shed {self.shed}, "
-            f"deadline misses {self.deadline_misses})",
-        ]
-        if self.tier_decisions:
-            tiers = ", ".join(
-                f"{name}={count}"
-                for name, count in self.tier_decisions.items()
-            )
-            lines.append(f"decisions by tier: {tiers}")
-        lines.append(
-            f"ladder: {self.trips} trips, {self.recoveries} recoveries, "
-            f"{self.probe_failures} failed probes; "
-            f"final tier: {self.final_tier or '-'}"
-        )
-        if self.failures:
-            fails = ", ".join(
-                f"{reason}={count}"
-                for reason, count in sorted(self.failures.items())
-            )
-            lines.append(f"tier failures: {fails}")
-        if self.clamped:
-            lines.append(f"clamped decisions: {self.clamped}")
-        if self.latency:
-            lines.append(
-                "latency: p50 {p50:.1f}us, p99 {p99:.1f}us, "
-                "max {max:.1f}us".format(
-                    p50=self.latency.get("p50", 0.0) * 1e6,
-                    p99=self.latency.get("p99", 0.0) * 1e6,
-                    max=self.latency.get("max", 0.0) * 1e6,
-                )
-            )
-        histogram = _histogram_line(self.latency_histogram)
-        if histogram:
-            lines.append(histogram)
-        gauges = [
-            fragment for fragment in (
-                _gauge_fragment("queue depth", self.queue_depth),
-                _gauge_fragment("batch size", self.batch_sizes),
-            ) if fragment
-        ]
-        if gauges:
-            lines.append("; ".join(gauges))
-        if self.journal:
-            lines.append(
-                "journal: {journal_records} records, "
-                "{snapshots_written} snapshots, "
-                "{replayed_records} replayed "
-                "(resumed after request {recovered_req})".format(
-                    **self.journal
-                )
-            )
-        return "\n".join(lines)
-
 
 #: Tier precedence for merging ``final_tier`` across per-stream servers
 #: (higher = further degraded; unknown tiers sit below "expert").
@@ -251,11 +196,17 @@ def merge_serve_reports(
 class FleetReport:
     """Aggregate outcome of a sharded serving fleet session.
 
-    Per-shard :class:`ServeReport` objects ride along untouched; the
-    aggregate latency histogram and gauges are exact merges (fixed
-    bucket bounds), while the aggregate p50/p99 are approximated from
-    the merged histogram (bucket upper bounds) — raw samples stay in
-    their shard processes.
+    One :class:`ServeReport` row per shard member.  A row's ``total``,
+    ``answered``, ``shed``, ``deadline_misses`` and ``tier_decisions``
+    count the decisions the parent received from that member across
+    every failover generation, so the rows sum to :attr:`total`.  Its
+    other fields — ``trips``, ``recoveries``, ``failures``,
+    ``transitions``, latency and journal bookkeeping — come from the
+    live generation's worker only: a killed worker's counters die with
+    it.  The aggregate latency histogram and gauges are exact merges
+    (fixed bucket bounds), while the aggregate p50/p99 are approximated
+    from the merged histogram (bucket upper bounds) — raw samples stay
+    in their shard processes.
     """
 
     shards: int = 0
@@ -414,6 +365,7 @@ class FleetReport:
             ) or "-"
             lines.append(
                 f"  shard {shard_index}: {report.total} requests, "
-                f"tiers [{tiers}], trips {report.trips}"
+                f"tiers [{tiers}], trips {report.trips}, "
+                f"recoveries {report.recoveries}"
             )
         return "\n".join(lines)

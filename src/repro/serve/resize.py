@@ -324,7 +324,7 @@ def execute_resize(
     for member in plan.removed:
         shard = fleet._shards.pop(member)
         report, states = shard.stop(fleet._sink)
-        fleet._retired.append((member, report))
+        fleet._retire(member, report)
         fleet._merge_states(states)
     for member in plan.added:
         fleet._shards[member] = fleet._spawn(member,

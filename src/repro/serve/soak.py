@@ -1,33 +1,38 @@
-"""Soak harness: drive the server through composed chaos, then assert.
+"""Soak harness: drive the fleet through composed chaos, then assert.
 
-The harness synthesizes a long request stream — bursty arrivals,
-flapping processor availability, a window of sensor faults — and runs a
-:class:`~repro.serve.server.PolicyServer` over it, checking the
+The harness synthesizes a long request stream — flapping processor
+availability, a window of sensor faults — and runs a
+:class:`~repro.serve.fleet.PolicyFleet` over it, checking the
 invariants the serving contract promises:
 
 * no unhandled exception escapes the decision loop;
-* every request is answered or explicitly shed, nothing vanishes;
+* every request yields exactly one decision, nothing vanishes;
 * every answered thread count lies in ``[1, available]`` for that
   request's availability;
-* after a mid-run kill, a restarted server resumes from its journal
-  and snapshot with *bit-identical* learning state (verified against
-  an uninterrupted twin run).
+* after a shard kill and/or live resizes, every stream's learning
+  state and every served decision are *bit-identical* to an
+  uninterrupted, never-resized inline twin (:func:`verify_twin`).
+
+There is one harness.  A single server is a 1-shard fleet:
+``run_fleet_soak(spec, bundle, config=FleetConfig(shards=1))`` serves
+every stream on the caller's thread, and :func:`verify_twin` with
+``processes=False`` kills and restarts that inline shard with no
+processes and no shared memory.
 
 Everything about the stream is a pure function of ``(spec, index)`` —
-environment values, burst boundaries, availability, and sensor
-corruption (via the stateless
-:func:`~repro.chaos.sensors.corrupt_sample`) — so the stream a
-restarted server sees from request ``k`` onward is exactly the stream
-the dead server would have seen.  That property is what makes the
-kill/restart comparison meaningful.
+environment values, availability, and sensor corruption (via the
+stateless :func:`~repro.chaos.sensors.corrupt_sample`) — so the stream
+a restarted shard sees from request ``k`` onward is exactly the stream
+the dead shard would have seen.  That property is what makes the twin
+comparison meaningful.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from pathlib import Path
-from typing import (Dict, Iterator, List, Mapping, Optional, Sequence,
-                    Tuple, Union)
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -42,13 +47,8 @@ from ..core.training import ExpertBundle, TrainingConfig
 from ..machine.availability import StaticAvailability
 from ..sched.stats import EnvironmentSample
 from .fleet import RECOVERED_TIER, FleetConfig, PolicyFleet
-from .report import FleetReport, ServeReport
-from .server import (
-    PolicyServer,
-    ServeConfig,
-    ServeDecision,
-    ServeRequest,
-)
+from .report import FleetReport
+from .server import ServeDecision, ServeRequest
 
 #: Simulated seconds between consecutive request indices.
 REQUEST_DT = 0.25
@@ -97,10 +97,6 @@ class SoakSpec:
     #: the stream, so the ladder can degrade *and* recover).
     sensor: Optional[SensorFaultSpec] = None
     fault_window: Tuple[float, float] = (0.3, 0.6)
-    #: Every ``burst_period``-th index arrives in a batch of
-    #: ``burst_size`` requests (storm arrivals exercising admission).
-    burst_period: int = 97
-    burst_size: int = 12
 
     def __post_init__(self) -> None:
         if self.requests < 1:
@@ -110,11 +106,6 @@ class SoakSpec:
         low, high = self.fault_window
         if not 0.0 <= low <= high <= 1.0:
             raise ValueError("fault_window must satisfy 0 <= lo <= hi <= 1")
-        if self.burst_period < 1 or self.burst_size < 1:
-            raise ValueError("burst_period/burst_size must be >= 1")
-        if self.burst_size > self.burst_period:
-            raise ValueError("bursts may not overlap "
-                             "(burst_size > burst_period)")
 
     def availability(self) -> AvailabilityFlap:
         return AvailabilityFlap(
@@ -169,34 +160,6 @@ def make_request(spec: SoakSpec, index: int) -> ServeRequest:
     return ServeRequest(index=index, ctx=ctx)
 
 
-def request_batches(
-    spec: SoakSpec, start_index: int = 0
-) -> Iterator[Tuple[int, List[ServeRequest]]]:
-    """``(start_position, batch)`` pairs from ``start_index`` onward.
-
-    Most indices arrive alone; every ``burst_period``-th index opens a
-    storm batch of ``burst_size`` requests.  Burst membership is a pure
-    function of the absolute index, and ``start_position`` says where
-    the batch's first request sits inside its logical burst — so a
-    stream resumed mid-burst sheds exactly the members the
-    uninterrupted stream would have shed (admission is by position in
-    the arrival batch, and positions must survive a restart).
-    """
-    index = start_index
-    while index < spec.requests:
-        burst = (index // spec.burst_period) * spec.burst_period
-        if burst > 0 and index < burst + spec.burst_size:
-            end = min(burst + spec.burst_size, spec.requests)
-            position = index - burst
-        else:
-            end = index + 1
-            position = 0
-        yield position, [
-            make_request(spec, i) for i in range(index, end)
-        ]
-        index = end
-
-
 def build_policy(bundle: ExpertBundle) -> MixturePolicy:
     """The served policy: the paper's mixture over ``bundle``."""
     return MixturePolicy(
@@ -211,138 +174,8 @@ class SoakInvariantError(AssertionError):
     """A serving invariant was violated during the soak."""
 
 
-def _check_decisions(
-    batch: List[ServeRequest], decisions: List[ServeDecision]
-) -> None:
-    if len(decisions) != len(batch):
-        raise SoakInvariantError(
-            f"batch of {len(batch)} produced {len(decisions)} decisions"
-        )
-    for request, decision in zip(batch, decisions):
-        if decision.shed:
-            continue
-        available = request.ctx.available_processors
-        if decision.threads is None or not (
-                1 <= decision.threads <= available):
-            raise SoakInvariantError(
-                f"request {request.index}: threads {decision.threads} "
-                f"outside [1, {available}]"
-            )
-
-
-def run_soak(
-    spec: SoakSpec,
-    bundle: ExpertBundle,
-    *,
-    state_dir: Optional[Union[str, Path]] = None,
-    config: Optional[ServeConfig] = None,
-    kill_at: Optional[int] = None,
-    collect: bool = False,
-) -> Tuple[ServeReport, List[ServeDecision]]:
-    """Drive a server over the spec's stream, checking invariants.
-
-    With ``state_dir``, serving is stateful and resumes from whatever
-    the directory holds.  ``kill_at`` stops the loop the moment the
-    next batch would start at or beyond that index — the server is
-    *abandoned*, not closed, like a process that just died.  Rerunning
-    with the same ``state_dir`` finishes the stream.
-    """
-    policy = build_policy(bundle)
-    server = PolicyServer(policy, config, state_dir=state_dir)
-    decisions: List[ServeDecision] = []
-    killed = False
-    for position, batch in request_batches(spec, server.next_index):
-        if kill_at is not None and batch[0].index >= kill_at:
-            killed = True
-            break
-        batch_decisions = server.offer(batch, start_position=position)
-        _check_decisions(batch, batch_decisions)
-        if collect:
-            decisions.extend(batch_decisions)
-    report = server.report()
-    if not killed:
-        server.close()
-    return report, decisions
-
-
-def verify_recovery(
-    spec: SoakSpec,
-    bundle: ExpertBundle,
-    kill_at: int,
-    state_dir: Union[str, Path],
-    *,
-    config: Optional[ServeConfig] = None,
-) -> dict:
-    """Kill/restart vs uninterrupted twin: lossless-recovery check.
-
-    Runs the stream twice: once straight through (stateless), once
-    with a kill at ``kill_at`` followed by a restart that resumes from
-    ``state_dir``.  Returns a comparison dict; raises
-    :class:`SoakInvariantError` when the restarted run's selector
-    state or post-kill decisions differ from the twin's.
-    """
-    if not 0 < kill_at < spec.requests:
-        raise ValueError("kill_at must fall inside the stream")
-    # Twin A: never crashes.  Serve it statefully too (in a scratch
-    # subdirectory) so both runs pay the same code paths.
-    twin_dir = Path(state_dir) / "twin"
-    twin_policy = build_policy(bundle)
-    twin = PolicyServer(twin_policy, config, state_dir=twin_dir)
-    twin_decisions: List[ServeDecision] = []
-    for position, batch in request_batches(spec, 0):
-        twin_decisions.extend(twin.offer(batch, start_position=position))
-    twin.close()
-
-    # Twin B: killed mid-run, restarted, finishes the stream.
-    crash_dir = Path(state_dir) / "crashed"
-    run_soak(spec, bundle, state_dir=crash_dir, config=config,
-             kill_at=kill_at)
-    resumed_policy = build_policy(bundle)
-    resumed = PolicyServer(resumed_policy, config, state_dir=crash_dir)
-    resumed_from = resumed.next_index
-    resumed_decisions: List[ServeDecision] = []
-    for position, batch in request_batches(spec, resumed.next_index):
-        resumed_decisions.extend(
-            resumed.offer(batch, start_position=position)
-        )
-    resumed.close()
-
-    # Bit-identical learning state ...
-    twin_state = twin_policy.export_online_state()["selector"]
-    resumed_state = resumed_policy.export_online_state()["selector"]
-    mismatches = _state_mismatches(twin_state, resumed_state)
-    if mismatches:
-        raise SoakInvariantError(
-            "selector state diverged after recovery: "
-            + ", ".join(mismatches)
-        )
-    # ... and bit-identical post-restart decisions.
-    by_index = {d.index: d for d in twin_decisions}
-    for decision in resumed_decisions:
-        twin_decision = by_index[decision.index]
-        if (decision.threads, decision.tier, decision.shed) != (
-                twin_decision.threads, twin_decision.tier,
-                twin_decision.shed):
-            raise SoakInvariantError(
-                f"decision {decision.index} diverged after recovery: "
-                f"{decision.threads}@{decision.tier} vs twin "
-                f"{twin_decision.threads}@{twin_decision.tier}"
-            )
-    return {
-        "kill_at": kill_at,
-        "resumed_from": resumed_from,
-        "compared_decisions": len(resumed_decisions),
-        "identical": True,
-    }
-
-
-# -- fleet mode -------------------------------------------------------------
-
-
 def _fleet_policy_factory(bundle: ExpertBundle):
     """A picklable zero-arg policy factory over ``bundle``."""
-    import functools
-
     return functools.partial(build_policy, bundle)
 
 
@@ -392,12 +225,13 @@ def run_fleet_soak(
 ) -> Tuple[FleetReport, List[ServeDecision], Dict[str, dict]]:
     """Drive a sharded fleet over the spec's stream, checking invariants.
 
-    The fleet consumes the stream one request at a time (micro-batching
-    replaces the single-server burst batches); routing keys on the loop
-    name, so each synthetic parallel region is a stream pinned to one
-    shard.  With ``kill_at`` (process mode only), the shard owning the
-    request at that index is SIGKILLed just before it is submitted —
-    the failover machinery must recover and finish the stream.  With
+    The fleet consumes the stream one request at a time and
+    micro-batches it per shard; routing keys on the loop name, so each
+    synthetic parallel region is a stream with its own server, pinned
+    to one shard.  With ``kill_at``, the shard owning the request at
+    that index is killed just before it is submitted (SIGKILL in
+    process mode; inline, its worker is abandoned unclosed) — the
+    failover machinery must recover and finish the stream.  With
     ``resize_at`` (request index -> shard count or member list), the
     fleet is live-resized just before that index is submitted; with
     ``supervise``, a :class:`FleetSupervisor` arbitrates losses
@@ -422,8 +256,6 @@ def run_fleet_soak(
                 fleet.resize(members=list(target))
         request = make_request(spec, index)
         if kill_at is not None and index == kill_at:
-            if not processes:
-                raise ValueError("kill_at requires process mode")
             killed_shard = fleet.owner(request.ctx.loop_name)
             fleet.kill_shard(killed_shard)
         fleet.submit(request)
@@ -442,112 +274,78 @@ def run_fleet_soak(
     return report, list(fleet.decisions), dict(fleet.stream_states)
 
 
-def verify_fleet_recovery(
+def verify_twin(
     spec: SoakSpec,
     bundle: ExpertBundle,
-    kill_at: int,
     state_root: Union[str, Path],
     *,
     config: Optional[FleetConfig] = None,
-) -> dict:
-    """Shard-kill vs uninterrupted twin: lossless fleet failover check.
-
-    Twin A runs the stream through an *inline* fleet (same sharding,
-    same micro-batch code path, no processes, nothing to kill).  Twin B
-    runs it through a process fleet whose owning shard is SIGKILLed at
-    ``kill_at``.  Afterwards every stream's online-learning state must
-    be bit-identical between the twins, and every decision B actually
-    served (everything except its ``recovered`` re-delivery markers
-    and deadline-missed decisions, see :func:`_compare_decisions`)
-    must equal A's decision for the same request.
-    """
-    if not 0 < kill_at < spec.requests:
-        raise ValueError("kill_at must fall inside the stream")
-    config = config or FleetConfig()
-    state_root = Path(state_root)
-
-    twin_report, twin_decisions, twin_states = run_fleet_soak(
-        spec, bundle, config=config, state_root=state_root / "twin",
-        processes=False,
-    )
-    crash_report, crash_decisions, crash_states = run_fleet_soak(
-        spec, bundle, config=config, state_root=state_root / "crashed",
-        processes=True, kill_at=kill_at,
-    )
-
-    _compare_stream_states(twin_states, crash_states, "failover")
-    recovered, missed, compared = _compare_decisions(
-        twin_decisions, crash_decisions, "failover")
-    return {
-        "kill_at": kill_at,
-        "shards": config.shards,
-        "failovers": crash_report.failovers,
-        "recovered": recovered,
-        "deadline_missed": missed,
-        "compared_decisions": compared,
-        "identical": True,
-    }
-
-
-def verify_resize(
-    spec: SoakSpec,
-    bundle: ExpertBundle,
-    resize_at: Mapping[int, Union[int, Sequence[int]]],
-    state_root: Union[str, Path],
-    *,
     kill_at: Optional[int] = None,
-    config: Optional[FleetConfig] = None,
+    resize_at: Optional[Mapping[int, Union[int, Sequence[int]]]] = None,
+    processes: bool = True,
+    supervise: bool = False,
 ) -> dict:
-    """Live resharding vs uninterrupted twin: lossless migration check.
+    """A disturbed run against its uninterrupted twin: lossless check.
 
-    Twin A runs the stream through an *inline* fleet that never
-    changes shape — no resizes, no processes, nothing to kill.  Twin B
-    runs it through a supervised process fleet that is live-resized at
-    every index in ``resize_at`` (e.g. ``{100: 4, 200: 3}`` for the
-    canonical 2→4→3 walk) and, with ``kill_at``, additionally loses a
-    shard to SIGKILL mid-soak.  Because each stream's decisions depend
-    only on the stream's own request prefix — never on fleet shape or
-    placement — B must end with every stream's selector state
-    bit-identical to A's, and every decision B actually served
-    (excluding ``recovered`` re-delivery markers and deadline-missed
-    decisions) must equal A's.
+    Twin A runs the stream through an *inline* fleet of the same
+    configuration that is never killed and never resized.  Run B serves
+    it with ``processes`` and ``supervise`` as given, a shard kill at
+    ``kill_at`` and/or live resizes at every index in ``resize_at``
+    (e.g. ``{100: 4, 200: 3}`` for a 2→4→3 walk).  Each stream's
+    decisions depend only on that stream's own request prefix — never
+    on fleet shape, placement or process boundaries — so B must end
+    with every stream's selector state bit-identical to A's, and every
+    decision B actually served (everything except its ``recovered``
+    re-delivery markers and deadline-missed decisions, see
+    :func:`_compare_decisions`) must equal A's.
+
+    Returns the outcome counts plus B's :class:`FleetReport` under
+    ``"report"``; raises :class:`SoakInvariantError` on any divergence.
     """
-    if not resize_at:
-        raise ValueError("resize_at must schedule at least one resize")
-    for index in resize_at:
+    if kill_at is None and not resize_at:
+        raise ValueError("verify_twin needs kill_at and/or resize_at")
+    if kill_at is not None and not 0 < kill_at < spec.requests:
+        raise ValueError("kill_at must fall inside the stream")
+    for index in resize_at or {}:
         if not 0 <= index < spec.requests:
             raise ValueError(
                 f"resize at {index} falls outside the stream")
     config = config or FleetConfig()
     state_root = Path(state_root)
+    what = " and ".join(
+        name for name, active in (("failover", kill_at is not None),
+                                  ("resharding", bool(resize_at)))
+        if active
+    )
 
-    twin_report, twin_decisions, twin_states = run_fleet_soak(
+    _, twin_decisions, twin_states = run_fleet_soak(
         spec, bundle, config=config, state_root=state_root / "twin",
-        processes=False,
     )
-    resized_report, resized_decisions, resized_states = run_fleet_soak(
-        spec, bundle, config=config, state_root=state_root / "resized",
-        processes=True, kill_at=kill_at, resize_at=resize_at,
-        supervise=True,
+    report, decisions, states = run_fleet_soak(
+        spec, bundle, config=config, state_root=state_root / "run",
+        processes=processes, kill_at=kill_at, resize_at=resize_at,
+        supervise=supervise,
     )
 
-    _compare_stream_states(twin_states, resized_states, "resharding")
+    _compare_stream_states(twin_states, states, what)
     recovered, missed, compared = _compare_decisions(
-        twin_decisions, resized_decisions, "resharding")
+        twin_decisions, decisions, what)
     return {
-        "resize_at": {int(k): v for k, v in sorted(resize_at.items())},
         "kill_at": kill_at,
-        "resizes": resized_report.resizes,
-        "epochs": resized_report.epochs,
-        "final_shards": resized_report.shards,
-        "streams_migrated": resized_report.streams_migrated,
-        "failovers": resized_report.failovers,
-        "restarts": resized_report.restarts,
+        "resize_at": dict(sorted((resize_at or {}).items())),
+        "shards": config.shards,
+        "final_shards": report.shards,
+        "failovers": report.failovers,
+        "restarts": report.restarts,
+        "resizes": report.resizes,
+        "epochs": report.epochs,
+        "streams_migrated": report.streams_migrated,
         "recovered": recovered,
         "deadline_missed": missed,
         "compared_decisions": compared,
         "streams": len(twin_states),
         "identical": True,
+        "report": report,
     }
 
 

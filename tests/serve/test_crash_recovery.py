@@ -6,9 +6,10 @@ Two layers of evidence:
   sequences, a simulated crash after *every* prefix, and the recovered
   selector must be bit-identical (exported state and held-out
   decisions) to one that never crashed;
-* end-to-end, at the serving layer — the soak harness's kill/restart
-  run compared against an uninterrupted twin, at several kill points
-  including mid-burst, with chaos active.
+* end-to-end, at the serving layer — a 1-shard inline fleet killed
+  and restarted from its journal, compared against an uninterrupted
+  twin at several kill points with chaos active, plus a single server
+  killed mid-burst.
 """
 
 from __future__ import annotations
@@ -19,13 +20,15 @@ import pytest
 from repro.chaos import SensorFaultSpec
 from repro.core.features import NUM_FEATURES
 from repro.serve import (
+    FleetConfig,
     PolicyServer,
     ServeConfig,
+    ShardWorker,
     SoakSpec,
     build_policy,
-    request_batches,
-    run_soak,
-    verify_recovery,
+    make_request,
+    run_fleet_soak,
+    verify_twin,
 )
 from repro.serve.journal import ServeStateStore
 from repro.serve.soak import _state_mismatches
@@ -178,58 +181,74 @@ class TestCrashAtEveryPrefix:
 
 
 class TestServingKillRestart:
-    """End-to-end kill/restart against the uninterrupted twin."""
+    """End-to-end kill/restart of a single server (a 1-shard inline
+    fleet) against the uninterrupted twin."""
 
     SPEC = SoakSpec(
         requests=240,
         sensor=SensorFaultSpec(mode="nan", rate=1.0),
         fault_window=(0.25, 0.55),
-        burst_period=40,
-        burst_size=10,
     )
+    CONFIG = FleetConfig(shards=1, serve=ServeConfig(snapshot_interval=32))
 
     # 37: before the chaos window; 100: mid-window (degraded tier);
-    # 203: mid-burst (bursts open at 200), after recovery.
+    # 203: after the window, while the ladder climbs back.
     @pytest.mark.parametrize("kill_at", [37, 100, 203])
     def test_lossless_recovery(self, tiny_bundle, tmp_path, kill_at):
-        outcome = verify_recovery(
-            self.SPEC, tiny_bundle, kill_at=kill_at,
-            state_dir=tmp_path,
-            config=ServeConfig(snapshot_interval=32),
+        outcome = verify_twin(
+            self.SPEC, tiny_bundle, tmp_path, config=self.CONFIG,
+            kill_at=kill_at, processes=False,
         )
         assert outcome["identical"]
         assert outcome["kill_at"] == kill_at
-        assert outcome["resumed_from"] >= kill_at
-        assert outcome["compared_decisions"] > 0
+        assert outcome["failovers"] == 1
+        # Inline, nothing is in flight at the kill: every decision is
+        # served once and compared (none deduplicated).
+        assert outcome["recovered"] == 0
+        assert (outcome["compared_decisions"]
+                + outcome["deadline_missed"]) == self.SPEC.requests
 
     def test_kill_actually_interrupts(self, tiny_bundle, tmp_path):
-        report, _ = run_soak(
-            self.SPEC, tiny_bundle, state_dir=tmp_path,
-            config=ServeConfig(snapshot_interval=32), kill_at=100,
+        report, _, _ = run_fleet_soak(
+            self.SPEC, tiny_bundle, config=self.CONFIG,
+            state_root=tmp_path, kill_at=100,
         )
-        assert report.total < self.SPEC.requests
-        # The journal carries the resume point: a restarted server
-        # picks up where the victim died.
-        revived = PolicyServer(
-            build_policy(tiny_bundle),
-            ServeConfig(snapshot_interval=32),
-            state_dir=tmp_path,
-        )
-        assert revived.next_index == report.total
-        revived.close()
+        assert report.failovers == 1
+        # The per-shard row spans both generations ...
+        assert report.per_shard[0].total == self.SPEC.requests
+        # ... while the killed generation's journals stop before the
+        # kill, and the replacement recovered from a shipped copy.
+        victim = ShardWorker(lambda: build_policy(tiny_bundle),
+                             self.CONFIG.serve, tmp_path / "shard-0")
+        frontier = victim.resume_map()
+        victim.close()
+        assert len(frontier) == 4
+        assert max(frontier.values()) <= 100
+        assert (tmp_path / "shard-0-g1").is_dir()
 
     def test_mid_burst_resume_sheds_consistently(self, tiny_bundle,
                                                  tmp_path):
         # A crash *inside* a burst (the victim had served only part of
         # it): the revived server must shed by logical burst position,
-        # matching the uninterrupted twin.
-        spec = SoakSpec(requests=60, burst_period=20, burst_size=10)
-        config = ServeConfig(queue_capacity=4, snapshot_interval=16)
+        # matching the uninterrupted twin.  Requests 20..29 arrive as
+        # one burst; every other request arrives alone.
+        spec = SoakSpec(requests=60)
+        requests = [make_request(spec, i) for i in range(spec.requests)]
 
+        def arrivals(start):
+            """``(start_position, batch)`` pairs from ``start`` on."""
+            for index in range(start, spec.requests):
+                if 20 <= index < 30:
+                    if index == start or index == 20:
+                        yield index - 20, requests[index:30]
+                else:
+                    yield 0, [requests[index]]
+
+        config = ServeConfig(queue_capacity=4, snapshot_interval=16)
         twin = PolicyServer(build_policy(tiny_bundle), config,
                             state_dir=tmp_path / "twin")
         twin_decisions = []
-        for position, batch in request_batches(spec, 0):
+        for position, batch in arrivals(0):
             twin_decisions.extend(
                 twin.offer(batch, start_position=position)
             )
@@ -237,7 +256,7 @@ class TestServingKillRestart:
 
         victim = PolicyServer(build_policy(tiny_bundle), config,
                               state_dir=tmp_path / "crash")
-        for position, batch in request_batches(spec, 0):
+        for position, batch in arrivals(0):
             if batch[0].index == 20:
                 # Three requests into the burst, the process dies.
                 victim.offer(batch[:3], start_position=position)
@@ -248,7 +267,7 @@ class TestServingKillRestart:
                                state_dir=tmp_path / "crash")
         assert revived.next_index == 23
         resumed = []
-        for position, batch in request_batches(spec, revived.next_index):
+        for position, batch in arrivals(revived.next_index):
             resumed.extend(revived.offer(batch, start_position=position))
         revived.close()
 
@@ -265,6 +284,9 @@ class TestServingKillRestart:
 
     def test_verify_recovery_validates_kill_point(self, tiny_bundle,
                                                   tmp_path):
-        with pytest.raises(ValueError):
-            verify_recovery(self.SPEC, tiny_bundle, kill_at=0,
-                            state_dir=tmp_path)
+        with pytest.raises(ValueError, match="inside the stream"):
+            verify_twin(self.SPEC, tiny_bundle, tmp_path, kill_at=0,
+                        processes=False)
+        with pytest.raises(ValueError, match="kill_at and/or resize_at"):
+            verify_twin(self.SPEC, tiny_bundle, tmp_path,
+                        processes=False)

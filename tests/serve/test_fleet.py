@@ -29,7 +29,7 @@ from repro.serve.soak import (
     build_policy,
     make_request,
     run_fleet_soak,
-    verify_fleet_recovery,
+    verify_twin,
 )
 
 needs_shm = pytest.mark.skipif(
@@ -371,12 +371,12 @@ class TestProcessFleet:
         assert after <= before
 
 
-@needs_shm
 class TestFailover:
+    @needs_shm
     def test_shard_kill_recovers_losslessly(self, tiny_bundle,
                                             tmp_path):
-        outcome = verify_fleet_recovery(
-            SPEC, tiny_bundle, kill_at=120, state_root=tmp_path,
+        outcome = verify_twin(
+            SPEC, tiny_bundle, tmp_path, kill_at=120,
             config=FleetConfig(shards=2, batch_max=16, ring_slots=2),
         )
         assert outcome["identical"] is True
@@ -384,6 +384,7 @@ class TestFailover:
         assert (outcome["compared_decisions"] + outcome["recovered"]
                 + outcome["deadline_missed"]) == SPEC.requests
 
+    @needs_shm
     def test_kill_without_failover_is_an_invariant_error(
             self, tiny_bundle, tmp_path, monkeypatch):
         # sanity on the harness itself: if the kill hook were a no-op
@@ -397,12 +398,57 @@ class TestFailover:
                 state_root=tmp_path, processes=True, kill_at=120,
             )
 
-    def test_kill_requires_process_mode(self, tiny_bundle, tmp_path):
-        with pytest.raises(ValueError, match="process mode"):
-            run_fleet_soak(
-                SPEC, tiny_bundle, config=FleetConfig(shards=1),
-                state_root=tmp_path, kill_at=10,
-            )
+    def test_inline_kill_fails_over_losslessly(self, tiny_bundle,
+                                               tmp_path):
+        # An inline shard's worker is abandoned unclosed; the next
+        # dispatch fails over exactly as a dead process's would.
+        outcome = verify_twin(
+            SPEC, tiny_bundle, tmp_path, kill_at=120, processes=False,
+            config=FleetConfig(shards=2, batch_max=16),
+        )
+        assert outcome["identical"] is True
+        assert outcome["failovers"] == 1
+        assert outcome["recovered"] == 0  # nothing is in flight inline
+        assert (outcome["compared_decisions"]
+                + outcome["deadline_missed"]) == SPEC.requests
+
+    @needs_shm
+    def test_per_shard_rows_survive_failover(self, tiny_bundle,
+                                             tmp_path):
+        # The row counts every generation's decisions, not just the
+        # replacement's.
+        report, _, _ = run_fleet_soak(
+            SPEC, tiny_bundle, config=FleetConfig(shards=1),
+            state_root=tmp_path, processes=True, kill_at=100,
+        )
+        assert report.failovers == 1
+        (row,) = report.per_shard
+        assert row.total == report.total == SPEC.requests
+        assert row.answered == report.answered
+        assert sum(row.tier_decisions.values()) == row.answered
+        assert row.unanswered == report.recovered
+
+    @pytest.mark.parametrize("supervise", [False, True])
+    def test_verify_twin_honours_supervise(self, tiny_bundle, tmp_path,
+                                           monkeypatch, supervise):
+        from repro.serve import supervisor
+
+        built = []
+
+        class CountingSupervisor(supervisor.FleetSupervisor):
+            def __init__(self, fleet, *args, **kwargs):
+                built.append(fleet)
+                super().__init__(fleet, *args, **kwargs)
+
+        monkeypatch.setattr(supervisor, "FleetSupervisor",
+                            CountingSupervisor)
+        verify_twin(
+            SPEC, tiny_bundle, tmp_path, kill_at=120, processes=False,
+            supervise=supervise,
+            config=FleetConfig(shards=2, batch_max=16),
+        )
+        # the twin is never supervised; the disturbed run only on request
+        assert len(built) == (1 if supervise else 0)
 
 
 class TestCompareDecisions:

@@ -26,7 +26,7 @@ from repro.serve.soak import (
     build_policy,
     make_request,
     run_fleet_soak,
-    verify_resize,
+    verify_twin,
 )
 
 needs_shm = pytest.mark.skipif(
@@ -298,9 +298,9 @@ class TestProcessResize:
     def test_verify_resize_with_shard_kill(self, tiny_bundle, tmp_path):
         # the acceptance twin check: 2→4→3 plus one SIGKILL mid-soak,
         # bit-identical to an uninterrupted never-resized inline twin
-        outcome = verify_resize(
-            SPEC, tiny_bundle, {80: 4, 160: 3}, tmp_path,
-            kill_at=120,
+        outcome = verify_twin(
+            SPEC, tiny_bundle, tmp_path, resize_at={80: 4, 160: 3},
+            kill_at=120, supervise=True,
             config=FleetConfig(shards=2, batch_max=16, ring_slots=2),
         )
         assert outcome["identical"] is True

@@ -18,11 +18,13 @@ from repro.runtime.tracing import ServeTracer
 from repro.sched.stats import EnvironmentSample
 from repro.serve import (
     BreakerConfig,
+    FleetConfig,
     PolicyServer,
     ServeConfig,
     ServeRequest,
     SoakSpec,
-    run_soak,
+    make_request,
+    run_fleet_soak,
 )
 from repro.chaos import SensorFaultSpec
 
@@ -199,7 +201,9 @@ class TestDegradationLadder:
 
 
 class TestMixtureLadderUnderChaos:
-    """The real ladder (mixture → expert → default) under sensor nans."""
+    """The real ladder (mixture → expert → default) under sensor nans,
+    served by a single server: a 1-shard inline fleet, one breaker per
+    stream (loop name)."""
 
     @pytest.fixture(scope="class")
     def soak(self, tiny_bundle):
@@ -208,36 +212,53 @@ class TestMixtureLadderUnderChaos:
             sensor=SensorFaultSpec(mode="nan", rate=1.0),
             fault_window=(0.2, 0.5),
         )
-        report, decisions = run_soak(spec, tiny_bundle, collect=True)
-        return spec, report, decisions
+        report, decisions, _ = run_fleet_soak(
+            spec, tiny_bundle, config=FleetConfig(shards=1),
+        )
+        streams = {}
+        for transition in report.per_shard[0].transitions:
+            stream = make_request(spec, transition.request_index)
+            streams.setdefault(stream.ctx.loop_name, []).append(transition)
+        return spec, report, decisions, streams
 
     def test_steps_down_within_trip_threshold(self, soak):
-        spec, report, _ = soak
+        spec, report, _, streams = soak
         fault_start = int(spec.fault_window[0] * spec.requests)
-        first = report.transitions[0]
-        assert first.reason == "trip"
-        assert first.request_index < fault_start + BreakerConfig().trip_threshold
-        # With every request in the window degenerate, the ladder walks
-        # all the way down: mixture -> expert -> default.
-        trip_targets = [
-            t.to_tier for t in report.transitions if t.reason == "trip"
-        ]
-        assert trip_targets[:2] == ["expert", "default"]
-        assert report.failures["degenerate-features"] > 0
+        # The stream's requests interleave, so each stream's
+        # trip_threshold-th faulty request arrives within this bound.
+        bound = fault_start + len(streams) * BreakerConfig().trip_threshold
+        assert len(streams) == 4
+        for transitions in streams.values():
+            first = transitions[0]
+            assert first.reason == "trip"
+            assert fault_start <= first.request_index < bound
+            # With every request in the window degenerate, each
+            # stream's ladder walks all the way down: mixture ->
+            # expert -> default.
+            trip_targets = [
+                t.to_tier for t in transitions if t.reason == "trip"
+            ]
+            assert trip_targets[:2] == ["expert", "default"]
+        assert report.per_shard[0].failures["degenerate-features"] > 0
 
     def test_every_request_answered_in_range(self, soak):
-        spec, report, decisions = soak
-        assert report.total == spec.requests
+        spec, report, decisions, _ = soak
+        row = report.per_shard[0]
+        assert report.total == row.total == spec.requests
         assert report.answered + report.shed == report.total
-        assert report.unanswered == 0
+        assert row.unanswered == 0
         for decision in decisions:
             if not decision.shed:
                 assert decision.threads is not None
                 assert 1 <= decision.threads <= spec.processors
 
     def test_recovers_after_faults_clear(self, soak):
-        _, report, _ = soak
-        assert report.recoveries >= 2  # default -> expert -> mixture
-        assert report.final_tier == "mixture"
+        _, report, _, streams = soak
+        row = report.per_shard[0]
+        # default -> expert -> mixture, on every stream
+        assert row.recoveries >= 2 * len(streams)
+        for transitions in streams.values():
+            assert transitions[-1].to_tier == "mixture"
+        assert row.final_tier == "mixture"
         # The mixture is back in charge by the end of the stream.
-        assert report.tier_decisions["mixture"] > 0
+        assert row.tier_decisions["mixture"] > 0
