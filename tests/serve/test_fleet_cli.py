@@ -162,3 +162,14 @@ def test_rejects_bad_arguments(tiny_bundle):
     ):
         with pytest.raises(SystemExit):
             main(["serve-fleet"] + argv)
+
+
+def test_single_server_rejects_bad_arguments(tiny_bundle):
+    single = ["serve-fleet", "--shards", "1", "--inline"]
+    for argv in (
+        ["--requests", "0"],
+        ["--verify-twin"],
+        ["--requests", "100", "--kill-at", "500"],
+    ):
+        with pytest.raises(SystemExit):
+            main(single + argv)
