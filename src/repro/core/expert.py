@@ -138,72 +138,6 @@ class Expert:
             feature_high=self.feature_high + margin * width,
         )
 
-    # -- batch-axis variants ------------------------------------------------
-    #
-    # The serving fleet evaluates whole micro-batches of decisions at
-    # once.  Each method below is bit-identical per row to its scalar
-    # counterpart: the elementwise work (isfinite masking, envelope
-    # clipping) is hoisted over the batch axis, while every *reduction*
-    # (the model dot products) stays a per-row call on a contiguous row
-    # slice — BLAS batch matmul accumulates in a different order than
-    # the per-row kernel and drifts in the last ulp, which would break
-    # the serve layer's bit-identical replay contract.
-
-    def _clip_batch(self, matrix: np.ndarray) -> np.ndarray:
-        matrix = np.ascontiguousarray(matrix, dtype=float)
-        mask = np.isfinite(matrix)
-        if not mask.all():
-            matrix = np.where(mask, matrix, 0.0)
-        if self.feature_low is None or self.feature_high is None:
-            return matrix
-        return np.clip(matrix, self.feature_low, self.feature_high)
-
-    def predict_threads_batch(
-        self, matrix: np.ndarray, max_threads: np.ndarray
-    ) -> np.ndarray:
-        """Per-row :meth:`predict_threads` over ``(B, F)`` rows.
-
-        ``max_threads`` may be a scalar or a ``(B,)`` per-row array.
-        """
-        clipped = self._clip_batch(matrix)
-        limits = np.broadcast_to(
-            np.asarray(max_threads, dtype=np.int64), (len(clipped),)
-        )
-        model = self.thread_model
-        out = np.empty(len(clipped), dtype=np.int64)
-        for i in range(len(clipped)):
-            raw = model.predict_one(clipped[i])
-            if not math.isfinite(raw):
-                out[i] = 1
-            else:
-                out[i] = int(max(1, min(int(limits[i]), round(raw))))
-        return out
-
-    def predict_env_norm_batch(self, matrix: np.ndarray) -> np.ndarray:
-        """Per-row :meth:`predict_env_norm` over ``(B, F)`` rows."""
-        clipped = self._clip_batch(matrix)
-        model = self.env_model
-        out = np.empty(len(clipped), dtype=float)
-        for i in range(len(clipped)):
-            raw = model.predict_one(clipped[i])
-            out[i] = max(0.0, raw) if math.isfinite(raw) else 0.0
-        return out
-
-    def domain_distance_batch(self, matrix: np.ndarray) -> np.ndarray:
-        """Per-row :meth:`domain_distance` over ``(B, F)`` rows."""
-        matrix = np.ascontiguousarray(matrix, dtype=float)
-        if self.feature_low is None or self.feature_high is None:
-            return np.zeros(len(matrix))
-        width = np.maximum(self.feature_high - self.feature_low, 1e-9)
-        below = np.maximum(self.feature_low - matrix, 0.0)
-        above = np.maximum(matrix - self.feature_high, 0.0)
-        displacement = (below + above) / width
-        squared = displacement * displacement
-        out = np.empty(len(matrix), dtype=float)
-        for i in range(len(matrix)):
-            out[i] = float(np.sqrt(np.mean(squared[i])))
-        return out
-
     def domain_distance(self, features: np.ndarray) -> float:
         """How far outside this expert's training envelope ``f`` lies.
 

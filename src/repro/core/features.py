@@ -73,10 +73,9 @@ def sanitize_features_batch(
             f"expected a (B, F) feature matrix, got shape {matrix.shape}"
         )
     mask = np.isfinite(matrix)
-    degenerate = ~mask.all(axis=1)
-    if not degenerate.any():
-        return matrix, degenerate
-    return np.where(mask, matrix, 0.0), degenerate
+    if mask.all():
+        return matrix, np.zeros(len(matrix), dtype=bool)
+    return np.where(mask, matrix, 0.0), ~mask.all(axis=1)
 
 
 def env_part(features: np.ndarray) -> np.ndarray:

@@ -24,7 +24,6 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from .selector import (
-    SCALAR_BATCH_MAX,
     HyperplaneSelector,
     SelectorJournalSink,
     SelectorStats,
@@ -143,41 +142,6 @@ class HierarchicalSelector:
         choice = self._groups[group_index][local]
         self.stats.selections.append(choice)
         return choice
-
-    def select_batch(self, matrix: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`select` over ``(B, F)`` rows.
-
-        Bit-identical to the scalar loop: the top gate batch-selects
-        first, then rows are regrouped by chosen group *preserving row
-        order*, so each inner gate sees exactly the subsequence the
-        scalar loop would have fed it.  The regrouping is safe because
-        the only select-time state — each gate's round-robin
-        tie-breaker — is touched solely by that gate's own rows.
-        """
-        matrix = np.ascontiguousarray(matrix, dtype=float)
-        if matrix.ndim != 2:
-            raise ValueError(
-                f"expected a (B, F) feature matrix, got {matrix.shape}"
-            )
-        if len(matrix) <= SCALAR_BATCH_MAX:
-            return np.array(
-                [self.select(row) for row in matrix], dtype=np.int64
-            )
-        if self._journal is not None:
-            for row in matrix:
-                self._journal.record_select(_finite_features(row))
-        top_choices = self._top.select_batch(matrix)
-        choices = np.empty(len(matrix), dtype=np.int64)
-        for group_index, group in enumerate(self._groups):
-            rows = np.flatnonzero(top_choices == group_index)
-            if len(rows) == 0:
-                continue
-            local = self._inner[group_index].select_batch(matrix[rows])
-            for row, member in zip(rows, local):
-                choices[row] = group[member]
-        for choice in choices:
-            self.stats.selections.append(int(choice))
-        return choices
 
     def update(self, features: np.ndarray,
                errors: Sequence[float]) -> bool:

@@ -17,14 +17,14 @@ the environment-prediction proxy.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Protocol, Sequence
 
 import numpy as np
 
 from ..expert import Expert
 from ..features import NUM_FEATURES, sanitize_features, sanitize_features_batch
-from ..selector import SCALAR_BATCH_MAX, ExpertSelector, HyperplaneSelector
+from ..selector import ExpertSelector, HyperplaneSelector
 from .base import PolicyContext, ThreadPolicy
 
 
@@ -64,32 +64,101 @@ class _Pending:
     features: np.ndarray
     predicted_norms: tuple[float, ...]
     decision_index: int
-    #: Per-expert domain distances at ``features``, cached when the
-    #: pending was created by a batch plan.  A pure function of the
-    #: frozen experts and the features, so a cache hit and a recompute
-    #: are the same floats — the cache only skips redundant work.
+    #: Per-expert domain distances at ``features``, from the plan that
+    #: made the decision; None for pools the kernel does not plan, whose
+    #: distances are taken when the prediction is scored.
     domain: Optional[tuple[float, ...]] = None
 
 
 @dataclass(frozen=True)
 class BatchDecisionPlan:
-    """Precomputed pure-function work for a batch of decisions.
+    """The pure per-expert work for a batch of decisions.
 
-    Everything here is a pure function of the (frozen) experts and the
-    feature rows: per-expert environment-norm predictions, thread
-    predictions, and domain distances.  Precomputing them before the
-    sequential learn/select loop therefore cannot observe different
-    state than the scalar path — the loop itself (selector updates,
-    selects, pending bookkeeping) stays strictly in request order.
-    Only valid while no expert learns online (``record_observation``);
-    :meth:`MixturePolicy.plan_batch` returns None otherwise.
+    Everything here is a pure function of the frozen experts and the
+    feature rows, so computing it ahead of the sequential learn/select
+    loop cannot observe different state than computing it inside; that
+    loop (selector updates, selects, pending bookkeeping) stays strictly
+    in request order.
     """
 
     features: np.ndarray  # (B, F) sanitized feature rows
-    degenerate: np.ndarray  # (B,) bool — row had non-finite entries
-    env_norms: np.ndarray  # (B, K) per-expert predicted ‖ê‖
-    threads: np.ndarray  # (B, K) per-expert thread predictions
-    domain: np.ndarray  # (B, K) per-expert domain distances
+    degenerate: List[bool]  # row had non-finite entries
+    #: Per row: (predicted ‖ê‖, thread predictions, domain distances),
+    #: one entry per expert.
+    rows: List[tuple]
+
+
+class _FrozenPool:
+    """A pool of frozen linear experts stacked into ``(E, F)`` arrays.
+
+    Envelope-less experts get ±inf bounds and an infinite width: the
+    clip leaves every finite feature alone and the domain distance is
+    exactly zero, as :meth:`Expert.domain_distance` returns for them.
+    """
+
+    def __init__(self, experts: Sequence[Expert]):
+        low, high, width = [], [], []
+        for expert in experts:
+            if expert.feature_low is None or expert.feature_high is None:
+                low.append(np.full(NUM_FEATURES, -np.inf))
+                high.append(np.full(NUM_FEATURES, np.inf))
+                width.append(np.full(NUM_FEATURES, np.inf))
+            else:
+                low.append(expert.feature_low)
+                high.append(expert.feature_high)
+                width.append(np.maximum(
+                    expert.feature_high - expert.feature_low, 1e-9
+                ))
+        self.low = np.array(low, dtype=float)
+        self.high = np.array(high, dtype=float)
+        self.width = np.array(width, dtype=float)
+        #: Thread then environment model of every expert: the models'
+        #: own weight arrays, so each dot is the scalar path's BLAS call.
+        models = [e.thread_model for e in experts]
+        models += [e.env_model for e in experts]
+        self.weights = [model.weights for model in models]
+        self.intercepts = np.array([model.intercept for model in models],
+                                   dtype=float)
+
+    def plan(self, matrix: np.ndarray, limits: np.ndarray) -> List[tuple]:
+        """Per-row ``(norms, threads, domain)`` for sanitized rows.
+
+        Clipping, domain distances and the post-processing of the model
+        outputs run over whole blocks.  Each model dot product stays a
+        per-(row, expert) ``ddot`` on a contiguous slice, because a
+        batched matmul sums in another order and drifts in the last
+        ulp (see docs/performance.md).  ``np.add.reduce(...) / F`` is
+        the arithmetic ``np.mean`` performs, minus its dispatch layers.
+        """
+        block = matrix[:, None, :]
+        clipped = np.clip(block, self.low, self.high)
+        below = np.maximum(self.low - block, 0.0)
+        above = np.maximum(block - self.high, 0.0)
+        displacement = (below + above) / self.width
+        domain = np.sqrt(
+            np.add.reduce(displacement * displacement, axis=-1)
+            / NUM_FEATURES
+        ).tolist()
+        weights = self.weights
+        raw = np.array([
+            [c.dot(w) for c, w in zip(cells + cells, weights)]
+            for cells in map(list, clipped)
+        ]) + self.intercepts
+        count = len(self.low)
+        threads, norms = raw[:, :count], raw[:, count:]
+        # Expert.predict_threads: round half to even, clamp to
+        # [1, limit], and 1 for a non-finite output.
+        threads = np.where(
+            np.isfinite(threads),
+            np.maximum(np.minimum(np.rint(threads), limits), 1.0),
+            1.0,
+        ).astype(np.int64).tolist()
+        # Expert.predict_env_norm: non-negative, and 0 when non-finite.
+        norms = np.where(
+            np.isfinite(norms), np.maximum(0.0, norms), 0.0
+        ).tolist()
+        return list(zip(map(tuple, norms), map(tuple, threads),
+                        map(tuple, domain)))
 
 
 class MixturePolicy(ThreadPolicy):
@@ -124,6 +193,21 @@ class MixturePolicy(ThreadPolicy):
         self.fallback_count = 0
         #: Optional crash-safety sink (see :class:`MixtureJournalSink`).
         self.journal: Optional[MixtureJournalSink] = None
+        #: The decision kernel's stacked pool, when every member is a
+        #: frozen linear :class:`Expert`; None for pools with another
+        #: kind of member, whose predictions :meth:`_decide` makes one
+        #: expert at a time.
+        self._pool = (
+            _FrozenPool(experts)
+            if all(type(e) is Expert for e in experts) else None
+        )
+        #: Experts that learn online (Section 4.1 retrofitting).
+        self._recorders = tuple(
+            record for record in (
+                getattr(e, "record_observation", None) for e in experts
+            ) if record is not None
+        )
+        self._chosen = [0] * len(experts)
 
     @property
     def selector(self) -> ExpertSelector:
@@ -132,6 +216,7 @@ class MixturePolicy(ThreadPolicy):
     def reset(self) -> None:
         self._selector.reset()
         self.decisions = []
+        self._chosen = [0] * len(self.experts)
         self._pending = None
         self.fallback_count = 0
 
@@ -159,13 +244,31 @@ class MixturePolicy(ThreadPolicy):
         must not be rewritten when the prediction is scored.
         """
         features = np.asarray(features, dtype=float)
+        plan = self.plan_batch(features[None, :], 1)
+        if plan is None:
+            norms = tuple(e.predict_env_norm(features) for e in self.experts)
+            domain = None
+        else:
+            norms, _, domain = plan.rows[0]
         self._pending = _Pending(
             features=features,
-            predicted_norms=tuple(
-                e.predict_env_norm(features) for e in self.experts
-            ),
+            predicted_norms=norms,
             decision_index=-1,
+            domain=domain,
         )
+
+    def drop_decision_log(self) -> None:
+        """Forget :attr:`decisions`.
+
+        The serving runtime never reads the log (snapshots exclude it,
+        recovery resets it), so it calls this after every batch rather
+        than let the log grow without bound.  The pending prediction is
+        still scored; like one from :meth:`restore_pending`, it just has
+        no logged decision left to rewrite.
+        """
+        self.decisions.clear()
+        if self._pending is not None:
+            self._pending.decision_index = -1
 
     def export_online_state(self) -> dict:
         """Snapshot of everything online learning has accumulated."""
@@ -194,6 +297,7 @@ class MixturePolicy(ThreadPolicy):
             self.restore_pending(np.asarray(pending, dtype=float))
         self.fallback_count = int(state.get("fallback_count", 0))
         self.decisions = []
+        self._chosen = [0] * len(self.experts)
 
     def best_expert_index(self) -> int:
         """The single expert to fall back on when the mixture is
@@ -210,8 +314,13 @@ class MixturePolicy(ThreadPolicy):
         return max(range(len(counts)), key=counts.__getitem__)
 
     def select(self, ctx: PolicyContext) -> int:
-        features, degenerate = sanitize_features(ctx.feature_vector())
-        return self._decide(ctx, features, degenerate, None)
+        if self._pool is None:
+            features, degenerate = sanitize_features(ctx.feature_vector())
+            return self._decide(ctx, features, degenerate, None)
+        plan = self.plan_batch(
+            ctx.feature_vector()[None, :], ctx.max_threads
+        )
+        return self._select_planned(ctx, plan, 0)
 
     def _decide(
         self,
@@ -220,12 +329,13 @@ class MixturePolicy(ThreadPolicy):
         degenerate: bool,
         planned: Optional[tuple],
     ) -> int:
-        """The per-decision core shared by :meth:`select` and the batch
-        path.  ``planned`` is None (compute per-expert predictions here,
-        the scalar path) or a ``(predicted_norms, predicted_threads,
-        domain_distances)`` triple of pure-function values precomputed
-        by :meth:`plan_batch` — identical floats either way, so the two
-        paths are bit-identical by construction.
+        """The per-decision core: score, learn, select, log.
+
+        ``planned`` is this row's ``(predicted_norms, predicted_threads,
+        domain_distances)`` from :meth:`plan_batch`.  It is None only
+        for a pool the kernel does not plan; those predictions are then
+        made here, after the experts that learn online have seen the
+        observation.
         """
         observed_norm = ctx.env.norm
         if not math.isfinite(observed_norm):
@@ -240,26 +350,25 @@ class MixturePolicy(ThreadPolicy):
         # each expert's training domain is from the observed state.
         # Experts that learn online (Section 4.1 retrofitting) receive
         # the observation too.
-        if self._pending is not None:
-            for expert in self.experts:
-                record = getattr(expert, "record_observation", None)
-                if record is not None:
-                    record(self._pending.features, observed_norm)
-            domains = self._pending.domain
+        pending = self._pending
+        if pending is not None:
+            for record in self._recorders:
+                record(pending.features, observed_norm)
+            domains = pending.domain
             if domains is None:
                 domains = tuple(
-                    expert.domain_distance(self._pending.features)
+                    expert.domain_distance(pending.features)
                     for expert in self.experts
                 )
+            weight = self.domain_weight
             errors = [
-                abs(predicted - observed_norm)
-                + self.domain_weight * distance
+                abs(predicted - observed_norm) + weight * distance
                 for predicted, distance in zip(
-                    self._pending.predicted_norms, domains
+                    pending.predicted_norms, domains
                 )
             ]
-            self._selector.update(self._pending.features, errors)
-            index = self._pending.decision_index
+            self._selector.update(pending.features, errors)
+            index = pending.decision_index
             # A pending restored from crash recovery points at a
             # decision made before the restart (index -1): the learning
             # above still happens, only the log rewrite is skipped.
@@ -290,11 +399,6 @@ class MixturePolicy(ThreadPolicy):
 
         # 3. Its thread predictor makes the mapping decision.
         if planned is None:
-            threads = ctx.snap_to_available(
-                self.experts[choice].predict_threads(
-                    features, ctx.max_threads
-                )
-            )
             predicted_norms = tuple(
                 e.predict_env_norm(features) for e in self.experts
             )
@@ -305,7 +409,7 @@ class MixturePolicy(ThreadPolicy):
             domain = None
         else:
             predicted_norms, predicted_threads, domain = planned
-            threads = ctx.snap_to_available(predicted_threads[choice])
+        threads = ctx.snap_to_available(predicted_threads[choice])
 
         self.decisions.append(ExpertDecision(
             time=ctx.time,
@@ -315,6 +419,7 @@ class MixturePolicy(ThreadPolicy):
             predicted_norms=predicted_norms,
             predicted_threads=predicted_threads,
         ))
+        self._chosen[choice] += 1
         self._pending = _Pending(
             features=features,
             predicted_norms=predicted_norms,
@@ -323,71 +428,51 @@ class MixturePolicy(ThreadPolicy):
         )
         return threads
 
-    # -- batch decision path ----------------------------------------------
+    # -- the decision kernel ----------------------------------------------
 
     def plan_batch(
-        self, feature_rows: np.ndarray, max_threads: np.ndarray
+        self, feature_rows: np.ndarray, max_threads
     ) -> Optional[BatchDecisionPlan]:
-        """Precompute the pure per-expert work for a ``(B, F)`` batch.
+        """The pure per-expert work for ``(B, F)`` rows, any B >= 1.
 
-        Returns None when any expert learns online
-        (``record_observation``): such experts mutate between decisions,
-        so their predictions cannot be hoisted ahead of the sequential
-        loop — callers must fall back to the scalar path.
+        ``max_threads`` is one limit for every row or one per row.
+        Returns None for a pool with a member other than a frozen
+        linear :class:`Expert` (a nonlinear or retrofit expert):
+        :meth:`_decide` makes those predictions itself.
         """
-        for expert in self.experts:
-            if getattr(expert, "record_observation", None) is not None:
-                return None
+        if self._pool is None:
+            return None
         matrix, degenerate = sanitize_features_batch(feature_rows)
-        count, num_experts = len(matrix), len(self.experts)
-        env_norms = np.empty((count, num_experts), dtype=float)
-        threads = np.empty((count, num_experts), dtype=np.int64)
-        domain = np.empty((count, num_experts), dtype=float)
-        for k, expert in enumerate(self.experts):
-            env_norms[:, k] = expert.predict_env_norm_batch(matrix)
-            threads[:, k] = expert.predict_threads_batch(
-                matrix, max_threads
-            )
-            domain[:, k] = expert.domain_distance_batch(matrix)
+        limits = np.asarray(max_threads, dtype=float)
+        if limits.ndim:
+            limits = limits.reshape(len(matrix), 1)
         return BatchDecisionPlan(
             features=matrix,
-            degenerate=degenerate,
-            env_norms=env_norms,
-            threads=threads,
-            domain=domain,
+            degenerate=degenerate.tolist(),
+            rows=self._pool.plan(matrix, limits),
         )
 
     def _select_planned(
         self, ctx: PolicyContext, plan: BatchDecisionPlan, row: int
     ) -> int:
-        """One decision using row ``row`` of a precomputed plan."""
-        planned = (
-            tuple(float(v) for v in plan.env_norms[row]),
-            tuple(int(v) for v in plan.threads[row]),
-            tuple(float(v) for v in plan.domain[row]),
-        )
+        """One decision using row ``row`` of a plan."""
         return self._decide(
-            ctx, plan.features[row], bool(plan.degenerate[row]), planned
+            ctx, plan.features[row], plan.degenerate[row], plan.rows[row]
         )
 
     def select_batch(self, ctxs: Sequence[PolicyContext]) -> List[int]:
         """Batch :meth:`select` — bit-identical to the sequential loop.
 
-        Hoists the per-expert pure work (feature sanitising, envelope
-        clipping, model predictions, domain distances) over the batch
-        axis via :meth:`plan_batch`; the stateful learn/select loop then
-        runs strictly in request order against the plan.  Falls back to
-        the scalar loop for tiny batches (``SCALAR_BATCH_MAX``, the
-        kernels idiom) and for online-learning experts.
+        One plan covers the batch; the stateful learn/select loop then
+        runs strictly in request order against it.
         """
         ctxs = list(ctxs)
-        if len(ctxs) <= SCALAR_BATCH_MAX:
-            return [self.select(ctx) for ctx in ctxs]
-        rows = np.stack([ctx.feature_vector() for ctx in ctxs])
-        limits = np.array(
-            [ctx.max_threads for ctx in ctxs], dtype=np.int64
-        )
-        plan = self.plan_batch(rows, limits)
+        plan = None
+        if ctxs:
+            plan = self.plan_batch(
+                np.stack([ctx.feature_vector() for ctx in ctxs]),
+                [ctx.max_threads for ctx in ctxs],
+            )
         if plan is None:
             return [self.select(ctx) for ctx in ctxs]
         return [
@@ -399,10 +484,7 @@ class MixturePolicy(ThreadPolicy):
 
     def selection_counts(self) -> List[int]:
         """How often each expert was chosen (Figure 15b)."""
-        counts = [0] * len(self.experts)
-        for decision in self.decisions:
-            counts[decision.expert_index] += 1
-        return counts
+        return list(self._chosen)
 
     def env_prediction_accuracies(
         self, tolerance: float = 0.25

@@ -32,10 +32,9 @@ from typing import List, Optional, Protocol, Sequence
 import numpy as np
 
 
-#: Below this many rows a ``select_batch`` call falls back to the plain
-#: scalar loop — the same idiom as ``runtime.kernels.SCALAR_SPAN_MAX``:
-#: for tiny batches the array bookkeeping costs more than the hoisted
-#: elementwise work saves, and the scalar path is the reference anyway.
+#: Unused by the program.  The benchmark's tracer
+#: (``bench/tracing.py``) imports it when it classifies served
+#: sub-batches, so it stays until the tracer stops doing so.
 SCALAR_BATCH_MAX = 8
 
 
@@ -88,7 +87,11 @@ class SelectorJournalSink(Protocol):
 
 
 class _RunningNormalizer:
-    """Online per-dimension z-normalisation (Welford)."""
+    """Online per-dimension z-normalisation (Welford).
+
+    The standard deviation is cached until the next :meth:`observe`, so
+    a select right after an update reuses the value the update took.
+    """
 
     def __init__(self, dim: int):
         self._dim = dim
@@ -98,18 +101,22 @@ class _RunningNormalizer:
         self._count = 0
         self._mean = np.zeros(self._dim)
         self._m2 = np.zeros(self._dim)
+        self._std: Optional[np.ndarray] = None
 
     def observe(self, x: np.ndarray) -> None:
         self._count += 1
         delta = x - self._mean
         self._mean += delta / self._count
         self._m2 += delta * (x - self._mean)
+        self._std = None
 
     def normalize(self, x: np.ndarray) -> np.ndarray:
         if self._count < 2:
             return np.zeros_like(x)
-        std = np.sqrt(self._m2 / (self._count - 1))
-        std = np.where(std < 1e-9, 1.0, std)
+        std = self._std
+        if std is None:
+            std = np.sqrt(self._m2 / (self._count - 1))
+            std = self._std = np.where(std < 1e-9, 1.0, std)
         return (x - self._mean) / std
 
 
@@ -275,13 +282,14 @@ class HyperplaneSelector:
         return self._V @ x + self._b
 
     def _choose(self, x: np.ndarray) -> int:
-        scores = self._scores(x)
-        best = float(scores.max())
-        contenders = np.flatnonzero(scores >= best - 1e-12)
+        scores = self._scores(x).tolist()
+        best = max(scores)
+        contenders = [k for k, score in enumerate(scores)
+                      if score >= best - 1e-12]
         if len(contenders) == 1:
-            return int(contenders[0])
+            return contenders[0]
         # Even initial partition: rotate through tied experts.
-        choice = int(contenders[self._tie_breaker % len(contenders)])
+        choice = contenders[self._tie_breaker % len(contenders)]
         self._tie_breaker += 1
         return choice
 
@@ -293,48 +301,6 @@ class HyperplaneSelector:
         choice = self._choose(x)
         self.stats.selections.append(choice)
         return choice
-
-    def select_batch(self, matrix: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`select` over ``(B, F)`` feature rows.
-
-        Bit-identical to ``[self.select(row) for row in matrix]``: a
-        pure select never touches the running normaliser, so the
-        z-normalisation — an elementwise broadcast of the *same*
-        ``(x - mean) / std`` expression — is hoisted into one batch
-        operation, while the score reduction ``V @ z + b`` stays a
-        per-row call on a contiguous row slice (a batched matmul
-        accumulates in a different order and drifts in the last ulp)
-        and the round-robin tie-breaker advances sequentially row by
-        row exactly as the scalar loop would.
-        """
-        matrix = np.ascontiguousarray(matrix, dtype=float)
-        if matrix.ndim != 2:
-            raise ValueError(
-                f"expected a (B, F) feature matrix, got {matrix.shape}"
-            )
-        if len(matrix) <= SCALAR_BATCH_MAX:
-            return np.array(
-                [self.select(row) for row in matrix], dtype=np.int64
-            )
-        mask = np.isfinite(matrix)
-        if not mask.all():
-            matrix = np.where(mask, matrix, 0.0)
-        if self._journal is not None:
-            for row in matrix:
-                self._journal.record_select(row)
-        norm = self._normalizer
-        if norm._count < 2:
-            normed = np.zeros_like(matrix)
-        else:
-            std = np.sqrt(norm._m2 / (norm._count - 1))
-            std = np.where(std < 1e-9, 1.0, std)
-            normed = np.ascontiguousarray((matrix - norm._mean) / std)
-        choices = np.empty(len(matrix), dtype=np.int64)
-        for i in range(len(matrix)):
-            choice = self._choose(normed[i])
-            self.stats.selections.append(choice)
-            choices[i] = choice
-        return choices
 
     def update(self, features: np.ndarray,
                errors: Sequence[float]) -> bool:
@@ -363,7 +329,8 @@ class HyperplaneSelector:
         self._normalizer.observe(features)
         x = self._normalizer.normalize(features)
         predicted = self._choose(x)
-        desired = int(np.argmin(errors))
+        # The first minimum, as np.argmin picks it (errors are finite).
+        desired = errors.index(min(errors))
         self.stats.updates += 1
         if predicted == desired:
             return False
@@ -399,7 +366,7 @@ class FrozenEvenSelector(HyperplaneSelector):
         self._normalizer.observe(features)
         x = self._normalizer.normalize(features)
         predicted = self._choose(x)
-        desired = int(np.argmin(errors))
+        desired = errors.index(min(errors))
         self.stats.updates += 1
         if predicted != desired:
             self.stats.mispredictions += 1

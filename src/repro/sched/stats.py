@@ -64,11 +64,11 @@ def environment_norm(vector: Sequence[float]) -> float:
     arr = np.asarray(vector, dtype=float)
     if arr.size == 0:
         raise ValueError("environment vector is empty")
-    # ndarray.mean() is the same reduction np.mean dispatches to, and
-    # IEEE-754 sqrt is correctly rounded in both math and numpy, so
-    # this is bit-identical to sqrt(mean(...)) while skipping two
-    # dispatch layers — this runs on every tick sample.
-    return math.sqrt(float((arr * arr).mean()))
+    # np.add.reduce over the size is the arithmetic np.mean performs,
+    # and IEEE-754 sqrt is correctly rounded in both math and numpy, so
+    # this is bit-identical to sqrt(mean(...)) while skipping mean's
+    # dispatch layers — this runs on every mixture decision.
+    return math.sqrt(float(np.add.reduce(arr * arr)) / arr.size)
 
 
 @dataclass(frozen=True)

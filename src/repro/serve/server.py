@@ -34,7 +34,6 @@ import numpy as np
 
 from ..core.features import sanitize_features
 from ..core.policies.base import PolicyContext, ThreadPolicy
-from ..core.selector import SCALAR_BATCH_MAX
 from ..runtime.metrics import Gauge, LatencyLedger
 from ..runtime.tracing import ServeTracer
 from .breaker import BreakerConfig, CircuitBreaker
@@ -50,9 +49,13 @@ class ServeRequest:
     ctx: PolicyContext
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ServeDecision:
-    """The server's answer (or explicit non-answer) to one request."""
+    """The server's answer (or explicit non-answer) to one request.
+
+    Slotted: a fleet keeps one per served request, so the per-object
+    dict would be most of their memory.
+    """
 
     index: int
     #: Final thread count, always in [1, available]; None when shed.
@@ -205,6 +208,7 @@ class PolicyServer:
         self._clamped = 0
         self.store: Optional[ServeStateStore] = None
         self.next_index = 0
+        self._drop_log = getattr(policy, "drop_decision_log", None)
         if state_dir is not None:
             if not hasattr(policy, "export_online_state"):
                 raise TypeError(
@@ -344,12 +348,12 @@ class PolicyServer:
     ) -> List[ServeDecision]:
         """Vectorized :meth:`offer` — bit-identical decisions.
 
-        The pure per-expert work for the admitted prefix is precomputed
-        in one batch plan (:meth:`MixturePolicy.plan_batch`); admission,
-        breaker walks, journaling and the sequential learn/select core
-        are the exact same code path as :meth:`offer`.  Falls back to
-        the scalar loop for tiny batches, non-mixture policies, and
-        online-learning experts.
+        The pure per-expert work for the admitted prefix is computed in
+        one plan (:meth:`MixturePolicy.plan_batch`, at any batch size);
+        admission, breaker walks, journaling and the sequential
+        learn/select core are the exact same code path as :meth:`offer`.
+        Policies without a plan (non-mixture policies, pools with
+        nonlinear or retrofit experts) decide request by request.
         """
         batch = list(batch)
         return self._offer(
@@ -362,16 +366,14 @@ class PolicyServer:
             return None
         capacity = self.config.queue_capacity
         admitted = batch[:max(0, capacity - start_position)]
-        if len(admitted) <= SCALAR_BATCH_MAX:
+        if not admitted:
             return None
         rows = np.stack(
             [request.ctx.feature_vector() for request in admitted]
         )
-        limits = np.array(
-            [request.ctx.max_threads for request in admitted],
-            dtype=np.int64,
+        return plan_batch(
+            rows, [request.ctx.max_threads for request in admitted]
         )
-        return plan_batch(rows, limits)
 
     def _offer(
         self, batch: List[ServeRequest], start_position: int, plan
@@ -401,6 +403,11 @@ class PolicyServer:
             # Group commit: every record of the batch reaches the OS
             # before any of its decisions leaves the server.
             self.store.flush()
+        if self._drop_log is not None:
+            # Nothing here reads the mixture's decision log (snapshots
+            # exclude it, recovery resets it); keeping it would grow
+            # memory by one record per request, forever.
+            self._drop_log()
         return decisions
 
     def serve_one(self, request: ServeRequest) -> ServeDecision:

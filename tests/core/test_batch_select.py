@@ -1,9 +1,10 @@
-"""Bit-identity of the batch decision path vs the scalar reference.
+"""Bit-identity of the decision kernel vs the scalar reference.
 
-The serving fleet evaluates micro-batches through ``select_batch`` /
-``plan_batch``; every assertion here is exact (``==`` on floats, no
-tolerances): the batch path hoists only elementwise work and keeps all
-reductions per-row, so a single differing ulp is a bug, not noise.
+The serving fleet plans every micro-batch through
+``MixturePolicy.plan_batch``; every assertion here is exact (``==`` on
+floats, no tolerances): the kernel batches only elementwise work and the
+per-row mean and keeps every dot product per (row, expert), so a single
+differing ulp is a bug, not noise.
 """
 
 from __future__ import annotations
@@ -23,10 +24,10 @@ from repro.core.features import (
 from repro.core.hierarchical import HierarchicalSelector
 from repro.core.policies import MixturePolicy
 from repro.core.policies.base import PolicyContext
-from repro.core.selector import SCALAR_BATCH_MAX, HyperplaneSelector
+from repro.core.selector import HyperplaneSelector
 from repro.sched.stats import EnvironmentSample
 
-BATCH = 32  # > SCALAR_BATCH_MAX so the vector path actually runs
+BATCH = 32
 
 
 def feature_rows(rng, count=BATCH, poison_every=0):
@@ -88,46 +89,63 @@ class TestSanitizeBatch:
             sanitize_features_batch(np.zeros(NUM_FEATURES))
 
 
+def kernel_rows(rng, count):
+    """Rows inside, beside and far outside the envelopes, with NaN and
+    ±inf entries sprinkled in."""
+    rows = rng.normal(size=(count, NUM_FEATURES)) * 20.0
+    rows[::3] *= 50.0
+    poisons = (math.nan, math.inf, -math.inf)
+    for i in range(1, count, 4):
+        rows[i, int(rng.integers(NUM_FEATURES))] = poisons[i % 3]
+    return rows
+
+
 class TestExpertBatch:
+    """Every plan cell equals the scalar ``Expert`` method's value."""
+
     def test_predictions_bit_identical(self, tiny_bundle):
-        rng = np.random.default_rng(1)
-        rows = feature_rows(rng, poison_every=6)
-        limits = rng.integers(2, 48, size=len(rows))
-        for expert in tiny_bundle.experts:
-            threads = expert.predict_threads_batch(rows, limits)
-            norms = expert.predict_env_norm_batch(rows)
-            distances = expert.domain_distance_batch(rows)
+        experts = list(tiny_bundle.experts)
+        experts.append(experts[0].without_envelope())
+        policy = MixturePolicy(experts)
+        for count in (1, 2, 8, 9, 32):
+            rng = np.random.default_rng(count)
+            rows = kernel_rows(rng, count)
+            limits = rng.integers(1, 48, size=count)
+            plan = policy.plan_batch(rows, limits)
             for i, row in enumerate(rows):
-                assert threads[i] == expert.predict_threads(
-                    row, int(limits[i])
+                clean, degenerate = sanitize_features(row)
+                norms, threads, distances = plan.rows[i]
+                assert plan.degenerate[i] == degenerate
+                assert np.array_equal(plan.features[i], clean)
+                assert norms == tuple(
+                    e.predict_env_norm(clean) for e in experts
                 )
-                assert norms[i] == expert.predict_env_norm(row)
-                # equal_nan: a poisoned row is NaN through both paths
-                # (domain_distance never sanitizes — the mixture only
-                # feeds it sanitized features).
-                assert np.array_equal(
-                    distances[i], expert.domain_distance(row),
-                    equal_nan=True,
+                assert threads == tuple(
+                    e.predict_threads(clean, int(limits[i]))
+                    for e in experts
+                )
+                assert distances == tuple(
+                    e.domain_distance(clean) for e in experts
                 )
 
     def test_without_envelope(self, tiny_bundle):
         expert = tiny_bundle.experts[0].without_envelope()
-        rng = np.random.default_rng(2)
-        rows = feature_rows(rng)
-        assert np.array_equal(
-            expert.domain_distance_batch(rows), np.zeros(len(rows))
-        )
-        norms = expert.predict_env_norm_batch(rows)
+        rows = kernel_rows(np.random.default_rng(2), BATCH)
+        plan = MixturePolicy([expert]).plan_batch(rows, 32)
         for i, row in enumerate(rows):
-            assert norms[i] == expert.predict_env_norm(row)
+            clean, _ = sanitize_features(row)
+            norms, _, distances = plan.rows[i]
+            assert distances == (0.0,)
+            assert norms == (expert.predict_env_norm(clean),)
 
     def test_scalar_max_threads_broadcasts(self, tiny_bundle):
-        expert = tiny_bundle.experts[0]
-        rng = np.random.default_rng(3)
-        rows = feature_rows(rng)
-        threads = expert.predict_threads_batch(rows, 16)
+        rows = kernel_rows(np.random.default_rng(3), BATCH)
+        plan = MixturePolicy(tiny_bundle.experts).plan_batch(rows, 16)
         for i, row in enumerate(rows):
-            assert threads[i] == expert.predict_threads(row, 16)
+            clean, _ = sanitize_features(row)
+            assert plan.rows[i][1] == tuple(
+                e.predict_threads(clean, 16) for e in tiny_bundle.experts
+            )
 
 
 def trained_selector(factory, rng, steps=60):
@@ -153,82 +171,104 @@ class RecordingSink:
         self.records.append(("select", [float(v) for v in features]))
 
 
+class ReferenceGate:
+    """The selector's choice rule as it stood before the list form:
+    numpy ``max`` + ``flatnonzero`` over a freshly computed std."""
+
+    def __init__(self, state):
+        self.V, self.b = state["V"], state["b"]
+        self.count = state["norm_count"]
+        self.mean, self.m2 = state["norm_mean"], state["norm_m2"]
+        self.tie = state["tie_breaker"]
+
+    def choose(self, row):
+        features = np.where(np.isfinite(row), row, 0.0)
+        if self.count < 2:
+            x = np.zeros_like(features)
+        else:
+            std = np.sqrt(self.m2 / (self.count - 1))
+            std = np.where(std < 1e-9, 1.0, std)
+            x = (features - self.mean) / std
+        scores = self.V @ x + self.b
+        best = float(scores.max())
+        contenders = np.flatnonzero(scores >= best - 1e-12)
+        if len(contenders) == 1:
+            return int(contenders[0])
+        choice = int(contenders[self.tie % len(contenders)])
+        self.tie += 1
+        return choice
+
+
 class TestHyperplaneSelectBatch:
-    def check_twins(self, factory, rows):
-        rng_a, rng_b = (np.random.default_rng(4) for _ in range(2))
-        batched = trained_selector(factory, rng_a)
-        scalar = trained_selector(factory, rng_b)
-        sink_batched, sink_scalar = RecordingSink(), RecordingSink()
-        batched.attach_journal(sink_batched)
-        scalar.attach_journal(sink_scalar)
-        choices = batched.select_batch(rows)
-        reference = [scalar.select(row) for row in rows]
-        assert list(choices) == reference
-        assert batched.stats.selections == scalar.stats.selections
-        assert sink_batched.records == sink_scalar.records
-        state_a, state_b = batched.export_state(), scalar.export_state()
-        for key in state_a:
-            assert np.array_equal(state_a[key], state_b[key]), key
+    """The list-based choice and the cached std pick what the numpy
+    reference picks, row after row."""
 
     def test_trained_selector(self):
-        rows = feature_rows(np.random.default_rng(5), poison_every=7)
-        self.check_twins(
+        rng = np.random.default_rng(4)
+        selector = trained_selector(
             lambda: HyperplaneSelector(num_experts=3, dim=NUM_FEATURES),
-            rows,
+            rng,
         )
+        reference = ReferenceGate(selector.export_state())
+        sink = RecordingSink()
+        selector.attach_journal(sink)
+        rows = feature_rows(np.random.default_rng(5), poison_every=7)
+        for row in rows:
+            assert selector.select(row) == reference.choose(row)
+        assert selector._tie_breaker == reference.tie
+        assert sink.records == [
+            ("select", [float(v) for v in sanitize_features(row)[0]])
+            for row in rows
+        ]
 
     def test_tie_breaker_advances_identically(self):
         # A fresh selector scores everything 0: every row is a tie, so
-        # the round-robin phase must advance row by row exactly as the
-        # scalar loop advances it.
-        batched = HyperplaneSelector(num_experts=4, dim=NUM_FEATURES)
-        scalar = HyperplaneSelector(num_experts=4, dim=NUM_FEATURES)
+        # the round-robin phase advances once per row.
+        selector = HyperplaneSelector(num_experts=4, dim=NUM_FEATURES)
+        reference = ReferenceGate(selector.export_state())
         rows = np.zeros((BATCH, NUM_FEATURES))
-        choices = batched.select_batch(rows)
-        reference = [scalar.select(row) for row in rows]
-        assert list(choices) == reference
-        assert batched._tie_breaker == scalar._tie_breaker
+        assert [selector.select(row) for row in rows] == [
+            reference.choose(row) for row in rows
+        ]
+        assert selector._tie_breaker == reference.tie == BATCH
 
-    def test_small_batch_uses_scalar_loop(self):
-        selector = HyperplaneSelector(num_experts=2, dim=NUM_FEATURES)
-        rows = np.zeros((SCALAR_BATCH_MAX, NUM_FEATURES))
-        choices = selector.select_batch(rows)
-        assert len(choices) == SCALAR_BATCH_MAX
-        assert len(selector.stats.selections) == SCALAR_BATCH_MAX
+    def test_update_learns_toward_the_first_minimum(self):
+        # A fresh selector predicts expert 0; of the tied best errors
+        # the pull goes to the lower index, as np.argmin picks it.
+        selector = HyperplaneSelector(num_experts=3, dim=NUM_FEATURES)
+        errors = [9.0, 1.0, 1.0]
+        assert selector.update(np.ones(NUM_FEATURES), errors)
+        assert selector.export_state()["b"].tolist() == [-0.5, 0.5, 0.0]
+        assert int(np.argmin(errors)) == 1
 
 
 class TestHierarchicalSelectBatch:
+    """The two-level gate composes its gates' choices row by row."""
+
+    def check(self, gate, rows):
+        state = gate.export_state()
+        top = ReferenceGate(state["top"])
+        inner = [ReferenceGate(s) for s in state["inner"]]
+        groups = gate.groups
+        for row in rows:
+            group = top.choose(row)
+            expected = groups[group][inner[group].choose(row)]
+            assert gate.select(row) == expected
+
     def test_trained_gate(self):
-        def factory():
-            return HierarchicalSelector(
+        gate = trained_selector(
+            lambda: HierarchicalSelector(
                 groups=[[0, 1], [2, 3], [4]], dim=NUM_FEATURES
-            )
-        rng_a, rng_b = (np.random.default_rng(6) for _ in range(2))
-        batched = trained_selector(factory, rng_a)
-        scalar = trained_selector(factory, rng_b)
-        rows = feature_rows(np.random.default_rng(7), poison_every=9)
-        choices = batched.select_batch(rows)
-        reference = [scalar.select(row) for row in rows]
-        assert list(choices) == reference
-        assert batched.stats.selections == scalar.stats.selections
-        state_a, state_b = batched.export_state(), scalar.export_state()
-        assert state_a["groups"] == state_b["groups"]
-        for level_a, level_b in zip(
-            [state_a["top"], *state_a["inner"]],
-            [state_b["top"], *state_b["inner"]],
-        ):
-            for key in level_a:
-                assert np.array_equal(level_a[key], level_b[key]), key
+            ),
+            np.random.default_rng(6),
+        )
+        self.check(gate, feature_rows(np.random.default_rng(7),
+                                      poison_every=9))
 
     def test_fresh_gate_round_robin(self):
-        batched = HierarchicalSelector(groups=[[0, 1], [2]],
-                                       dim=NUM_FEATURES)
-        scalar = HierarchicalSelector(groups=[[0, 1], [2]],
-                                      dim=NUM_FEATURES)
-        rows = np.zeros((BATCH, NUM_FEATURES))
-        assert list(batched.select_batch(rows)) == [
-            scalar.select(row) for row in rows
-        ]
+        gate = HierarchicalSelector(groups=[[0, 1], [2]], dim=NUM_FEATURES)
+        self.check(gate, np.zeros((BATCH, NUM_FEATURES)))
+        assert gate.stats.selections[:4] == [0, 2, 1, 2]
 
 
 def assert_same_decisions(policy_a, policy_b):
@@ -267,8 +307,8 @@ class TestMixtureSelectBatch:
         assert_same_decisions(batched, scalar)
 
     def test_scalar_pending_scored_by_planned_path(self, tiny_bundle):
-        # A pending created by a scalar select (no cached domain
-        # distances) must be scored identically by the batch path.
+        # A pending created by select must be scored identically by
+        # the batch path.
         batched = MixturePolicy(tiny_bundle.experts)
         scalar = MixturePolicy(tiny_bundle.experts)
         ctxs = ctx_stream()

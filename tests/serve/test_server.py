@@ -10,10 +10,14 @@ does.
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.compiler.features import CodeFeatures
+from repro.core.features import NUM_FEATURES
+from repro.core.policies import MixturePolicy
 from repro.core.policies.base import PolicyContext
+from repro.core.selector import HyperplaneSelector
 from repro.runtime.tracing import ServeTracer
 from repro.sched.stats import EnvironmentSample
 from repro.serve import (
@@ -262,3 +266,46 @@ class TestMixtureLadderUnderChaos:
         assert row.final_tier == "mixture"
         # The mixture is back in charge by the end of the stream.
         assert row.tier_decisions["mixture"] > 0
+
+
+class KeepLogMixture(MixturePolicy):
+    """A mixture that ignores the server's request to drop its log."""
+
+    def drop_decision_log(self) -> None:
+        pass
+
+
+class TestDecisionLog:
+    def test_served_mixture_keeps_no_decision_log(self, tiny_bundle,
+                                                  tmp_path):
+        spec = SoakSpec(requests=10_000, seed=5,
+                        sensor=SensorFaultSpec(mode="nan", rate=0.2))
+        requests = [make_request(spec, i) for i in range(spec.requests)]
+        servers = [
+            PolicyServer(
+                factory(tiny_bundle.experts,
+                        selector=HyperplaneSelector(
+                            num_experts=len(tiny_bundle.experts),
+                            dim=NUM_FEATURES)),
+                state_dir=tmp_path / name, clock=lambda: 0.0,
+            )
+            for name, factory in (("served", MixturePolicy),
+                                  ("twin", KeepLogMixture))
+        ]
+        served, twin = servers
+        for start in range(0, len(requests), 32):
+            batch = requests[start:start + 32]
+            assert served.offer_batch(batch) == twin.offer_batch(batch)
+        assert served.policy.decisions == []
+        assert len(twin.policy.decisions) > spec.requests // 2
+        left = served.policy.export_online_state()
+        right = twin.policy.export_online_state()
+        for key in left["selector"]:
+            assert np.array_equal(left["selector"][key],
+                                  right["selector"][key]), key
+        assert left["pending_features"] == right["pending_features"]
+        assert left["fallback_count"] == right["fallback_count"]
+        assert (served.policy.selection_counts()
+                == twin.policy.selection_counts())
+        for server in servers:
+            server.close()
