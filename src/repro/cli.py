@@ -781,8 +781,9 @@ def _exec_footer(before: dict) -> str:
     """Fault-tolerance and transport footer for one experiment.
 
     Renders the pool-rebuild and serial-fallback activity (with the
-    triggering causes) plus the result-serialization traffic that :class:`~repro.exec.executor.ExecutionStats`
-    accumulated since ``before`` — empty when the run was clean and
+    triggering causes) plus the request-serialization traffic that
+    :class:`~repro.exec.executor.ExecutionStats` accumulated since
+    ``before`` — empty when the run was clean and
     nothing was serialized, so quiet experiments stay quiet.
     """
     from .exec.executor import STATS
@@ -804,16 +805,10 @@ def _exec_footer(before: dict) -> str:
             note += " (cause: " + "; ".join(causes) + ")"
         parts.append(note)
     pickled = delta("pickled_bytes")
-    shm = delta("shm_bytes")
-    if pickled or shm:
+    if pickled:
         seconds = delta("serialize_seconds")
-        transport = []
-        if pickled:
-            transport.append(f"{_format_bytes(pickled)} pickled")
-        if shm:
-            transport.append(f"{_format_bytes(shm)} via shm")
         parts.append(
-            f"{' + '.join(transport)} in {seconds * 1000:.0f} ms"
+            f"{_format_bytes(pickled)} pickled in {seconds * 1000:.0f} ms"
         )
     if not parts:
         return ""

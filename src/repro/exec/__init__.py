@@ -15,10 +15,12 @@ for in a structured :class:`FailureReport`.  See
 ``docs/robustness.md``.
 
 Every request runs on its own, event-stepped, in a pool worker or in
-this process.  Pool results travel back through shared-memory SoA
-segments instead of pickles when the platform allows it
-(:mod:`repro.exec.shm`, ``REPRO_SHM``).  Both transports return
-bit-identical summaries.  See ``docs/performance.md``.
+this process, and a pool worker returns its summary through the pool's
+ordinary pickled result pipe.  :mod:`repro.exec.shm` holds the
+shared-memory rings (:class:`~repro.exec.shm.ShmRing`) that the serving
+fleet moves request and decision blocks through, and the ledger
+(:class:`ShmLedger`) that tracks their segment names.  See
+``docs/performance.md``.
 """
 
 from .cache import RunCache, cache_enabled, default_cache_root
@@ -36,7 +38,6 @@ from .fault import (
     RetryPolicy,
     RunTimeoutError,
     SerialFallbackWarning,
-    ShmLedger,
     resolve_checkpoint,
     resolve_max_pool_rebuilds,
     resolve_retry,
@@ -50,6 +51,7 @@ from .request import (
     WorkloadSpec,
     execute_request,
 )
+from .shm import ShmLedger
 
 __all__ = [
     "AttemptRecord",

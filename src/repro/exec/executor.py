@@ -49,7 +49,6 @@ from collections import deque
 from dataclasses import InitVar, dataclass, field
 from typing import Dict, List, Optional, Sequence, Union
 
-from . import shm
 from .cache import RunCache, cache_enabled
 from .fault import (
     AttemptRecord,
@@ -58,7 +57,6 @@ from .fault import (
     RetryPolicy,
     RunTimeoutError,
     SerialFallbackWarning,
-    ShmLedger,
     resolve_checkpoint,
     resolve_max_pool_rebuilds,
     resolve_retry,
@@ -103,12 +101,9 @@ class ExecutionStats:
     pool_rebuilds: int = 0
     serial_fallbacks: int = 0
     #: Parent-side serialization cost of pool execution: bytes of
-    #: pickled request blobs, wall seconds spent pickling them plus
-    #: decoding results, and bytes moved through shared-memory SoA
-    #: segments instead of the result pipe.
+    #: pickled request blobs and wall seconds spent pickling them.
     pickled_bytes: int = 0
     serialize_seconds: float = 0.0
-    shm_bytes: int = 0
     #: Cause of each serial fallback, in order.  Kept out of
     #: :meth:`snapshot` deliberately: the benchmark timing harness
     #: takes numeric deltas of the snapshot keys.
@@ -124,7 +119,6 @@ class ExecutionStats:
             "serial_fallbacks": self.serial_fallbacks,
             "pickled_bytes": self.pickled_bytes,
             "serialize_seconds": self.serialize_seconds,
-            "shm_bytes": self.shm_bytes,
         }
 
 
@@ -171,23 +165,6 @@ def _execute_blob(blob: bytes) -> RunSummary:
     return execute_request(request)
 
 
-def _execute_blob_shm(blob: bytes, shm_name: str):
-    """Worker entry point with shared-memory result transport.
-
-    The summary's decision streams are written into the parent-assigned
-    segment ``shm_name`` as SoA blocks; only the tiny descriptor tuple
-    travels back through the result pipe.  If the segment cannot be
-    written (exotic platform, size race) the summary falls back to the
-    classic pickled return — the parent handles both shapes.
-    """
-    summary = _execute_blob(blob)
-    try:
-        nbytes = shm.encode_summaries([summary], shm_name)
-    except Exception:
-        return summary
-    return ("shm", shm_name, 1, nbytes)
-
-
 class _PoolBroken(Exception):
     """Internal marker: the current pool crashed; rebuild and resume."""
 
@@ -222,9 +199,6 @@ class Executor:
         default=None, init=False, repr=False
     )
     _warned: bool = field(default=False, init=False, repr=False)
-    _shm_ledger: ShmLedger = field(
-        default_factory=ShmLedger, init=False, repr=False
-    )
 
     def __post_init__(self, batch: Optional[str]) -> None:
         if batch not in (None, "off"):
@@ -296,7 +270,6 @@ class Executor:
                     requests, pending, fingerprints, results, report
                 )
         finally:
-            self._shm_ledger.sweep()
             if checkpoint is not None:
                 checkpoint.flush()
             if self.cache is not None:
@@ -445,7 +418,6 @@ class Executor:
             )
 
         queue = deque(pending)
-        use_shm = shm.shm_enabled()
         #: monotonic instant before which an index must not resubmit
         #: (retry backoff); absent means ready now.
         ready_at: Dict[int, float] = {}
@@ -457,9 +429,8 @@ class Executor:
         in_flight: Dict[object, tuple] = {}
         #: Every worker process ever observed, across rebuilds.  After
         #: a pool breaks, ``pool._processes`` may already be cleared by
-        #: the manager thread, so teardown joins this snapshot instead:
-        #: a dying worker must be *gone* before the shared-memory sweep
-        #: runs, or it could materialise a segment after the sweep.
+        #: the manager thread, so teardown kills and joins this
+        #: snapshot instead: no dying worker outlives the call.
         worker_procs: Dict[int, object] = {}
         clean_exit = False
         try:
@@ -476,28 +447,15 @@ class Executor:
                             deferred.append(index)
                             continue
                         attempts[index] += 1
-                        shm_name = None
-                        if use_shm:
-                            shm_name = self._shm_ledger.issue(
-                                shm.segment_name()
-                            )
                         try:
-                            if shm_name is not None:
-                                future = pool.submit(
-                                    _execute_blob_shm, blobs[index],
-                                    shm_name,
-                                )
-                            else:
-                                future = pool.submit(
-                                    _execute_blob, blobs[index]
-                                )
+                            future = pool.submit(
+                                _execute_blob, blobs[index]
+                            )
                         except _POOL_ERRORS as error:
                             # The pool broke between collections; the
                             # rejected submission is charged like a
                             # crashed future and the rebuild path takes
                             # over.
-                            if shm_name is not None:
-                                self._shm_ledger.release(shm_name)
                             queue.extend(deferred)
                             req_report = report.requests[index]
                             req_report.attempts.append(AttemptRecord(
@@ -511,9 +469,7 @@ class Executor:
                                 error, req_report,
                             )
                             raise _PoolBroken(error) from error
-                        in_flight[future] = (
-                            index, time.monotonic(), shm_name
-                        )
+                        in_flight[future] = (index, time.monotonic())
                     queue.extend(deferred)
                     # Workers spawn lazily inside submit(); re-snapshot
                     # after the submission loop so a pool that spawns
@@ -538,7 +494,7 @@ class Executor:
                     if self.run_timeout is not None:
                         deadline = min(
                             started + self.run_timeout
-                            for _, started, _ in in_flight.values()
+                            for _, started in in_flight.values()
                         )
                         timeout = max(0.0, deadline - time.monotonic())
                     if queue and len(in_flight) < workers:
@@ -555,11 +511,10 @@ class Executor:
                     )
 
                     for future in done:
-                        index, started, shm_name = in_flight.pop(future)
+                        index, started = in_flight.pop(future)
                         self._collect(
-                            future, index, started, shm_name, attempts,
-                            ready_at, queue, fingerprints, results,
-                            report,
+                            future, index, started, attempts, ready_at,
+                            queue, fingerprints, results, report,
                         )
                 except _PoolBroken as broken:
                     current_procs = getattr(pool, "_processes", None)
@@ -604,44 +559,14 @@ class Executor:
             self._reap_stragglers(worker_procs)
 
     def _collect(
-        self, future, index, started, shm_name, attempts, ready_at,
-        queue, fingerprints, results, report,
-    ) -> None:
-        """Fold one finished future into results / retry queue.
-
-        Whatever the outcome — decoded summary, application error,
-        pool crash about to be re-raised — the request's shared-memory
-        segment is released: a resubmission always gets a fresh name.
-        """
-        try:
-            self._collect_result(
-                future, index, started, attempts, ready_at, queue,
-                fingerprints, results, report,
-            )
-        finally:
-            if shm_name is not None:
-                self._shm_ledger.release(shm_name)
-
-    def _collect_result(
         self, future, index, started, attempts, ready_at, queue,
         fingerprints, results, report,
     ) -> None:
-        retry: RetryPolicy = self.retry  # type: ignore[assignment]
+        """Fold one finished future into results / retry queue."""
         elapsed = time.monotonic() - started
         req_report = report.requests[index]
         try:
             summary = future.result()
-            if (
-                isinstance(summary, tuple) and len(summary) == 4
-                and summary[0] == "shm"
-            ):
-                _, name, _count, nbytes = summary
-                decode_started = time.perf_counter()
-                summary = shm.decode_summaries(name)[0]
-                STATS.serialize_seconds += (
-                    time.perf_counter() - decode_started
-                )
-                STATS.shm_bytes += nbytes
         except Exception as error:
             if BrokenProcessPool is not None and isinstance(
                 error, BrokenProcessPool
@@ -699,11 +624,7 @@ class Executor:
         self, in_flight, attempts, ready_at, queue, report, cause
     ) -> None:
         """After a pool crash, recycle every in-flight request."""
-        for future, (index, started, shm_name) in list(
-            in_flight.items()
-        ):
-            if shm_name is not None:
-                self._shm_ledger.release(shm_name)
+        for index, started in in_flight.values():
             elapsed = time.monotonic() - started
             req_report = report.requests[index]
             req_report.attempts.append(AttemptRecord(
@@ -740,10 +661,8 @@ class Executor:
         }
         if not expired:
             return pool
-        for future, (index, started, shm_name) in expired.items():
+        for future, (index, started) in expired.items():
             del in_flight[future]
-            if shm_name is not None:
-                self._shm_ledger.release(shm_name)
             elapsed = now - started
             req_report = report.requests[index]
             req_report.attempts.append(AttemptRecord(
@@ -768,11 +687,7 @@ class Executor:
                 attempts[index], f"#{index}"
             )
             queue.append(index)
-        for future, (index, started, shm_name) in list(
-            in_flight.items()
-        ):
-            if shm_name is not None:
-                self._shm_ledger.release(shm_name)
+        for index, started in in_flight.values():
             req_report = report.requests[index]
             req_report.attempts.append(AttemptRecord(
                 attempt=attempts[index],
@@ -793,11 +708,11 @@ class Executor:
 
         When a pool breaks, ``pool._processes`` may already be cleared,
         so :meth:`_kill_pool` cannot reach the workers — and on a busy
-        machine a descheduled straggler can outlive the whole run and
-        materialise its shared-memory result segment *after* the
-        ledger sweep.  Killing (not terminating: SIGKILL acts even on
-        a descheduled process) every straggler and joining it makes
-        the sweep that follows authoritative.
+        machine a descheduled straggler can outlive the whole run,
+        still burning CPU on a request the parent has already requeued.
+        Killing (not terminating: SIGKILL acts even on a descheduled
+        process) every straggler and joining it means no worker
+        outlives :meth:`Executor.run`.
         """
         deadline = time.monotonic() + timeout
         stragglers = []
@@ -819,9 +734,9 @@ class Executor:
     def _kill_pool(pool) -> None:
         """Terminate a pool's workers without waiting on hung tasks.
 
-        After SIGTERM, each worker gets a short grace join so the
-        shared-memory sweep that follows pool teardown cannot race a
-        dying worker still materialising its result segment.
+        After SIGTERM, each worker gets a short grace join so a dying
+        worker is gone before the pool is rebuilt or the call
+        returns.
         """
         processes = getattr(pool, "_processes", None) or {}
         for process in list(processes.values()):

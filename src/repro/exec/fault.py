@@ -388,60 +388,6 @@ class Checkpoint:
         )
 
 
-class ShmLedger:
-    """Tracks every shared-memory segment name an executor issued.
-
-    Segment names are parent-assigned *before* a worker task is
-    submitted, so the set of segments that could possibly exist is
-    known here regardless of how the worker ends — clean return,
-    application error, chaos kill, timeout reaping, pool crash.  The
-    executor releases a name as soon as its result is consumed and
-    sweeps the remainder in its ``finally``, which is what guarantees
-    no segment survives an :meth:`Executor.run` call.
-    """
-
-    def __init__(self):
-        self._outstanding: set = set()
-        self._issued: set = set()
-
-    def issue(self, name: str) -> str:
-        self._outstanding.add(name)
-        self._issued.add(name)
-        return name
-
-    def release(self, name: str) -> None:
-        """Unlink ``name`` (best effort) and mark it consumed.
-
-        The name stays on the lifetime ``issued`` record: when a pool
-        breaks, a sibling worker can materialise its segment *after*
-        the parent released the not-yet-existing name, so the final
-        :meth:`sweep` must revisit released names too.
-        """
-        self._outstanding.discard(name)
-        from . import shm
-
-        shm.unlink(name)
-
-    def sweep(self) -> int:
-        """Unlink every segment ever issued; returns how many existed.
-
-        Called after the worker pool is shut down, so nothing can
-        create further segments under these names.
-        """
-        from . import shm
-
-        removed = 0
-        for name in list(self._issued):
-            if shm.unlink(name):
-                removed += 1
-        self._issued.clear()
-        self._outstanding.clear()
-        return removed
-
-    def __len__(self) -> int:
-        return len(self._outstanding)
-
-
 def resolve_checkpoint(checkpoint="default") -> Optional[Checkpoint]:
     """Checkpoint resolution: argument > ``REPRO_CHECKPOINT`` > None.
 

@@ -1,35 +1,27 @@
-"""Shared-memory SoA transport for run summaries.
+"""Shared-memory SoA rings for the serving fleet.
 
-The classic process-pool result path pickles every
-:class:`~repro.exec.request.RunSummary` in the worker and unpickles it
-in the parent — byte-copied through a pipe, object-decoded twice.  The
-bulk of a summary is its *decision streams* (the selection log and, on
-recording runs, the feature records), which are homogeneous and pack
-naturally into flat arrays.  This module writes them as
-structure-of-arrays blocks in a ``multiprocessing.shared_memory``
-segment instead: the worker lays the streams out once, the parent maps
-the segment and reconstructs summaries from array views — no pipe
-traffic proportional to the stream length, no second pickling pass.
-
-Layout of a segment::
+A fleet's parent and each of its shard workers exchange request and
+decision blocks through a pair of :class:`ShmRing` segments instead of
+pickling them through a pipe: the parent packs a request batch's
+feature columns into a free slot, rings a doorbell over the shard's
+control pipe, and the shard answers with a decision block in the other
+ring.  Every block uses one layout (:func:`pack_block`)::
 
     [8-byte big-endian header length][pickled header][pad to 8][arrays]
 
-The header carries the per-summary scalars verbatim (pickled, so types
-round-trip exactly), the string vocabulary, the stream lengths and the
-array descriptors ``(key, dtype, count, offset)``.  The streams store
-``float64``/``int64`` columns plus vocabulary indices for the string
-fields; ``float64`` round-trips every IEEE double bit-exactly, so a
-decoded summary compares equal to the pickled original.
+The header carries the block's scalars verbatim (pickled, so types
+round-trip exactly) and the array descriptors ``(key, dtype, count,
+offset)``; ``float64`` columns round-trip every IEEE double
+bit-exactly.
 
 Naming and cleanup discipline: the **parent** assigns segment names
-(:func:`segment_name`) *before* submitting work and tracks them in a
-:class:`~repro.exec.fault.ShmLedger`; the worker creates the segment,
-writes, and never unlinks.  Whatever happens to the worker — clean
-return, exception, chaos kill, timeout reaping — the parent can always
-sweep the names it issued (:func:`unlink`), so no segment outlives the
-executor call.  Attach-side resource-tracker registration (a Python <
-3.13 quirk that would otherwise double-unlink) is undone defensively.
+(:func:`segment_name`) *before* starting a shard and tracks them in a
+:class:`ShmLedger`; the shard worker creates its rings and never
+unlinks.  Whatever happens to the worker — clean exit, exception,
+chaos kill, supervisor failover — the parent can always sweep the names
+it issued (:func:`unlink`), so no segment outlives the fleet.
+Attach-side resource-tracker registration (a Python < 3.13 quirk that
+would otherwise double-unlink) is undone defensively.
 """
 
 from __future__ import annotations
@@ -38,7 +30,7 @@ import hashlib
 import os
 import pickle
 import struct
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -69,14 +61,6 @@ def shm_available() -> bool:
 
 
 _AVAILABLE: Optional[bool] = None
-
-
-def shm_enabled() -> bool:
-    """``REPRO_SHM`` knob (default on) AND platform support."""
-    raw = os.environ.get("REPRO_SHM", "").strip().lower()
-    if raw in ("0", "off", "false", "no"):
-        return False
-    return shm_available()
 
 
 _COUNTER = 0
@@ -190,12 +174,10 @@ def unlink(name: str) -> bool:
 def pack_block(meta: dict, arrays: dict) -> bytes:
     """Serialize ``(meta, arrays)`` into the segment block layout.
 
-    Same wire format as the summary segments — ``[8-byte BE header
-    length][pickled header][pad to 8][concatenated arrays]`` — but
-    generic: ``meta`` is any picklable dict of scalars, ``arrays`` a
-    dict of 1-D numpy arrays.  ``float64`` columns round-trip IEEE
-    doubles bit-exactly, which is what lets the fleet move feature
-    vectors through shared memory without perturbing a single ulp.
+    ``meta`` is any picklable dict of scalars, ``arrays`` a dict of 1-D
+    numpy arrays.  ``float64`` columns round-trip IEEE doubles
+    bit-exactly, which is what lets the fleet move feature vectors
+    through shared memory without perturbing a single ulp.
     """
     descriptors = []
     offset = 0
@@ -248,7 +230,7 @@ class ShmRing:
     fleet's control pipes carry ``(slot, nbytes)`` doorbells), so the
     ring itself needs no locks or atomics.
 
-    Lifetime follows the summary-segment discipline: the side told to
+    Lifetime follows the module's naming discipline: the side told to
     ``create`` (the worker, so a worker killed mid-creation leaves at
     most a torn segment the raw unlink path handles) makes the segment
     under a parent-assigned, ledger-tracked name; the parent attaches
@@ -308,173 +290,50 @@ class ShmRing:
             pass
 
 
-def _pack(summaries: Sequence) -> tuple:
-    """Build the pickled header and the concatenated array section."""
-    vocab: List[str] = []
-    vocab_index = {}
+class ShmLedger:
+    """Tracks every shared-memory segment name a fleet issued.
 
-    def intern(text: str) -> int:
-        slot = vocab_index.get(text)
-        if slot is None:
-            slot = len(vocab)
-            vocab_index[text] = slot
-            vocab.append(text)
-        return slot
-
-    sel_time: List[float] = []
-    sel_threads: List[int] = []
-    sel_job: List[int] = []
-    sel_loop: List[int] = []
-    rec_time: List[float] = []
-    rec_threads: List[int] = []
-    rec_loop: List[int] = []
-    rec_feat: List[float] = []
-    rec_feat_off: List[int] = [0]
-    entries = []
-    for summary in summaries:
-        entries.append({
-            "target": summary.target,
-            "policy": summary.policy,
-            "target_time": summary.target_time,
-            "workload_throughput": summary.workload_throughput,
-            "duration": summary.duration,
-            "workload_runs": summary.workload_runs,
-            "policy_fallbacks": summary.policy_fallbacks,
-            "n_selections": len(summary.selections),
-            "n_records": len(summary.records),
-        })
-        for sel in summary.selections:
-            sel_time.append(sel.time)
-            sel_threads.append(sel.threads)
-            sel_job.append(intern(sel.job_id))
-            sel_loop.append(intern(sel.loop_name))
-        for rec in summary.records:
-            rec_time.append(rec.time)
-            rec_threads.append(rec.threads)
-            rec_loop.append(intern(rec.loop_name))
-            rec_feat.extend(rec.features)
-            rec_feat_off.append(len(rec_feat))
-
-    arrays = {
-        "sel_time": np.asarray(sel_time, dtype=np.float64),
-        "sel_threads": np.asarray(sel_threads, dtype=np.int64),
-        "sel_job": np.asarray(sel_job, dtype=np.int64),
-        "sel_loop": np.asarray(sel_loop, dtype=np.int64),
-        "rec_time": np.asarray(rec_time, dtype=np.float64),
-        "rec_threads": np.asarray(rec_threads, dtype=np.int64),
-        "rec_loop": np.asarray(rec_loop, dtype=np.int64),
-        "rec_feat": np.asarray(rec_feat, dtype=np.float64),
-        "rec_feat_off": np.asarray(rec_feat_off, dtype=np.int64),
-    }
-    descriptors = []
-    offset = 0
-    chunks = []
-    for key, array in arrays.items():
-        descriptors.append((key, str(array.dtype), int(array.size),
-                            offset))
-        chunks.append(array.tobytes())
-        offset += array.nbytes
-    header = pickle.dumps({
-        "version": SHM_FORMAT_VERSION,
-        "entries": entries,
-        "vocab": vocab,
-        "arrays": descriptors,
-    }, protocol=4)
-    return header, b"".join(chunks)
-
-
-def encode_summaries(summaries: Sequence, name: str) -> int:
-    """Write ``summaries`` into a fresh segment ``name``; returns bytes.
-
-    Creates the segment (the name must be parent-assigned and fresh),
-    copies the header + SoA blocks in, and closes the local mapping.
-    The segment itself stays alive for the parent to decode and unlink.
+    Ring names are parent-assigned *before* a shard worker starts, so
+    the set of segments that could possibly exist is known here
+    regardless of how the worker ends — clean exit, exception, chaos
+    kill, failover.  The fleet releases a shard's names when it tears
+    the shard down and sweeps the remainder when it closes, which is
+    what guarantees no ring outlives the fleet.
     """
-    from multiprocessing import shared_memory
 
-    header, body = _pack(summaries)
-    prefix = _HEADER_LEN.pack(len(header)) + header
-    pad = (-len(prefix)) % 8
-    prefix += b"\0" * pad
-    total = len(prefix) + len(body)
-    segment = shared_memory.SharedMemory(
-        name=name, create=True, size=max(total, 1)
-    )
-    try:
-        segment.buf[:len(prefix)] = prefix
-        if body:
-            segment.buf[len(prefix):total] = body
-    finally:
-        segment.close()
-    return total
+    def __init__(self):
+        self._outstanding: set = set()
+        self._issued: set = set()
 
+    def issue(self, name: str) -> str:
+        self._outstanding.add(name)
+        self._issued.add(name)
+        return name
 
-def decode_summaries(name: str) -> List:
-    """Reconstruct the summary list from segment ``name`` (no unlink)."""
-    from ..runtime.engine import Selection
-    from .request import RecordedSelection, RunSummary
+    def release(self, name: str) -> None:
+        """Unlink ``name`` (best effort) and mark it consumed.
 
-    segment = _attach(name)
-    try:
-        (header_len,) = _HEADER_LEN.unpack_from(segment.buf, 0)
-        header = pickle.loads(
-            bytes(segment.buf[8:8 + header_len])
-        )
-        if header.get("version") != SHM_FORMAT_VERSION:
-            raise ValueError(
-                f"shm segment {name!r} has format "
-                f"{header.get('version')!r}, expected "
-                f"{SHM_FORMAT_VERSION}"
-            )
-        base = 8 + header_len + ((-(8 + header_len)) % 8)
-        arrays = {}
-        for key, dtype, count, offset in header["arrays"]:
-            view = np.frombuffer(
-                segment.buf, dtype=np.dtype(dtype), count=count,
-                offset=base + offset,
-            )
-            arrays[key] = view.copy()
-            del view
-    finally:
-        segment.close()
+        The name stays on the lifetime ``issued`` record: a worker
+        killed mid-start can materialise its segment *after* the
+        parent released the not-yet-existing name, so the final
+        :meth:`sweep` must revisit released names too.
+        """
+        self._outstanding.discard(name)
+        unlink(name)
 
-    vocab = header["vocab"]
-    summaries = []
-    sel_cursor = 0
-    rec_cursor = 0
-    for entry in header["entries"]:
-        selections = []
-        for i in range(sel_cursor, sel_cursor + entry["n_selections"]):
-            selections.append(Selection(
-                time=float(arrays["sel_time"][i]),
-                job_id=vocab[int(arrays["sel_job"][i])],
-                loop_name=vocab[int(arrays["sel_loop"][i])],
-                threads=int(arrays["sel_threads"][i]),
-            ))
-        sel_cursor += entry["n_selections"]
-        records = []
-        feat_off = arrays["rec_feat_off"]
-        feat = arrays["rec_feat"]
-        for i in range(rec_cursor, rec_cursor + entry["n_records"]):
-            records.append(RecordedSelection(
-                time=float(arrays["rec_time"][i]),
-                loop_name=vocab[int(arrays["rec_loop"][i])],
-                features=tuple(
-                    float(v)
-                    for v in feat[int(feat_off[i]):int(feat_off[i + 1])]
-                ),
-                threads=int(arrays["rec_threads"][i]),
-            ))
-        rec_cursor += entry["n_records"]
-        summaries.append(RunSummary(
-            target=entry["target"],
-            policy=entry["policy"],
-            target_time=entry["target_time"],
-            workload_throughput=entry["workload_throughput"],
-            duration=entry["duration"],
-            workload_runs=entry["workload_runs"],
-            selections=tuple(selections),
-            records=tuple(records),
-            policy_fallbacks=entry["policy_fallbacks"],
-        ))
-    return summaries
+    def sweep(self) -> int:
+        """Unlink every segment ever issued; returns how many existed.
+
+        Called after the workers are gone, so nothing can create
+        further segments under these names.
+        """
+        removed = 0
+        for name in list(self._issued):
+            if unlink(name):
+                removed += 1
+        self._issued.clear()
+        self._outstanding.clear()
+        return removed
+
+    def __len__(self) -> int:
+        return len(self._outstanding)

@@ -28,11 +28,12 @@ Two stepping modes share that tick-grid semantics:
   computes the next event horizon and advances all jobs across the
   whole span at once — closed-form exponential decay for the OS
   statistics (:meth:`repro.sched.stats.SystemStatsSampler.advance_span`)
-  and vectorized work accrual (:mod:`repro.runtime.kernels`).  Event
-  ticks themselves run through the identical per-tick code path, so
-  selection logs match the fixed-tick reference decision for decision
-  and all statistics agree to floating-point accumulation order
-  (``tests/runtime/test_stepping.py`` proves this over every scenario).
+  and one multiply per job for work accrual
+  (:mod:`repro.runtime.kernels`).  Event ticks themselves run through
+  the identical per-tick code path, so selection logs match the
+  fixed-tick reference decision for decision and all statistics agree
+  to floating-point accumulation order (``tests/runtime/test_stepping.py``
+  proves this over every scenario).
 """
 
 from __future__ import annotations
@@ -78,13 +79,6 @@ MAX_SPIN_WASTE = 0.8
 
 #: Precomputed ``1 - MAX_SPIN_WASTE`` (hot-path constant folding).
 _SPIN_BASE = 1.0 - MAX_SPIN_WASTE
-
-#: Largest active-row count for which a fast-forward span is applied
-#: with scalar Python instead of the NumPy kernels (re-exported from
-#: :mod:`repro.runtime.kernels`).  Both paths compute the same products
-#: in the same order, so results are bit-identical.
-SCALAR_SPAN_MAX = kernels.SCALAR_SPAN_MAX
-
 
 def _grid_horizon(limit: float, time: float, dt: float) -> float:
     """Whole ticks from ``time`` that stay safely short of ``limit``.
@@ -542,11 +536,7 @@ class CoExecutionEngine:
                 span_blocked = True
                 continue
             ticks = int(horizon)
-            kernels.SpanPlan(
-                rows=span_rows, ticks=ticks, dt=dt,
-                allocation=allocation, spin_coeff=SPIN_WASTE_COEFF,
-                max_spin_waste=MAX_SPIN_WASTE,
-            ).apply()
+            kernels.SpanPlan(rows=span_rows, ticks=ticks, dt=dt).apply()
             # Accumulate `time` tick by tick: span ticks must leave the
             # float trajectory bit-identical to fixed stepping, or grid
             # predicates (availability periods, arrival comparisons)

@@ -31,8 +31,9 @@ decision but routing, batching and bookkeeping.
   :class:`~repro.exec.shm.ShmRing` shared-memory rings as
   structure-of-arrays columns (``float64`` round-trips every IEEE
   double bit-exactly); the control pipes carry only tiny
-  ``(slot, nbytes)`` doorbells.  Ring segments follow the executor's
-  cleanup discipline: parent-assigned, ledger-tracked names; the
+  ``(slot, nbytes)`` doorbells.  Ring segments follow
+  :mod:`repro.exec.shm`'s cleanup discipline: parent-assigned,
+  :class:`~repro.exec.shm.ShmLedger`-tracked names; the
   worker creates, the parent attaches and is the only side that
   unlinks — so a SIGKILLed shard can never leak a segment.
 * **Failover** — a dead shard is detected at the pipe (``EOFError`` /
@@ -67,7 +68,8 @@ from ..core.persistence import (ChecksumError, dump_checked_json,
                                 load_checked_json, move_aside)
 from ..core.policies.base import PolicyContext, ThreadPolicy
 from ..exec import shm
-from ..exec.fault import RetryPolicy, ShmLedger
+from ..exec.fault import RetryPolicy
+from ..exec.shm import ShmLedger
 from ..runtime.metrics import (Counter, FixedBucketHistogram, Gauge,
                                LatencyLedger)
 from ..sched.stats import EnvironmentSample

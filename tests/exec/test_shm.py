@@ -1,35 +1,22 @@
-"""Shared-memory SoA result transport (`repro.exec.shm`).
+"""Shared-memory rings and segment discipline (`repro.exec.shm`).
 
-Round-trip fidelity (a decoded summary compares equal to the
-original, including IEEE-exact floats), segment naming and cleanup
-discipline (`ShmLedger` sweeps everything it issued, crash or not),
-and the `REPRO_SHM` knob.
+Segment naming and cleanup discipline (`ShmLedger` sweeps everything
+it issued, crash or not), the `ShmRing` block transport the serving
+fleet uses, and the executor's pickle-only result path (a pool run
+never makes a segment).
 """
 
 from __future__ import annotations
 
-import struct
-
 import pytest
 
-from repro.exec import Executor, PolicySpec, ShmLedger
+from repro.exec import Executor, ShmLedger
 from repro.exec import shm
 from tests.exec.test_fault import tiny_request
 
 pytestmark = pytest.mark.skipif(
     not shm.shm_available(), reason="no POSIX shared memory here"
 )
-
-
-@pytest.fixture(scope="module")
-def summaries():
-    """Real summaries, one recording run included (feature streams)."""
-    requests = [
-        tiny_request(seed=0),
-        tiny_request(seed=1, record=True),
-        tiny_request(seed=2, policy=PolicySpec.fixed(4)),
-    ]
-    return Executor(jobs=1, cache=None, checkpoint=None).run(requests)
 
 
 def segment_exists(name: str) -> bool:
@@ -41,69 +28,6 @@ def segment_exists(name: str) -> bool:
         return False
     probe.close()
     return True
-
-
-class TestRoundTrip:
-    def test_summaries_compare_equal(self, summaries):
-        name = shm.segment_name()
-        try:
-            shm.encode_summaries(summaries, name)
-            decoded = shm.decode_summaries(name)
-        finally:
-            shm.unlink(name)
-        assert decoded == list(summaries)
-
-    def test_floats_are_ieee_exact(self, summaries):
-        name = shm.segment_name()
-        try:
-            shm.encode_summaries(summaries, name)
-            decoded = shm.decode_summaries(name)
-        finally:
-            shm.unlink(name)
-        def bits(value: float) -> bytes:
-            return struct.pack(">d", value)
-
-        for original, copy in zip(summaries, decoded):
-            # Equality via == could in principle hide -0.0/0.0
-            # subtleties; compare raw IEEE bit patterns per float.
-            assert bits(original.duration) == bits(copy.duration)
-            assert bits(original.target_time) == bits(copy.target_time)
-            for sel_a, sel_b in zip(original.selections, copy.selections):
-                assert bits(sel_a.time) == bits(sel_b.time)
-            for rec_a, rec_b in zip(original.records, copy.records):
-                assert bits(rec_a.time) == bits(rec_b.time)
-                for feat_a, feat_b in zip(rec_a.features, rec_b.features):
-                    assert bits(feat_a) == bits(feat_b)
-
-    def test_decode_does_not_unlink(self, summaries):
-        name = shm.segment_name()
-        shm.encode_summaries(summaries[:1], name)
-        shm.decode_summaries(name)
-        assert segment_exists(name)
-        assert shm.unlink(name)
-        assert not segment_exists(name)
-
-    def test_empty_stream_summary(self, summaries):
-        bare = summaries[0]
-        assert bare.records == ()
-        name = shm.segment_name()
-        try:
-            shm.encode_summaries([bare], name)
-            (decoded,) = shm.decode_summaries(name)
-        finally:
-            shm.unlink(name)
-        assert decoded == bare
-
-    def test_version_mismatch_rejected(self, summaries, monkeypatch):
-        name = shm.segment_name()
-        monkeypatch.setattr(shm, "SHM_FORMAT_VERSION", 999)
-        shm.encode_summaries(summaries[:1], name)
-        monkeypatch.undo()
-        try:
-            with pytest.raises(ValueError, match="format"):
-                shm.decode_summaries(name)
-        finally:
-            shm.unlink(name)
 
 
 class TestNamingAndCleanup:
@@ -135,10 +59,10 @@ class TestNamingAndCleanup:
             if os.path.exists(path):
                 os.unlink(path)
 
-    def test_ledger_sweep_removes_outstanding_segments(self, summaries):
+    def test_ledger_sweep_removes_outstanding_segments(self):
         ledger = ShmLedger()
         kept = ledger.issue(shm.segment_name())
-        shm.encode_summaries(summaries[:1], kept)
+        shm.ShmRing(kept, 1, 64, create=True).close()
         issued_unused = ledger.issue(shm.segment_name())  # never created
         assert len(ledger) == 2
         assert ledger.sweep() == 1  # only the materialised one existed
@@ -146,22 +70,27 @@ class TestNamingAndCleanup:
         assert not segment_exists(kept)
         assert not segment_exists(issued_unused)
 
-    def test_release_forgets_and_unlinks(self, summaries):
+    def test_release_forgets_and_unlinks(self):
         ledger = ShmLedger()
         name = ledger.issue(shm.segment_name())
-        shm.encode_summaries(summaries[:1], name)
+        shm.ShmRing(name, 1, 64, create=True).close()
         ledger.release(name)
         assert len(ledger) == 0
         assert not segment_exists(name)
 
-    def test_executor_pool_run_leaves_no_segments(self, summaries):
+    def test_executor_pool_run_leaves_no_segments(self, monkeypatch):
+        # Summaries come back through the pool's pickle pipe: the
+        # parent assigns no segment name, so no worker can create one.
         import glob
 
+        before = set(glob.glob("/dev/shm/repro-*"))
+        monkeypatch.setattr(shm, "_COUNTER", 0)
         requests = [tiny_request(seed=seed) for seed in (0, 1, 2, 3)]
         executor = Executor(jobs=2, cache=None, checkpoint=None)
         executor.run(requests)
-        leaked = glob.glob("/dev/shm/repro-*")
-        assert leaked == []
+        assert executor.last_report.serial_fallbacks == 0
+        assert shm._COUNTER == 0
+        assert set(glob.glob("/dev/shm/repro-*")) == before
 
 
 class TestPidReuseToken:
@@ -285,6 +214,15 @@ class TestShmRing:
             ring.close()
             shm.unlink(name)
 
+    def test_block_version_mismatch_rejected(self, monkeypatch):
+        import numpy as np
+
+        monkeypatch.setattr(shm, "SHM_FORMAT_VERSION", 999)
+        block = shm.pack_block({}, {"v": np.zeros(2)})
+        monkeypatch.undo()
+        with pytest.raises(ValueError, match="format"):
+            shm.unpack_block(block)
+
     def test_attach_checks_segment_size(self):
         name = shm.segment_name()
         ring = shm.ShmRing(name, slots=1, slot_bytes=64, create=True)
@@ -294,25 +232,3 @@ class TestShmRing:
         finally:
             ring.close()
             shm.unlink(name)
-
-
-class TestKnob:
-    def test_default_on(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SHM", raising=False)
-        assert shm.shm_enabled() is True
-
-    def test_disabled_values(self, monkeypatch):
-        for value in ("0", "off", "false", "no"):
-            monkeypatch.setenv("REPRO_SHM", value)
-            assert shm.shm_enabled() is False
-
-    def test_disabled_executor_still_bit_identical(self, monkeypatch):
-        requests = [tiny_request(seed=seed) for seed in (0, 1)]
-        serial = Executor(jobs=1, cache=None, checkpoint=None).run(
-            requests
-        )
-        monkeypatch.setenv("REPRO_SHM", "0")
-        pickled = Executor(jobs=2, cache=None, checkpoint=None).run(
-            requests
-        )
-        assert pickled == serial

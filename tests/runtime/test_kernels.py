@@ -1,47 +1,31 @@
-"""Unit tests for the vectorized span kernels (`repro.runtime.kernels`).
+"""Unit tests for the span kernels (`repro.runtime.kernels`).
 
 The stepping equivalence tests (`test_stepping.py`) pin the observable
-end-to-end behaviour; these tests pin the kernel math itself — bitwise
-agreement between `span_rates` and the engine's scalar `_rate`, the
-completion-horizon rounding rules, and the `apply_span` writeback.
+end-to-end behaviour; these tests pin the kernel math itself — the
+completion-horizon rounding rules, the `SpanPlan.apply` writeback, and
+a burst-storm run whose spans are wider than `SCALAR_SPAN_MAX` rows.
 """
 
+import hashlib
 import math
 import pickle
 
-import numpy as np
 import pytest
 
+from repro.chaos.workload import storm_workload
 from repro.core.policies import FixedPolicy
-from repro.exec.request import (
-    PolicySpec,
-    RunRequest,
-    WorkloadSpec,
-    execute_request,
-)
-from repro.experiments.scenarios import SMALL_LOW
+from repro.exec.request import PolicySpec, RunRequest, execute_request
 from repro.machine.machine import SimMachine
 from repro.machine.topology import XEON_L7555
 from repro.runtime import kernels
-from repro.runtime.engine import (
-    MAX_SPIN_WASTE,
-    SPIN_WASTE_COEFF,
-    CoExecutionEngine,
-    JobSpec,
-    _JobState,
-)
+from repro.runtime.engine import CoExecutionEngine, JobSpec, _JobState
 from repro.runtime.kernels import (
     HORIZON_FUZZ,
     SCALAR_SPAN_MAX,
     SpanPlan,
-    SpanState,
-    apply_span,
-    build_span_state,
     completion_horizon,
-    span_rates,
 )
 from repro.sched.scheduler import JobDemand, ProportionalShareScheduler
-from repro.workload.spec import workload_sets
 from tests.runtime.test_engine import tiny_program
 
 
@@ -50,49 +34,32 @@ class _StubInstance:
         self.remaining = remaining
 
 
-class _StubSpec:
-    def __init__(self, job_id):
-        self.job_id = job_id
+class _StubAlloc:
+    def __init__(self, granted_cpus):
+        self.granted_cpus = granted_cpus
 
 
 class _StubState:
-    """The minimal `_JobState` surface the kernels touch."""
+    """The minimal `_JobState` surface `SpanPlan.apply` touches."""
 
-    def __init__(self, job_id, threads, region, remaining):
-        self.spec = _StubSpec(job_id)
-        self.threads = threads
-        self.region = region
+    def __init__(self, remaining):
         self.instance = _StubInstance(remaining)
         self.work_done = 0.0
         self.cpu_time = 0.0
         self.region_elapsed = 0.0
 
 
-def parallel_region(sync_intensity=None):
-    """A real Region (scaling law included) from a tiny program."""
-    program = tiny_program(iterations=3, work=2.0, serial_fraction=0.2)
-    region = program.regions[0]
-    if sync_intensity is not None:
-        object.__setattr__(region, "sync_intensity", sync_intensity)
-    return region
-
-
-def engine_and_states(thread_counts, available=8):
-    """A real engine plus `_JobState`s advanced into their first
-    parallel region, and the real scheduler allocation for them."""
-    specs = []
+def job_states(thread_counts):
+    """Real `_JobState`s advanced into their first parallel region."""
+    states = []
     for index, threads in enumerate(thread_counts):
         program = tiny_program(
             name=f"k{index}", iterations=4, work=3.0, serial_fraction=0.2
         )
-        specs.append(JobSpec(
+        state = _JobState(JobSpec(
             program=program, policy=FixedPolicy(threads),
             job_id=f"k{index}", is_target=index == 0,
         ))
-    engine = CoExecutionEngine(SimMachine(topology=XEON_L7555), specs)
-    states = []
-    for spec, threads in zip(specs, thread_counts):
-        state = _JobState(spec)
         # Walk out of the leading serial glue into the parallel region.
         while state.instance.current_region is None:
             assert not state.instance.finished
@@ -100,110 +67,15 @@ def engine_and_states(thread_counts, available=8):
         state.region = state.instance.current_region
         state.threads = threads
         states.append(state)
-    demands = [
-        JobDemand(state.spec.job_id, state.threads) for state in states
-    ]
-    allocation = ProportionalShareScheduler(XEON_L7555).allocate(
-        demands, available
-    )
-    return engine, states, allocation
-
-
-class TestSpanRatesMatchEngine:
-    def test_oversubscribed_parallel_rates_are_bit_identical(self):
-        # 6 + 8 threads onto 8 processors: shares < 1, spin path taken.
-        engine, states, allocation = engine_and_states([6, 8], available=8)
-        span = build_span_state(
-            states, allocation, SPIN_WASTE_COEFF, MAX_SPIN_WASTE
-        )
-        for row, state in enumerate(states):
-            alloc = allocation.allocations[state.spec.job_id]
-            expected = engine._rate_uncached(
-                state, alloc, state.region, alloc.thread_share
-            )
-            assert span.rates[row] == expected
-
-    def test_uncontended_parallel_rates_are_bit_identical(self):
-        # 2 + 2 threads onto 32 processors: no oversubscription, the
-        # spin factor must collapse to exactly 1.0 on both paths.
-        engine, states, allocation = engine_and_states([2, 2], available=32)
-        span = build_span_state(
-            states, allocation, SPIN_WASTE_COEFF, MAX_SPIN_WASTE
-        )
-        for row, state in enumerate(states):
-            alloc = allocation.allocations[state.spec.job_id]
-            expected = engine._rate_uncached(
-                state, alloc, state.region, alloc.thread_share
-            )
-            assert span.rates[row] == expected
-            # With full shares the rate reduces to the no-spin product.
-            no_spin = (
-                alloc.thread_share * state.threads
-                * alloc.switch_factor * alloc.memory_factor
-                * state.region.scaling.efficiency(state.threads)
-            )
-            assert span.rates[row] == no_spin
-
-    def test_serial_glue_rates_are_bit_identical(self):
-        engine, states, allocation = engine_and_states([4, 8], available=8)
-        for state in states:
-            state.region = None  # back in serial glue
-            state.threads = 1
-        demands = [JobDemand(s.spec.job_id, 1) for s in states]
-        allocation = ProportionalShareScheduler(XEON_L7555).allocate(
-            demands, 8
-        )
-        span = build_span_state(
-            states, allocation, SPIN_WASTE_COEFF, MAX_SPIN_WASTE
-        )
-        for row, state in enumerate(states):
-            alloc = allocation.allocations[state.spec.job_id]
-            expected = engine._rate_uncached(
-                state, alloc, None, alloc.thread_share
-            )
-            assert span.rates[row] == expected
-
-    def test_empty_span(self):
-        span = build_span_state(
-            [], object(), SPIN_WASTE_COEFF, MAX_SPIN_WASTE
-        )
-        assert len(span) == 0
-        assert span_rates(span, SPIN_WASTE_COEFF, MAX_SPIN_WASTE).size == 0
-        assert completion_horizon([], 0.1) == math.inf
-
-
-def hand_span(rates, remaining, serial=None, granted=None):
-    """A SpanState with prescribed rates, for horizon/apply tests."""
-    count = len(rates)
-    states = [
-        _StubState(f"j{i}", 4, None, remaining[i]) for i in range(count)
-    ]
-    serial_arr = np.zeros(count, dtype=bool)
-    if serial is not None:
-        serial_arr[:] = serial
-    return SpanState(
-        states=states,
-        threads=np.full(count, 4.0),
-        share=np.ones(count),
-        granted_cpus=np.asarray(
-            granted if granted is not None else [1.0] * count, dtype=float
-        ),
-        switch_factor=np.ones(count),
-        memory_factor=np.ones(count),
-        efficiency=np.ones(count),
-        sync=np.zeros(count),
-        serial=serial_arr,
-        remaining=np.asarray(remaining, dtype=float),
-        rates=np.asarray(rates, dtype=float),
-    )
+    return states
 
 
 def hand_rows(rates, remaining):
     """Span-plan rows ``(state, instance, alloc, rate, serial)`` with
     prescribed rates, for horizon tests."""
     return [
-        (state, state.instance, None, rate, False)
-        for state, rate in zip(hand_span(rates, remaining).states, rates)
+        (None, _StubInstance(left), None, rate, False)
+        for rate, left in zip(rates, remaining)
     ]
 
 
@@ -244,84 +116,8 @@ class TestCompletionHorizon:
         rows = hand_rows([2.0], [2.0 * 0.1 * 0.5])
         assert completion_horizon(rows, 0.1) == 0.0
 
-
-class TestApplySpan:
-    def test_writeback_matches_scalar_accrual(self):
-        rates = [1.5, 0.25]
-        granted = [3.0, 0.5]
-        span = hand_span(
-            rates, [100.0, 100.0], serial=[False, True], granted=granted
-        )
-        ticks, dt = 7, 0.25
-        apply_span(span, ticks, dt)
-        elapsed = ticks * dt
-        for row, state in enumerate(span.states):
-            # Element-for-element the engine's scalar span loop.
-            assert state.work_done == rates[row] * elapsed
-            assert state.cpu_time == granted[row] * elapsed
-            assert state.instance.remaining == 100.0 - rates[row] * elapsed
-        # Region residency accrues only while in a parallel region.
-        assert span.states[0].region_elapsed == elapsed
-        assert span.states[1].region_elapsed == 0.0
-
-    def test_zero_ticks_is_a_no_op(self):
-        span = hand_span([2.0], [10.0])
-        apply_span(span, 0, 0.1)
-        state = span.states[0]
-        assert state.work_done == 0.0
-        assert state.cpu_time == 0.0
-        assert state.instance.remaining == 10.0
-
-    def test_span_equals_iterated_ticks_within_float_noise(self):
-        dt, ticks = 0.1, 64
-        span = hand_span([1.7], [100.0], granted=[2.3])
-        apply_span(span, ticks, dt)
-        work_iterated = 0.0
-        cpu_iterated = 0.0
-        for _ in range(ticks):
-            work_iterated += 1.7 * dt
-            cpu_iterated += 2.3 * dt
-        assert span.states[0].work_done == pytest.approx(
-            work_iterated, rel=1e-12
-        )
-        assert span.states[0].cpu_time == pytest.approx(
-            cpu_iterated, rel=1e-12
-        )
-
-
-class TestBuildSpanState:
-    def test_gathers_real_allocation_rows(self):
-        _, states, allocation = engine_and_states([6, 8], available=8)
-        span = build_span_state(
-            states, allocation, SPIN_WASTE_COEFF, MAX_SPIN_WASTE
-        )
-        assert span.states == states
-        for row, state in enumerate(states):
-            alloc = allocation.allocations[state.spec.job_id]
-            assert span.threads[row] == float(state.threads)
-            assert span.share[row] == alloc.thread_share
-            assert span.granted_cpus[row] == alloc.granted_cpus
-            assert span.switch_factor[row] == alloc.switch_factor
-            assert span.memory_factor[row] == alloc.memory_factor
-            assert span.remaining[row] == state.instance.remaining
-            assert not span.serial[row]
-            assert span.sync[row] == state.region.sync_intensity
-            assert span.efficiency[row] == (
-                state.region.scaling.efficiency(state.threads)
-            )
-
-    def test_serial_rows_get_neutral_region_factors(self):
-        state = _StubState("s", 1, None, 5.0)
-        demands = [JobDemand("s", 1)]
-        allocation = ProportionalShareScheduler(XEON_L7555).allocate(
-            demands, 8
-        )
-        span = build_span_state(
-            [state], allocation, SPIN_WASTE_COEFF, MAX_SPIN_WASTE
-        )
-        assert span.serial[0]
-        assert span.efficiency[0] == 1.0
-        assert span.sync[0] == 0.0
+    def test_no_rows_is_unbounded(self):
+        assert completion_horizon([], 0.1) == math.inf
 
 
 def plan_for(states, allocation, ticks=5, dt=0.1):
@@ -337,51 +133,101 @@ def plan_for(states, allocation, ticks=5, dt=0.1):
         rows.append(
             (state, state.instance, alloc, rate, state.region is None)
         )
+    return SpanPlan(rows=rows, ticks=ticks, dt=dt)
+
+
+def stub_plan(rate, remaining, granted, ticks, dt):
+    """A one-row SpanPlan over a stub job state in a parallel region."""
+    state = _StubState(remaining)
+    alloc = _StubAlloc(granted)
     return SpanPlan(
-        rows=rows, ticks=ticks, dt=dt, allocation=allocation,
-        spin_coeff=SPIN_WASTE_COEFF, max_spin_waste=MAX_SPIN_WASTE,
+        rows=[(state, state.instance, alloc, rate, False)],
+        ticks=ticks, dt=dt,
     )
 
 
-class TestSpanPlanPaths:
-    """`SpanPlan.apply` takes the scalar path up to `SCALAR_SPAN_MAX`
-    rows and the NumPy path above it; both must leave identical state."""
-
-    def applied(self, monkeypatch, scalar_max):
-        monkeypatch.setattr(kernels, "SCALAR_SPAN_MAX", scalar_max)
-        _, states, allocation = engine_and_states([6, 8], available=8)
-        plan_for(states, allocation, ticks=7).apply()
-        return states
-
-    def test_scalar_and_vector_paths_are_bit_identical(self, monkeypatch):
-        scalar = self.applied(monkeypatch, SCALAR_SPAN_MAX)
-        vector = self.applied(monkeypatch, 0)
-        for s, v in zip(scalar, vector):
-            assert v.work_done == s.work_done
-            assert v.cpu_time == s.cpu_time
-            assert v.region_elapsed == s.region_elapsed
-            assert v.instance.remaining == s.instance.remaining
-
-    def test_vector_path_writes_python_floats(self, monkeypatch):
-        for state in self.applied(monkeypatch, 0):
-            assert type(state.work_done) is float
-            assert type(state.cpu_time) is float
-            assert type(state.instance.remaining) is float
-
-
-class TestVectorPathSummaries:
-    def test_forced_vector_path_pickles_identically(self, monkeypatch):
-        # A workload scenario has spans with several active rows; with
-        # SCALAR_SPAN_MAX = 0 every one of them takes the NumPy path.
-        request = RunRequest(
-            target="cg", policy=PolicySpec.fixed(8), scenario=SMALL_LOW,
-            workload=WorkloadSpec.from_set(
-                workload_sets(SMALL_LOW.workload_size)[0],
-                PolicySpec.fixed(4),
-            ),
-            seed=1, iterations_scale=0.1,
+class TestApplySpan:
+    def test_writeback_matches_scalar_accrual(self):
+        # Real `_JobState`s: two in a parallel region, one in serial
+        # glue, rates from the engine's own scalar `_rate`.
+        states = job_states([6, 8, 4])
+        states[2].region = None
+        states[2].threads = 1
+        allocation = ProportionalShareScheduler(XEON_L7555).allocate(
+            [JobDemand(s.spec.job_id, s.threads) for s in states], 8
         )
-        scalar = execute_request(request)
-        monkeypatch.setattr(kernels, "SCALAR_SPAN_MAX", 0)
-        vector = execute_request(request)
-        assert pickle.dumps(vector) == pickle.dumps(scalar)
+        before = [state.instance.remaining for state in states]
+        ticks, dt = 7, 0.25
+        plan = plan_for(states, allocation, ticks=ticks, dt=dt)
+        plan.apply()
+        for (state, _, alloc, rate, serial), left in zip(plan.rows, before):
+            for value in (state.work_done, state.cpu_time,
+                          state.instance.remaining, state.region_elapsed):
+                assert type(value) is float
+            assert state.work_done == rate * (ticks * dt)
+            assert state.cpu_time == alloc.granted_cpus * (ticks * dt)
+            assert state.instance.remaining == left - rate * (ticks * dt)
+            # Region residency accrues only while in a parallel region.
+            assert state.region_elapsed == (
+                0.0 if serial else ticks * dt
+            )
+
+    def test_zero_ticks_is_a_no_op(self):
+        plan = stub_plan(2.0, 10.0, granted=1.0, ticks=0, dt=0.1)
+        plan.apply()
+        state = plan.rows[0][0]
+        assert state.work_done == 0.0
+        assert state.cpu_time == 0.0
+        assert state.region_elapsed == 0.0
+        assert state.instance.remaining == 10.0
+
+    def test_span_equals_iterated_ticks_within_float_noise(self):
+        dt, ticks = 0.1, 64
+        plan = stub_plan(1.7, 100.0, granted=2.3, ticks=ticks, dt=dt)
+        plan.apply()
+        work_iterated = 0.0
+        cpu_iterated = 0.0
+        for _ in range(ticks):
+            work_iterated += 1.7 * dt
+            cpu_iterated += 2.3 * dt
+        state = plan.rows[0][0]
+        assert state.work_done == pytest.approx(work_iterated, rel=1e-12)
+        assert state.cpu_time == pytest.approx(cpu_iterated, rel=1e-12)
+
+
+#: ``sha256(pickle.dumps(summary))`` of :func:`storm_request`, recorded
+#: when spans wider than 12 rows still took a separate NumPy path.
+STORM_DIGEST = (
+    "34dbbc9db8461d2e5a25fbe81a076ad8a3134bc823bd466a30806fbde1300884"
+)
+
+
+def storm_request():
+    """Two bursts of 16 one-shot jobs around a `cg` target: spans run
+    17 to 33 rows wide."""
+    return RunRequest(
+        target="cg", policy=PolicySpec.fixed(8),
+        workload=storm_workload(
+            ("is", "ft", "mg", "lu", "ep", "bt", "sp", "cg") * 2,
+            PolicySpec.fixed(4), bursts=2, interval=60.0, spread=1.0,
+        ),
+        seed=1, iterations_scale=0.3,
+    )
+
+
+class TestWideSpans:
+    def test_burst_storm_summary_is_unchanged(self, monkeypatch):
+        widths = []
+        apply = SpanPlan.apply
+
+        def counting_apply(plan):
+            widths.append(len(plan.rows))
+            return apply(plan)
+
+        monkeypatch.setattr(SpanPlan, "apply", counting_apply)
+        summary = execute_request(storm_request())
+        digest = hashlib.sha256(pickle.dumps(summary)).hexdigest()
+        assert digest == STORM_DIGEST
+        # The run must keep exercising wide spans, or it no longer
+        # guards them.
+        assert max(widths) > SCALAR_SPAN_MAX

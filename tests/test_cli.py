@@ -74,11 +74,13 @@ class TestExecFooter:
 
         before = (
             STATS.pool_rebuilds, STATS.serial_fallbacks,
+            STATS.pickled_bytes, STATS.serialize_seconds,
             list(STATS.serial_fallback_causes),
         )
         yield STATS
-        (STATS.pool_rebuilds, STATS.serial_fallbacks) = before[:2]
-        STATS.serial_fallback_causes[:] = before[2]
+        (STATS.pool_rebuilds, STATS.serial_fallbacks,
+         STATS.pickled_bytes, STATS.serialize_seconds) = before[:4]
+        STATS.serial_fallback_causes[:] = before[4]
 
     def test_quiet_when_nothing_happened(self, stats):
         assert _exec_footer(stats.snapshot()) == ""
@@ -100,6 +102,12 @@ class TestExecFooter:
         before = stats.snapshot()
         stats.pool_rebuilds += 1
         assert _exec_footer(before) == "[exec: 1 pool rebuilds]"
+
+    def test_renders_pickled_request_traffic(self, stats):
+        before = stats.snapshot()
+        stats.pickled_bytes += 3 * 1024
+        stats.serialize_seconds += 0.004
+        assert _exec_footer(before) == "[exec: 3.0 KiB pickled in 4 ms]"
 
     def test_experiment_output_stays_clean(self, capsys):
         # A healthy run must not grow an [exec: ...] footer.
