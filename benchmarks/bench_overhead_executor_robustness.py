@@ -4,14 +4,13 @@ Retries, per-run timeouts, checkpointing and failure reporting exist
 for the unhappy path; a healthy grid must not pay for them.  This
 benchmark replays a fully-cached grid through an executor with every
 robustness feature switched on and asserts the per-request overhead
-(fingerprint, cache read, report bookkeeping, checkpoint record) stays
+(fingerprint, checkpoint and cache reads, report bookkeeping) stays
 far below the cost of even the tiniest real simulation.
 """
 
 import pytest
 
 from repro.exec import (
-    Checkpoint,
     Executor,
     PolicySpec,
     RetryPolicy,
@@ -53,7 +52,7 @@ def test_overhead_cached_grid_with_faults_armed(benchmark, tmp_path):
             cache=cache,
             retry=RetryPolicy(max_retries=5),
             run_timeout=300.0,
-            checkpoint=Checkpoint(tmp_path / "grid.pkl", interval=10),
+            checkpoint=RunCache(tmp_path / "grid"),
             max_pool_rebuilds=3,
         )
         summaries = executor.run(requests)

@@ -57,6 +57,7 @@ DETERMINISTIC_ZONES: Tuple[str, ...] = (
 #: ``open`` here risks torn files.
 PERSISTENCE_ZONES: Tuple[str, ...] = (
     "core/persistence.py",
+    "core/training.py",
     "exec/cache.py",
     "serve/journal.py",
 )

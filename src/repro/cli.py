@@ -858,10 +858,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
              "$REPRO_RUN_TIMEOUT, else unlimited)",
     )
     parser.add_argument(
-        "--resume", nargs="?", const="repro-checkpoint.pkl",
-        default=None, metavar="FILE",
-        help="checkpoint completed runs to FILE (default "
-             "repro-checkpoint.pkl) and resume from it after an "
+        "--resume", nargs="?", const="repro-checkpoint",
+        default=None, metavar="DIR",
+        help="publish each completed run to DIR (default "
+             "repro-checkpoint) and resume from it after an "
              "interrupted grid (also: $REPRO_CHECKPOINT)",
     )
     args = parser.parse_args(argv)

@@ -1,15 +1,21 @@
-"""JSON persistence for trained experts and online selector state.
+"""JSON persistence for trained experts, and the repo's file discipline.
 
 Trained experts are small (two 10-weight linear models plus an
 envelope), so they serialize naturally to JSON — convenient for
 shipping a trained policy to another machine, versioning it, or
-inspecting the Table 1 weights outside Python.  The pickle-based disk
-cache in :mod:`repro.core.training` is an internal speed-up; this
-module is the *public* import/export format.
+inspecting the Table 1 weights outside Python.  The pickles that
+:mod:`repro.core.training` keeps under :func:`cache_root` are a
+rebuildable cache of the same bundles; this module is the *public*
+import/export format.
 
-Beyond the offline bundles, this module supplies the crash-safety
-primitives the serving runtime (:mod:`repro.serve`) builds on:
+It is also the one place that decides how any file is published and
+how a bad one is retired.  The run cache, the resume checkpoint, the
+training caches and the serving runtime (:mod:`repro.serve`) all build
+on these primitives:
 
+* :func:`atomic_write` — every persistent write: temp file in the
+  destination directory, then ``os.replace``.  :func:`save_bundle`,
+  :func:`dump_checked_json` and :func:`atomic_copy` are thin callers;
 * :func:`to_jsonable` — lossless conversion of selector state dicts
   (numpy arrays included) into JSON-serialisable structures.  Python's
   ``repr``-based float formatting round-trips IEEE-754 doubles exactly,
@@ -18,10 +24,10 @@ primitives the serving runtime (:mod:`repro.serve`) builds on:
   :func:`load_checked_json` — checksummed, atomically-written JSON
   documents.  A torn or corrupted file fails the checksum and raises
   :class:`ChecksumError` instead of silently loading garbage;
-* :func:`resolve_quarantine_keep` / :func:`prune_quarantine` — bounded
-  retention for quarantine directories (corrupt snapshots, journal
-  tails, cache entries), so evidence of corruption survives for
-  post-mortem without accumulating forever.
+* :func:`move_aside` / :func:`prune_quarantine` — the one quarantine:
+  a bad file (or superseded state directory) is renamed aside under a
+  name that never overwrites earlier evidence, and each quarantine
+  directory keeps the newest :data:`DEFAULT_QUARANTINE_KEEP` entries.
 """
 
 from __future__ import annotations
@@ -29,11 +35,11 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import shutil
 import tempfile
-import warnings
 from dataclasses import asdict
 from pathlib import Path
-from typing import List, Optional, Union
+from typing import IO, Callable, Optional, Union
 
 import numpy as np
 
@@ -45,9 +51,45 @@ from .training import ExpertBundle, ScalabilityRecord, TrainingConfig
 #: Format version written into every file; bump on breaking changes.
 FORMAT_VERSION = 1
 
-#: Quarantined files kept per directory unless ``REPRO_QUARANTINE_KEEP``
-#: or an explicit argument overrides it.
+#: Quarantined files kept per directory unless an explicit argument
+#: overrides it.
 DEFAULT_QUARANTINE_KEEP = 8
+
+
+def cache_root() -> Path:
+    """Root of every on-disk cache: ``$REPRO_CACHE_DIR``, else
+    ``~/.cache/repro``."""
+    root = os.environ.get("REPRO_CACHE_DIR")
+    return Path(root) if root else Path.home() / ".cache" / "repro"
+
+
+def atomic_write(path: Union[str, Path], write: Callable[[IO], None],
+                 binary: bool = False) -> Path:
+    """Publish a file so its real name never holds partial bytes.
+
+    Creates the parent directory, hands ``write`` a temp file opened in
+    the destination directory (text mode unless ``binary``), then
+    ``os.replace``s it into place.  On any failure the temp file is
+    removed and the error re-raised: a crash mid-write can leave a
+    stray temp file, never a torn file under ``path``.  This is the one
+    place every persisted artefact is published from.
+    """
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(
+        dir=path.parent, prefix=path.name, suffix=".tmp"
+    )
+    try:
+        with os.fdopen(fd, "wb" if binary else "w") as fh:
+            write(fh)
+        os.replace(tmp, path)
+    except BaseException:
+        try:
+            os.unlink(tmp)
+        except OSError:
+            pass
+        raise
+    return path
 
 
 def _model_to_dict(model: LinearModel) -> dict:
@@ -152,23 +194,9 @@ def save_bundle(bundle: ExpertBundle,
     a crash mid-export can never tear a half-written bundle under the
     real name, and the same bundle always serializes to the same bytes.
     """
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(
-        dir=path.parent, prefix=path.name, suffix=".tmp"
-    )
-    try:
-        with os.fdopen(fd, "w") as fh:
-            json.dump(bundle_to_dict(bundle), fh, indent=2,
-                      sort_keys=True)
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
-    return path
+    document = bundle_to_dict(bundle)
+    return atomic_write(path, lambda fh: json.dump(
+        document, fh, indent=2, sort_keys=True))
 
 
 def load_bundle(path: Union[str, Path]) -> ExpertBundle:
@@ -224,28 +252,14 @@ def dump_checked_json(payload, path: Union[str, Path]) -> Path:
     Temp file + ``os.replace``: a crash mid-write can leave a stray
     temp file, never a half-written document under the real name.
     """
-    path = Path(path)
     payload = to_jsonable(payload)
     document = {
         "format_version": FORMAT_VERSION,
         "checksum": payload_checksum(payload),
         "payload": payload,
     }
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(
-        dir=path.parent, prefix=path.name, suffix=".tmp"
-    )
-    try:
-        with os.fdopen(fd, "w") as fh:
-            json.dump(document, fh, allow_nan=False, sort_keys=True)
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
-    return path
+    return atomic_write(path, lambda fh: json.dump(
+        document, fh, allow_nan=False, sort_keys=True))
 
 
 def load_checked_json(path: Union[str, Path]):
@@ -278,27 +292,12 @@ def atomic_copy(source: Union[str, Path],
     also ships files that are *legitimately* torn (a crashed server's
     journal tail, which replay quarantines on the receiving side).
     """
-    source = Path(source)
-    destination = Path(destination)
-    destination.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(
-        dir=destination.parent, prefix=destination.name, suffix=".tmp"
-    )
-    try:
-        with os.fdopen(fd, "wb") as out, open(source, "rb") as src:
-            while True:
-                chunk = src.read(1 << 20)
-                if not chunk:
-                    break
-                out.write(chunk)
-        os.replace(tmp, destination)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
-    return destination
+
+    def copy(out: IO) -> None:
+        with open(source, "rb") as src:
+            shutil.copyfileobj(src, out)
+
+    return atomic_write(destination, copy, binary=True)
 
 
 def move_aside(path: Union[str, Path],
@@ -306,13 +305,15 @@ def move_aside(path: Union[str, Path],
                label: str = "") -> Optional[Path]:
     """Atomically move a file *or directory* into a quarantine dir.
 
-    The serving fleet's migration protocol retires superseded state
-    (a stream's old home after an epoch swap, a torn staging directory
-    left by a crash mid-copy) by renaming it aside rather than deleting
-    it: the rename is atomic, the evidence survives for post-mortem,
-    and :func:`prune_quarantine` bounds the accumulation.  Returns the
+    The one quarantine: a corrupt run-cache entry, snapshot or training
+    pickle, and the serving fleet's superseded state (a stream's old
+    home after an epoch swap, a torn staging directory left by a crash
+    mid-copy) are all renamed aside rather than deleted: the rename is
+    atomic, the evidence survives for post-mortem, and
+    :func:`prune_quarantine` bounds the accumulation.  Returns the
     quarantined path, or None when ``path`` does not exist.  A name
-    collision gets a numeric suffix so nothing is overwritten.
+    collision gets a numeric suffix (``.1``, ``.2`` …), so a second
+    incident under the same name never overwrites the first one's bytes.
     """
     path = Path(path)
     quarantine_dir = Path(quarantine_dir)
@@ -333,22 +334,6 @@ def move_aside(path: Union[str, Path],
 # -- quarantine retention --------------------------------------------------
 
 
-def resolve_quarantine_keep(keep: Optional[int] = None) -> int:
-    """Retention: argument > ``REPRO_QUARANTINE_KEEP`` > default (8)."""
-    if keep is not None:
-        return max(0, int(keep))
-    raw = os.environ.get("REPRO_QUARANTINE_KEEP", "").strip()
-    if raw:
-        try:
-            return max(0, int(raw))
-        except ValueError:
-            warnings.warn(
-                f"ignoring non-integer REPRO_QUARANTINE_KEEP={raw!r}",
-                stacklevel=2,
-            )
-    return DEFAULT_QUARANTINE_KEEP
-
-
 def prune_quarantine(
     directory: Union[str, Path], keep: Optional[int] = None,
     include_dirs: bool = False,
@@ -365,7 +350,7 @@ def prune_quarantine(
     stale directories are removed recursively.
     """
     directory = Path(directory)
-    keep = resolve_quarantine_keep(keep)
+    keep = DEFAULT_QUARANTINE_KEEP if keep is None else max(0, int(keep))
     try:
         entries = [
             p for p in directory.iterdir()
@@ -389,8 +374,6 @@ def prune_quarantine(
     for stale in sorted(entries, key=age_key, reverse=True)[keep:]:
         try:
             if stale.is_dir():
-                import shutil
-
                 shutil.rmtree(stale, ignore_errors=True)
             else:
                 stale.unlink()

@@ -22,11 +22,11 @@ we split each 2x2 slice at its median measured speedup.
 from __future__ import annotations
 
 import hashlib
-import os
 import pickle
+import warnings
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Dict, List, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -558,12 +558,44 @@ def simulator_fingerprint() -> str:
 
 
 def _cache_path(config: TrainingConfig, granularity: int) -> Path:
+    from .persistence import cache_root
+
     key = hashlib.sha256(
         repr((config, granularity, _simulator_fingerprint())).encode()
     ).hexdigest()[:24]
-    root = os.environ.get("REPRO_CACHE_DIR")
-    base = Path(root) if root else Path.home() / ".cache" / "repro"
-    return base / f"experts-{key}.pkl"
+    return cache_root() / f"experts-{key}.pkl"
+
+
+def _disk_cached(path: Path, build: Callable[[], Any],
+                 use_disk_cache: bool) -> Any:
+    """``build()``'s result, cached as a pickle at ``path`` unless
+    ``use_disk_cache`` is off.  A pickle that will not load (torn or
+    otherwise corrupt) is quarantined to ``<cache root>/quarantine/``
+    with a warning and rebuilt; publication is atomic."""
+    # persistence imports this module at load time, hence the late import.
+    from .persistence import atomic_write, cache_root, move_aside
+
+    if use_disk_cache:
+        try:
+            with open(path, "rb") as fh:
+                return pickle.load(fh)
+        except FileNotFoundError:
+            pass
+        except Exception as error:
+            try:
+                target = move_aside(path, cache_root() / "quarantine")
+            except OSError:
+                target = None
+            warnings.warn(
+                f"repro.core.training: unreadable training cache {path} "
+                f"({type(error).__name__}: {error}) quarantined to "
+                f"{target}; rebuilding it",
+                stacklevel=3,
+            )
+    value = build()
+    if use_disk_cache:
+        atomic_write(path, lambda fh: pickle.dump(value, fh), binary=True)
+    return value
 
 
 def default_experts(
@@ -576,28 +608,23 @@ def default_experts(
     Results are memoised in-process and, by default, on disk under
     ``~/.cache/repro`` (override with ``REPRO_CACHE_DIR``).  The disk key
     includes the simulator calibration constants, so stale artefacts are
-    never reused after the physics change.
+    never reused after the physics change; a corrupt cached pickle is
+    quarantined and retrained.
     """
     key = (config, granularity)
     if key in _BUNDLE_CACHE:
         return _BUNDLE_CACHE[key]
 
-    path = _cache_path(config, granularity)
-    if use_disk_cache and path.exists():
-        with open(path, "rb") as fh:
-            bundle = pickle.load(fh)
-        _BUNDLE_CACHE[key] = bundle
-        return bundle
+    def build() -> ExpertBundle:
+        samples, scalability = training_dataset(config, use_disk_cache)
+        return build_experts(
+            config, granularity, samples=samples, scalability=scalability,
+        )
 
-    samples, scalability = training_dataset(config, use_disk_cache)
-    bundle = build_experts(
-        config, granularity, samples=samples, scalability=scalability,
+    bundle = _disk_cached(
+        _cache_path(config, granularity), build, use_disk_cache
     )
     _BUNDLE_CACHE[key] = bundle
-    if use_disk_cache:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        with open(path, "wb") as fh:
-            pickle.dump(bundle, fh)
     return bundle
 
 
@@ -656,17 +683,11 @@ def training_dataset(
 ) -> Tuple[List[FeatureSample], List[ScalabilityRecord]]:
     """The shared (samples, scalability) pair, memoised + disk-cached."""
     if config not in _DATA_CACHE:
-        path = _cache_path(config, granularity=0)  # 0 marks raw data
-        if use_disk_cache and path.exists():
-            with open(path, "rb") as fh:
-                _DATA_CACHE[config] = pickle.load(fh)
-        else:
-            samples = generate_training_data(config)
-            scalability = measure_scalability_grid(config)
-            _DATA_CACHE[config] = (samples, scalability)
-            if use_disk_cache:
-                path.parent.mkdir(parents=True, exist_ok=True)
-                with open(path, "wb") as fh:
-                    pickle.dump(_DATA_CACHE[config], fh)
+        _DATA_CACHE[config] = _disk_cached(
+            _cache_path(config, granularity=0),  # 0 marks raw data
+            lambda: (generate_training_data(config),
+                     measure_scalability_grid(config)),
+            use_disk_cache,
+        )
     samples, scalability = _DATA_CACHE[config]
     return list(samples), list(scalability)

@@ -8,9 +8,10 @@ content-addressed :class:`RunCache`.  See ``docs/performance.md``.
 
 The executor is fault-tolerant: per-request retries with backoff
 (:class:`RetryPolicy`), per-run wall-clock timeouts, automatic pool
-rebuild after worker crashes, corrupt-cache quarantine, and periodic
-checkpointing of completed summaries (:class:`Checkpoint`) so an
-interrupted grid resumes from partial results.  Each run is accounted
+rebuild after worker crashes, and corrupt-cache quarantine.  Given a
+resume directory (:func:`resolve_checkpoint`), every completed summary
+is also published to a second :class:`RunCache` rooted there, so an
+interrupted grid resumes from every completed run.  Each run is accounted
 for in a structured :class:`FailureReport`.  See
 ``docs/robustness.md``.
 
@@ -32,7 +33,6 @@ from .executor import (
 )
 from .fault import (
     AttemptRecord,
-    Checkpoint,
     FailureReport,
     RequestReport,
     RetryPolicy,
@@ -55,7 +55,6 @@ from .shm import ShmLedger
 
 __all__ = [
     "AttemptRecord",
-    "Checkpoint",
     "ExecutionStats",
     "Executor",
     "FailureReport",

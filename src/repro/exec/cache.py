@@ -14,20 +14,21 @@ file is *quarantined* — moved aside into ``<root>/quarantine/`` with a
 one-time warning naming it — so the bad bytes survive for post-mortem
 while the run is transparently recomputed.  Entries from an older
 format version are simply deleted (expected churn, not corruption).
-Writes are atomic (temp file + ``os.replace``) so a crashed or killed
-run can corrupt at most its own in-flight entry.
+Writes go through :func:`~repro.core.persistence.atomic_write` (temp
+file + ``os.replace``) so a crashed or killed run can corrupt at most
+its own in-flight entry.  The ``--resume`` checkpoint is a second
+:class:`RunCache` rooted at the resume directory.
 """
 
 from __future__ import annotations
 
 import os
 import pickle
-import tempfile
 import warnings
 from pathlib import Path
 from typing import Optional
 
-from ..core.persistence import prune_quarantine
+from ..core.persistence import atomic_write, cache_root, move_aside
 from .request import RunSummary
 
 #: On-disk entry format version; bump to orphan all existing entries.
@@ -44,9 +45,7 @@ def cache_enabled() -> bool:
 
 
 def default_cache_root() -> Path:
-    root = os.environ.get("REPRO_CACHE_DIR")
-    base = Path(root) if root else Path.home() / ".cache" / "repro"
-    return base / "runs"
+    return cache_root() / "runs"
 
 
 class RunCache:
@@ -102,17 +101,8 @@ class RunCache:
         path = self.path(fingerprint)
         entry = {"version": CACHE_ENTRY_VERSION, "summary": summary}
         try:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            fd, tmp = tempfile.mkstemp(
-                dir=path.parent, prefix=path.name, suffix=".tmp"
-            )
-            try:
-                with os.fdopen(fd, "wb") as fh:
-                    pickle.dump(entry, fh, protocol=4)
-                os.replace(tmp, path)
-            except BaseException:
-                self._discard(Path(tmp))
-                raise
+            atomic_write(path, lambda fh: pickle.dump(entry, fh, protocol=4),
+                         binary=True)
         except OSError:
             return
         self.stores += 1
@@ -120,18 +110,14 @@ class RunCache:
     def _quarantine(self, path: Path) -> None:
         """Move a corrupt entry into ``quarantine/``; delete as a last
         resort so a bad entry can never be read twice."""
-        target = self.quarantine_dir() / path.name
         try:
-            target.parent.mkdir(parents=True, exist_ok=True)
-            os.replace(path, target)
+            target = move_aside(path, self.quarantine_dir())
         except OSError:
             self._discard(path)
             return
+        if target is None:
+            return
         self.quarantined += 1
-        # Post-mortem evidence, not an archive: a recurring corruption
-        # source (bad disk, version skew) must not grow this directory
-        # without bound.
-        prune_quarantine(self.quarantine_dir())
         if not self._warned_quarantine:
             self._warned_quarantine = True
             warnings.warn(

@@ -24,9 +24,11 @@ A grid survives partial failure instead of dying wholesale:
   serial run cannot be preempted) kills the pool, requeues the
   innocent in-flight victims without charging their retry budget, and
   counts a retry against the offender;
-* completed summaries are periodically checkpointed so an interrupted
-  grid (``KeyboardInterrupt``, machine death) resumes from partial
-  results via ``REPRO_CHECKPOINT`` / ``checkpoint=``;
+* every completed summary is published to the resume checkpoint (a
+  :class:`~repro.exec.cache.RunCache` rooted at the resume directory)
+  the moment it finishes, so an interrupted grid
+  (``KeyboardInterrupt``, SIGKILL, machine death) resumes from every
+  completed run via ``REPRO_CHECKPOINT`` / ``checkpoint=``;
 * everything that happened is recorded in a structured
   :class:`~repro.exec.fault.FailureReport` exposed as
   ``executor.last_report``.
@@ -52,7 +54,6 @@ from typing import Dict, List, Optional, Sequence, Union
 from .cache import RunCache, cache_enabled
 from .fault import (
     AttemptRecord,
-    Checkpoint,
     FailureReport,
     RetryPolicy,
     RunTimeoutError,
@@ -190,7 +191,7 @@ class Executor:
     cache: Union[RunCache, None, str] = "default"
     retry: Union[RetryPolicy, None, str] = "default"
     run_timeout: Union[float, None, str] = "default"
-    checkpoint: Union[Checkpoint, str, None] = "default"
+    checkpoint: Union[RunCache, str, None] = "default"
     max_pool_rebuilds: Optional[int] = None
     #: Accepted for callers written before cross-run batching was
     #: removed: ``None`` or ``"off"`` only, and never stored.
@@ -233,27 +234,23 @@ class Executor:
         fingerprints: List[Optional[str]] = [None] * len(requests)
 
         checkpoint = self.checkpoint
-        resumed: Dict[str, RunSummary] = (
-            checkpoint.load() if checkpoint is not None else {}
-        )
-        quarantined_before = (
-            self.cache.quarantined if self.cache is not None else 0
-        )
+        stores = [s for s in (checkpoint, self.cache) if s is not None]
+        quarantined_before = sum(s.quarantined for s in stores)
 
         pending: List[int] = []
         for index, request in enumerate(requests):
-            fingerprint = None
-            if self.cache is not None or checkpoint is not None:
-                fingerprint = request.fingerprint()
+            fingerprint = request.fingerprint() if stores else None
             fingerprints[index] = fingerprint
-            if fingerprint is not None and fingerprint in resumed:
-                results[index] = resumed[fingerprint]
-                report.requests[index].resumed = True
-                continue
-            cached = None
-            if fingerprint is not None and self.cache is not None:
+            resumed = cached = None
+            if fingerprint is not None and checkpoint is not None:
+                resumed = checkpoint.get(fingerprint)
+            if (fingerprint is not None and resumed is None
+                    and self.cache is not None):
                 cached = self.cache.get(fingerprint)
-            if cached is not None:
+            if resumed is not None:
+                results[index] = resumed
+                report.requests[index].resumed = True
+            elif cached is not None:
                 results[index] = cached
                 report.requests[index].cached = True
                 STATS.cache_hits += 1
@@ -270,12 +267,9 @@ class Executor:
                     requests, pending, fingerprints, results, report
                 )
         finally:
-            if checkpoint is not None:
-                checkpoint.flush()
-            if self.cache is not None:
-                report.quarantined = (
-                    self.cache.quarantined - quarantined_before
-                )
+            report.quarantined = (
+                sum(s.quarantined for s in stores) - quarantined_before
+            )
         return results  # type: ignore[return-value]
 
     # -- internals --------------------------------------------------------
@@ -294,7 +288,7 @@ class Executor:
             if self.cache is not None:
                 self.cache.put(fingerprint, summary)
             if self.checkpoint is not None:
-                self.checkpoint.record(fingerprint, summary)
+                self.checkpoint.put(fingerprint, summary)
 
     def _run_serial(
         self,

@@ -9,9 +9,11 @@ the :class:`~repro.exec.executor.Executor` composes into that story:
 * :class:`RetryPolicy` — bounded per-request retries with exponential
   backoff and *deterministic* jitter (hashed from the request key and
   attempt number, so reruns sleep identically and tests are stable);
-* :class:`Checkpoint` — periodic on-disk snapshots of completed
-  summaries keyed by run fingerprint, so an interrupted grid resumes
-  from partial results instead of starting over;
+* :func:`resolve_checkpoint` — the resume checkpoint, a
+  :class:`~repro.exec.cache.RunCache` rooted at the resume directory:
+  every completed summary is published there the moment it finishes,
+  so an interrupted grid resumes from partial results instead of
+  starting over;
 * :class:`FailureReport` / :class:`RequestReport` /
   :class:`AttemptRecord` — the structured account of what every request
   went through (attempts, error classes, elapsed wall clock), threaded
@@ -29,18 +31,13 @@ from __future__ import annotations
 
 import hashlib
 import os
-import pickle
-import tempfile
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import List, Optional
 
-from ..core.persistence import prune_quarantine
-from .request import RunSummary
-
-#: On-disk checkpoint format version; bump to orphan old checkpoints.
-CHECKPOINT_VERSION = 1
+from ..core.persistence import move_aside
+from .cache import RunCache
 
 #: Default number of retries after the first attempt fails.
 DEFAULT_MAX_RETRIES = 2
@@ -275,130 +272,28 @@ class FailureReport:
         return "; ".join(parts)
 
 
-class Checkpoint:
-    """Periodic on-disk snapshot of completed run summaries.
-
-    Entries are keyed by run fingerprint, so resuming works even when
-    the follow-up grid orders or slices its requests differently — any
-    request whose fingerprint is already checkpointed is satisfied
-    without executing.  Writes are atomic (temp file + ``os.replace``),
-    flushed every ``interval`` recorded summaries and again by the
-    executor's ``finally`` when a grid ends or is interrupted.
-    A corrupt checkpoint file is moved aside and treated as empty,
-    never an error.
-    """
-
-    def __init__(self, path, interval: int = 10):
-        if interval < 1:
-            raise ValueError("interval must be >= 1")
-        self.path = Path(path)
-        self.interval = interval
-        self._entries: Dict[str, RunSummary] = {}
-        self._unflushed = 0
-        self._loaded = False
-
-    def load(self) -> Dict[str, RunSummary]:
-        """Entries from disk (merged into this checkpoint's state)."""
-        try:
-            with open(self.path, "rb") as fh:
-                payload = pickle.load(fh)
-        except FileNotFoundError:
-            payload = None
-        except Exception:
-            self._move_aside()
-            payload = None
-        if (
-            isinstance(payload, dict)
-            and payload.get("version") == CHECKPOINT_VERSION
-            and isinstance(payload.get("entries"), dict)
-        ):
-            for fingerprint, summary in payload["entries"].items():
-                if isinstance(summary, RunSummary):
-                    self._entries.setdefault(fingerprint, summary)
-        elif payload is not None:
-            self._move_aside()
-        self._loaded = True
-        return dict(self._entries)
-
-    def record(self, fingerprint: str, summary: RunSummary) -> None:
-        """Add one completed summary; flushes every ``interval`` adds."""
-        self._entries[fingerprint] = summary
-        self._unflushed += 1
-        if self._unflushed >= self.interval:
-            self.flush()
-
-    def flush(self) -> None:
-        """Write all entries to disk atomically; failures are silent
-        (checkpointing is best-effort and must never kill a grid)."""
-        if self._unflushed == 0 and (self._loaded or not self._entries):
-            if not self._entries:
-                return
-        payload = {
-            "version": CHECKPOINT_VERSION,
-            "entries": dict(self._entries),
-        }
-        try:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            fd, tmp = tempfile.mkstemp(
-                dir=self.path.parent, prefix=self.path.name, suffix=".tmp"
-            )
-            try:
-                with os.fdopen(fd, "wb") as fh:
-                    pickle.dump(payload, fh, protocol=4)
-                os.replace(tmp, self.path)
-            except BaseException:
-                try:
-                    os.unlink(tmp)
-                except OSError:
-                    pass
-                raise
-        except OSError:
-            return
-        self._unflushed = 0
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def _move_aside(self) -> None:
-        """Quarantine the corrupt checkpoint with bounded retention.
-
-        Each corrupt file gets a distinct name (the previous behaviour
-        overwrote a single ``.corrupt`` file, destroying the evidence
-        of repeated corruption), and the quarantine directory is pruned
-        to the newest ``REPRO_QUARANTINE_KEEP`` files so a recurring
-        corruption source cannot grow it without bound.
-        """
-        quarantine = self.path.parent / (self.path.name + ".quarantine")
-        try:
-            quarantine.mkdir(parents=True, exist_ok=True)
-            serial = 0
-            while True:
-                target = quarantine / f"corrupt-{serial:04d}"
-                if not target.exists():
-                    break
-                serial += 1
-            os.replace(self.path, target)
-        except OSError:
-            return
-        prune_quarantine(quarantine)
-        warnings.warn(
-            f"repro.exec: corrupt checkpoint moved aside to {target}; "
-            f"starting fresh",
-            stacklevel=3,
-        )
-
-
-def resolve_checkpoint(checkpoint="default") -> Optional[Checkpoint]:
+def resolve_checkpoint(checkpoint="default") -> Optional[RunCache]:
     """Checkpoint resolution: argument > ``REPRO_CHECKPOINT`` > None.
 
-    Accepts a :class:`Checkpoint`, a path, ``None`` (off), or the
-    ``"default"`` sentinel which honours the environment knob.
+    The checkpoint is a :class:`~repro.exec.cache.RunCache` rooted at
+    the resume directory.  Accepts a :class:`RunCache`, a path, ``None``
+    (off), or the ``"default"`` sentinel which honours the environment
+    knob.  A non-directory at the path (such as a single-file checkpoint
+    written by an older version) is moved aside with a warning and the
+    grid starts fresh.
     """
-    if checkpoint is None:
-        return None
-    if isinstance(checkpoint, Checkpoint):
+    if checkpoint is None or isinstance(checkpoint, RunCache):
         return checkpoint
     if checkpoint == "default":
-        env = os.environ.get("REPRO_CHECKPOINT", "").strip()
-        return Checkpoint(env) if env else None
-    return Checkpoint(checkpoint)
+        checkpoint = os.environ.get("REPRO_CHECKPOINT", "").strip()
+        if not checkpoint:
+            return None
+    path = Path(checkpoint)
+    if path.exists() and not path.is_dir():
+        target = move_aside(path, path.with_name(path.name + ".quarantine"))
+        warnings.warn(
+            f"repro.exec: {path} is not a checkpoint directory; moved "
+            f"aside to {target}, starting fresh",
+            stacklevel=2,
+        )
+    return RunCache(path)

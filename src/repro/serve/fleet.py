@@ -110,6 +110,14 @@ def stream_dirname(stream: str) -> str:
     return f"stream-{safe[:24]}-{digest}"
 
 
+def shard_dirname(member: int, generation: int) -> str:
+    """Directory name of one shard generation under the state root
+    (pure function: the fleet and the resize planner both use it)."""
+    if generation == 0:
+        return f"shard-{member}"
+    return f"shard-{member}-g{generation}"
+
+
 class ShardRouter:
     """Consistent-hash ring mapping stream ids to shard member ids.
 
@@ -1026,9 +1034,7 @@ class PolicyFleet:
     def _shard_dir(self, index: int, generation: int) -> Optional[Path]:
         if self._state_root is None:
             return None
-        if generation == 0:
-            return self._state_root / f"shard-{index}"
-        return self._state_root / f"shard-{index}-g{generation}"
+        return self._state_root / shard_dirname(index, generation)
 
     _SPAWN_ERRORS = (EOFError, OSError)
 

@@ -48,6 +48,7 @@ from ..core.persistence import (
     atomic_copy,
     dump_checked_json,
     load_checked_json,
+    move_aside,
     payload_checksum,
     prune_quarantine,
 )
@@ -266,14 +267,12 @@ class SnapshotStore:
         return path
 
     def _quarantine(self, path: Path) -> None:
-        quarantine = self.directory / "quarantine"
-        quarantine.mkdir(parents=True, exist_ok=True)
         try:
-            os.replace(path, quarantine / path.name)
+            moved = move_aside(path, self.directory / "quarantine")
         except OSError:
             return
-        self.snapshots_quarantined += 1
-        prune_quarantine(quarantine)
+        if moved is not None:
+            self.snapshots_quarantined += 1
 
     def load_latest(self) -> Optional[Tuple[int, dict]]:
         """Newest verifiable snapshot as ``(req, state)``, or None."""

@@ -37,7 +37,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from ..core.persistence import (ChecksumError, dump_checked_json,
                                 load_checked_json, move_aside)
-from .fleet import ShardRouter, _InlineShard, stream_dirname
+from .fleet import ShardRouter, _InlineShard, shard_dirname, stream_dirname
 from .journal import ship_state
 
 #: Step names, in order, at which :func:`execute_resize` calls its
@@ -120,14 +120,6 @@ class FleetTopology:
                 move_aside(path, Path(state_root) / "quarantine",
                            "torn")
         return cls(epoch=0, members=sorted(int(m) for m in default_members))
-
-
-def shard_dirname(member: int, generation: int) -> str:
-    """On-disk directory name of one shard generation (pure function,
-    mirrored by ``PolicyFleet._shard_dir``)."""
-    if generation == 0:
-        return f"shard-{member}"
-    return f"shard-{member}-g{generation}"
 
 
 def sweep_state_root(

@@ -5,6 +5,8 @@ from __future__ import annotations
 import textwrap
 from pathlib import Path
 
+import pytest
+
 from repro.analysis.sanitize import (
     all_sanitize_rules,
     sanitize_findings_failed,
@@ -114,13 +116,14 @@ class TestZoneRules:
 
 
 class TestAtomicWrite:
-    def test_plain_write_flags_in_persistence_zone(self):
+    @pytest.mark.parametrize("zone", ["serve/journal.py", "core/training.py"])
+    def test_plain_write_flags_in_persistence_zone(self, zone):
         src = """
         def save(path, text):
             with open(path, "w") as handle:
                 handle.write(text)
         """
-        assert codes(src, PERSISTENCE_PATH) == ["S003"]
+        assert codes(src, zone) == ["S003"]
         assert codes(src, NEUTRAL_PATH) == []
 
     def test_write_with_atomic_publish_passes(self):

@@ -14,7 +14,6 @@ from __future__ import annotations
 import pytest
 
 from repro.exec import (
-    Checkpoint,
     Executor,
     PolicySpec,
     RetryPolicy,
@@ -113,10 +112,10 @@ class TestKillResilience:
         self, baseline, tmp_path, monkeypatch
     ):
         monkeypatch.setenv("REPRO_CHAOS_WORKER_CRASH_RATE", CRASH_RATE)
-        path = tmp_path / "grid.pkl"
+        path = tmp_path / "grid"
         requests = grid_requests()
         first = Executor(
-            jobs=4, cache=None, checkpoint=Checkpoint(path, interval=5),
+            jobs=4, cache=None, checkpoint=RunCache(path),
             retry=RETRY, max_pool_rebuilds=10_000,
         )
         first.run(requests)
@@ -125,7 +124,7 @@ class TestKillResilience:
         # whole grid from the checkpoint without executing anything.
         monkeypatch.delenv("REPRO_CHAOS_WORKER_CRASH_RATE")
         resumer = Executor(
-            jobs=4, cache=None, checkpoint=Checkpoint(path),
+            jobs=4, cache=None, checkpoint=RunCache(path),
         )
         resumed = resumer.run(requests)
         assert resumed == baseline

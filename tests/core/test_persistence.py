@@ -18,7 +18,6 @@ from repro.core.persistence import (
     load_checked_json,
     payload_checksum,
     prune_quarantine,
-    resolve_quarantine_keep,
     save_bundle,
 )
 from tests.core.test_expert import make_samples
@@ -169,24 +168,10 @@ class TestQuarantineRetention:
     def test_missing_directory_is_a_noop(self, tmp_path):
         assert prune_quarantine(tmp_path / "absent") == 0
 
-    def test_env_override(self, monkeypatch):
-        monkeypatch.delenv("REPRO_QUARANTINE_KEEP", raising=False)
-        assert resolve_quarantine_keep() == DEFAULT_QUARANTINE_KEEP
-        monkeypatch.setenv("REPRO_QUARANTINE_KEEP", "3")
-        assert resolve_quarantine_keep() == 3
-        # An explicit argument wins over the environment.
-        assert resolve_quarantine_keep(11) == 11
-
-    def test_bad_env_value_falls_back(self, monkeypatch):
-        monkeypatch.setenv("REPRO_QUARANTINE_KEEP", "not-a-number")
-        with pytest.warns(UserWarning, match="REPRO_QUARANTINE_KEEP"):
-            assert resolve_quarantine_keep() == DEFAULT_QUARANTINE_KEEP
-
-    def test_env_drives_pruning(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_QUARANTINE_KEEP", "2")
-        self.fill(tmp_path, 6)
-        assert prune_quarantine(tmp_path) == 4
-        assert len(list(tmp_path.iterdir())) == 2
+    def test_default_retention_keeps_eight(self, tmp_path):
+        self.fill(tmp_path, 10)
+        assert prune_quarantine(tmp_path) == 2
+        assert len(list(tmp_path.iterdir())) == DEFAULT_QUARANTINE_KEEP == 8
 
 
 class TestMoveAside:

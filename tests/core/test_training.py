@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from repro.core import training
+from repro.core.persistence import save_bundle
 from repro.core.training import (
     ScalabilityRecord,
     TrainingConfig,
@@ -14,6 +16,7 @@ from repro.core.training import (
     training_dataset,
 )
 from repro.programs import registry
+from repro.serve.soak import tiny_training_config
 
 
 class TestThreadCandidates:
@@ -167,3 +170,43 @@ class TestPretraining:
             pretrain_selector_state(tiny_bundle.experts, [])
         with pytest.raises(ValueError):
             pretrain_selector_state([], [1])
+
+
+class TestDiskCache:
+    """A torn training pickle is quarantined and rebuilt, never fatal."""
+
+    @pytest.fixture
+    def isolated(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        monkeypatch.setattr(training, "_BUNDLE_CACHE", {})
+        monkeypatch.setattr(training, "_DATA_CACHE", {})
+        return tmp_path
+
+    @pytest.mark.parametrize("granularity", [4, 0],
+                             ids=["bundle", "raw-data"])
+    def test_truncated_pickle_is_quarantined_and_rebuilt(
+        self, isolated, granularity
+    ):
+        config = tiny_training_config()
+        original = save_bundle(default_experts(config),
+                               isolated / "original.json").read_text()
+        victim = training._cache_path(config, granularity)
+        if granularity == 0:
+            # Reach the raw-data pickle through a bundle rebuild.
+            training._cache_path(config, 4).unlink()
+        torn = victim.read_bytes()[: victim.stat().st_size // 2]
+        victim.write_bytes(torn)
+        training._BUNDLE_CACHE.clear()
+        training._DATA_CACHE.clear()
+
+        with pytest.warns(UserWarning, match="quarantined"):
+            bundle = default_experts(config)
+
+        rebuilt = save_bundle(bundle, isolated / "rebuilt.json")
+        assert rebuilt.read_text() == original
+        assert (isolated / "quarantine" / victim.name).read_bytes() == torn
+        # The rebuilt pickle was published in place and loads again.
+        training._BUNDLE_CACHE.clear()
+        training._DATA_CACHE.clear()
+        assert save_bundle(default_experts(config),
+                           rebuilt).read_text() == original

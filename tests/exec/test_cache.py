@@ -60,20 +60,19 @@ class TestRunCache:
         assert quarantined[0].read_bytes() == b"not a pickle"
         assert cache.quarantined == 1
 
-    def test_quarantine_retention_is_bounded(self, cache, monkeypatch):
+    def test_quarantine_retention_is_bounded(self, cache):
         # A recurring corruption source (bad disk, version skew) must
         # not grow the quarantine directory without bound: only the
-        # newest REPRO_QUARANTINE_KEEP files survive.
-        monkeypatch.setenv("REPRO_QUARANTINE_KEEP", "3")
+        # newest DEFAULT_QUARANTINE_KEEP files survive.
         summary = execute_request(tiny_request())
         with pytest.warns(UserWarning, match="quarantined"):
-            for i in range(6):
+            for i in range(10):
                 fingerprint = f"{i:02d}deadbeef"
                 cache.put(fingerprint, summary)
                 cache.path(fingerprint).write_bytes(b"junk %d" % i)
                 assert cache.get(fingerprint) is None
-        assert cache.quarantined == 6
-        assert len(list(cache.quarantine_dir().iterdir())) == 3
+        assert cache.quarantined == 10
+        assert len(list(cache.quarantine_dir().iterdir())) == 8
 
     def test_quarantine_warns_once(self, cache):
         requests = [tiny_request(seed=s) for s in (0, 1)]

@@ -10,13 +10,16 @@ from __future__ import annotations
 
 import os
 import pickle
+import subprocess
+import sys
+import textwrap
 import time
+from pathlib import Path
 
 import pytest
 
 from repro.exec import (
     AttemptRecord,
-    Checkpoint,
     Executor,
     FailureReport,
     PolicySpec,
@@ -31,9 +34,12 @@ from repro.exec import (
     resolve_retry,
     resolve_run_timeout,
 )
-from repro.exec.fault import CHECKPOINT_VERSION, DEFAULT_MAX_POOL_REBUILDS
+from repro.core.persistence import DEFAULT_QUARANTINE_KEEP
+from repro.exec.fault import DEFAULT_MAX_POOL_REBUILDS
 
 SCALE = 0.05
+
+SRC = str(Path(__file__).resolve().parents[2] / "src")
 
 #: Directory the hang-injecting worker entry points use for their
 #: once-per-request marker files (inherited by forked workers).
@@ -171,15 +177,13 @@ class TestResolvers:
         monkeypatch.delenv("REPRO_CHECKPOINT", raising=False)
         assert resolve_checkpoint(None) is None
         assert resolve_checkpoint("default") is None
-        monkeypatch.setenv("REPRO_CHECKPOINT", str(tmp_path / "ck.pkl"))
+        monkeypatch.setenv("REPRO_CHECKPOINT", str(tmp_path / "grid"))
         resolved = resolve_checkpoint("default")
-        assert isinstance(resolved, Checkpoint)
-        assert resolved.path == tmp_path / "ck.pkl"
-        explicit = Checkpoint(tmp_path / "other.pkl")
+        assert isinstance(resolved, RunCache)
+        assert resolved.root == tmp_path / "grid"
+        explicit = RunCache(tmp_path / "other")
         assert resolve_checkpoint(explicit) is explicit
-        assert resolve_checkpoint(tmp_path / "p.pkl").path == (
-            tmp_path / "p.pkl"
-        )
+        assert resolve_checkpoint(tmp_path / "p").root == tmp_path / "p"
 
 
 class TestFailureReport:
@@ -251,81 +255,78 @@ class TestFailureReport:
 
 
 class TestCheckpoint:
-    def fake_summary(self, seed: int):
-        from repro.exec.request import RunSummary
+    """The resume checkpoint is a run cache rooted at the resume path."""
 
-        return RunSummary(
-            target="cg", policy="fixed-8", target_time=float(seed),
-            workload_throughput=0.0, duration=1.0, workload_runs=(),
-            selections=(),
-        )
+    def run_grid(self, path, requests):
+        executor = Executor(jobs=1, cache=None, checkpoint=path)
+        executor.run(requests)
+        return executor.last_report
 
     def test_round_trip(self, tmp_path):
-        path = tmp_path / "ck.pkl"
-        checkpoint = Checkpoint(path, interval=100)
-        for seed in range(3):
-            checkpoint.record(f"fp{seed}", self.fake_summary(seed))
-        checkpoint.flush()
-        loaded = Checkpoint(path).load()
-        assert set(loaded) == {"fp0", "fp1", "fp2"}
-        assert loaded["fp2"].target_time == 2.0
-
-    def test_interval_autoflush(self, tmp_path):
-        path = tmp_path / "ck.pkl"
-        checkpoint = Checkpoint(path, interval=2)
-        checkpoint.record("a", self.fake_summary(0))
-        assert not path.exists()
-        checkpoint.record("b", self.fake_summary(1))
-        assert path.exists()
+        path = tmp_path / "grid"
+        requests = [tiny_request(seed=s) for s in range(3)]
+        first = Executor(jobs=1, cache=None, checkpoint=path)
+        results = first.run(requests)
+        # Each completed run is published as its own entry.
+        checkpoint = resolve_checkpoint(path)
+        for request, summary in zip(requests, results):
+            assert checkpoint.path(request.fingerprint()).is_file()
+            assert checkpoint.get(request.fingerprint()) == summary
 
     def test_corrupt_file_moved_aside(self, tmp_path):
-        path = tmp_path / "ck.pkl"
-        path.write_bytes(b"definitely not a pickle")
-        with pytest.warns(UserWarning, match="corrupt checkpoint"):
-            assert Checkpoint(path).load() == {}
-        assert not path.exists()
-        quarantined = path.parent / "ck.pkl.quarantine" / "corrupt-0000"
+        path = tmp_path / "grid"
+        requests = [tiny_request(seed=s) for s in range(2)]
+        self.run_grid(path, requests)
+        entry = RunCache(path).path(requests[0].fingerprint())
+        entry.write_bytes(b"definitely not a pickle")
+        with pytest.warns(UserWarning, match="quarantined"):
+            report = self.run_grid(path, requests)
+        # The damaged run is recomputed, the intact one resumed, and
+        # the checkpoint's quarantine is counted in the report.
+        assert [r.resumed for r in report.requests] == [False, True]
+        assert report.quarantined == 1
+        quarantined = path / "quarantine" / entry.name
         assert quarantined.read_bytes() == b"definitely not a pickle"
 
     def test_repeated_corruption_keeps_distinct_evidence(self, tmp_path):
-        # The old behaviour overwrote one ``.corrupt`` file; repeated
-        # corruption must leave one quarantined file per incident.
-        path = tmp_path / "ck.pkl"
-        for round_ in range(3):
-            path.write_bytes(b"garbage #%d" % round_)
-            with pytest.warns(UserWarning, match="corrupt checkpoint"):
-                Checkpoint(path).load()
-        quarantine = path.parent / "ck.pkl.quarantine"
-        names = sorted(p.name for p in quarantine.iterdir())
-        assert names == ["corrupt-0000", "corrupt-0001", "corrupt-0002"]
-        assert (quarantine / "corrupt-0002").read_bytes() == b"garbage #2"
+        # A second incident under the same fingerprint must not
+        # overwrite the first one's bytes.
+        path = tmp_path / "grid"
+        request = tiny_request()
+        self.run_grid(path, [request])
+        entry = RunCache(path).path(request.fingerprint())
+        for round_ in range(2):
+            entry.write_bytes(b"garbage #%d" % round_)
+            with pytest.warns(UserWarning, match="quarantined"):
+                assert self.run_grid(path, [request]).quarantined == 1
+        quarantine = path / "quarantine"
+        assert (quarantine / entry.name).read_bytes() == b"garbage #0"
+        assert (quarantine / f"{entry.name}.1").read_bytes() == b"garbage #1"
 
-    def test_quarantine_retention_is_bounded(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_QUARANTINE_KEEP", "2")
-        path = tmp_path / "ck.pkl"
-        for round_ in range(5):
-            path.write_bytes(b"garbage #%d" % round_)
-            with pytest.warns(UserWarning, match="corrupt checkpoint"):
-                Checkpoint(path).load()
-        quarantine = path.parent / "ck.pkl.quarantine"
-        assert len(list(quarantine.iterdir())) == 2
+    def test_quarantine_retention_is_bounded(self, tmp_path):
+        path = tmp_path / "grid"
+        for round_ in range(DEFAULT_QUARANTINE_KEEP + 2):
+            path.write_bytes(b"old checkpoint #%d" % round_)
+            with pytest.warns(UserWarning, match="not a checkpoint"):
+                resolve_checkpoint(path)
+        quarantine = tmp_path / "grid.quarantine"
+        assert len(list(quarantine.iterdir())) == DEFAULT_QUARANTINE_KEEP
 
     def test_alien_payload_moved_aside(self, tmp_path):
-        path = tmp_path / "ck.pkl"
-        path.write_bytes(pickle.dumps(["not", "a", "checkpoint"]))
-        with pytest.warns(UserWarning, match="corrupt checkpoint"):
-            assert Checkpoint(path).load() == {}
-
-    def test_wrong_version_moved_aside(self, tmp_path):
-        path = tmp_path / "ck.pkl"
-        payload = {"version": CHECKPOINT_VERSION + 1, "entries": {}}
-        path.write_bytes(pickle.dumps(payload))
-        with pytest.warns(UserWarning, match="corrupt checkpoint"):
-            assert Checkpoint(path).load() == {}
-
-    def test_validation(self, tmp_path):
-        with pytest.raises(ValueError):
-            Checkpoint(tmp_path / "ck.pkl", interval=0)
+        # A single-file checkpoint from an older version sits where the
+        # checkpoint directory belongs: it is kept aside and the grid
+        # starts fresh.
+        path = tmp_path / "grid"
+        legacy = pickle.dumps({"version": 1, "entries": {}})
+        path.write_bytes(legacy)
+        requests = [tiny_request(seed=s) for s in range(2)]
+        with pytest.warns(UserWarning, match="not a checkpoint directory"):
+            report = self.run_grid(path, requests)
+        assert report.executed == 2
+        assert path.is_dir()
+        moved = tmp_path / "grid.quarantine" / "grid"
+        assert moved.read_bytes() == legacy
+        assert all(r.resumed for r in self.run_grid(path, requests).requests)
 
 
 class TestSerialRetry:
@@ -469,17 +470,13 @@ class TestRunTimeout:
 
 class TestCheckpointResume:
     def test_resume_skips_completed_requests(self, tmp_path):
-        path = tmp_path / "grid.pkl"
+        path = tmp_path / "grid"
         requests = [tiny_request(seed=s) for s in range(3)]
-        first = Executor(
-            jobs=1, cache=None, checkpoint=Checkpoint(path, interval=1)
-        )
+        first = Executor(jobs=1, cache=None, checkpoint=RunCache(path))
         results = first.run(requests)
         assert first.last_report.executed == 3
 
-        second = Executor(
-            jobs=1, cache=None, checkpoint=Checkpoint(path, interval=1)
-        )
+        second = Executor(jobs=1, cache=None, checkpoint=RunCache(path))
         resumed = second.run(requests)
         assert resumed == results
         report = second.last_report
@@ -487,43 +484,70 @@ class TestCheckpointResume:
         assert all(r.resumed for r in report.requests)
 
     def test_resume_is_keyed_by_fingerprint_not_position(self, tmp_path):
-        path = tmp_path / "grid.pkl"
+        path = tmp_path / "grid"
         requests = [tiny_request(seed=s) for s in range(3)]
         Executor(
-            jobs=1, cache=None, checkpoint=Checkpoint(path, interval=1)
+            jobs=1, cache=None, checkpoint=RunCache(path)
         ).run(requests)
         # A reordered, partially-overlapping follow-up grid still
         # resumes the completed entries.
         follow_up = [requests[2], tiny_request(seed=9), requests[0]]
-        executor = Executor(
-            jobs=1, cache=None, checkpoint=Checkpoint(path, interval=1)
-        )
+        executor = Executor(jobs=1, cache=None, checkpoint=RunCache(path))
         executor.run(follow_up)
         flags = [r.resumed for r in executor.last_report.requests]
         assert flags == [True, False, True]
 
     def test_interrupted_grid_keeps_partial_results(self, tmp_path):
-        path = tmp_path / "grid.pkl"
+        path = tmp_path / "grid"
         good = tiny_request(seed=0)
         bad = tiny_request(
             seed=1,
             policy=PolicySpec.of(flaky_factory(10), label="flaky"),
         )
         executor = Executor(
-            jobs=1, cache=None,
-            checkpoint=Checkpoint(path, interval=100),
+            jobs=1, cache=None, checkpoint=RunCache(path),
             retry=RetryPolicy(max_retries=0),
         )
         with pytest.raises(RuntimeError):
             executor.run([good, bad])
-        # The finally-flush preserved the completed prefix.
-        loaded = Checkpoint(path).load()
-        assert len(loaded) == 1
-        resumer = Executor(
-            jobs=1, cache=None, checkpoint=Checkpoint(path)
-        )
+        # The good run was published the moment it completed.
+        assert RunCache(path).path(good.fingerprint()).is_file()
+        resumer = Executor(jobs=1, cache=None, checkpoint=RunCache(path))
         resumer.run([good])
         assert resumer.last_report.requests[0].resumed
+
+    def test_killed_grid_keeps_every_completed_run(self, tmp_path):
+        # A process killed without unwinding (SIGKILL, OOM kill) runs no
+        # ``finally``: only runs published on completion survive it.
+        path = tmp_path / "grid"
+        script = textwrap.dedent(f"""
+            import os
+            from repro.exec import Executor, PolicySpec, RunRequest
+
+            def die():
+                os._exit(1)
+
+            def request(seed, policy):
+                return RunRequest(target="cg", policy=policy,
+                                  iterations_scale={SCALE}, seed=seed)
+
+            requests = [request(0, PolicySpec.fixed(8)),
+                        request(1, PolicySpec.fixed(8)),
+                        request(2, PolicySpec.of(die, label="die"))]
+            Executor(jobs=1, cache=None, checkpoint={str(path)!r}).run(
+                requests)
+        """)
+        env = dict(os.environ, PYTHONPATH=SRC)
+        env.pop("REPRO_CHECKPOINT", None)
+        done = subprocess.run([sys.executable, "-c", script], env=env,
+                              timeout=120)
+        assert done.returncode == 1
+        entries = list(path.glob("*/*.pkl"))
+        assert len(entries) == 2
+        requests = [tiny_request(seed=s) for s in range(2)]
+        resumer = Executor(jobs=1, cache=None, checkpoint=RunCache(path))
+        resumer.run(requests)
+        assert all(r.resumed for r in resumer.last_report.requests)
 
 
 class TestStatsSnapshot:

@@ -214,6 +214,19 @@ class TestSnapshotStore:
         assert store.load_latest() is None
         assert store.snapshots_quarantined == 2
 
+    def test_repeated_corruption_keeps_distinct_evidence(self, tmp_path):
+        # The same snapshot name torn twice: the second incident must
+        # not overwrite the first one's bytes.
+        store = SnapshotStore(tmp_path)
+        for round_ in range(2):
+            store.save(10, {"value": 10}).write_text(f"garbage #{round_}")
+            assert store.load_latest() is None
+        quarantine = tmp_path / "quarantine"
+        name = "snapshot-000000000010.json"
+        assert (quarantine / name).read_text() == "garbage #0"
+        assert (quarantine / f"{name}.1").read_text() == "garbage #1"
+        assert store.snapshots_quarantined == 2
+
 
 class _RecordingPolicy:
     """Minimal stand-in implementing the store's policy surface."""
