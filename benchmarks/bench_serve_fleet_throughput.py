@@ -69,6 +69,9 @@ def _run(benchmark, shards: int):
     assert report.failovers == 0
     rps = report.throughput_rps
     _THROUGHPUT[shards] = rps
+    # A fleet is bound by its busiest shard: with share s of the
+    # requests on it, no placement lets it beat 1/s of one shard.
+    share = max(row.total for row in report.per_shard) / report.total
     emit(
         f"serve_fleet_throughput_{shards}shard",
         f"== Serving fleet throughput, {shards} shard(s) ==\n"
@@ -76,7 +79,9 @@ def _run(benchmark, shards: int):
         f"shed {report.shed}\n"
         f"throughput {rps:,.0f} req/s over {report.wall_s:.2f}s; "
         f"p99 <= {report.latency_quantile(99.0) * 1e6:.0f}us "
-        f"(histogram bound)",
+        f"(histogram bound)\n"
+        f"busiest shard serves {share:.0%} of requests; "
+        f"placement bound {1 / share:.2f}x one shard",
     )
     return report
 

@@ -576,7 +576,7 @@ def serve_fleet_main(argv: Optional[Sequence[str]] = None) -> int:
     """``repro serve-fleet``: soak the policy-serving fleet under chaos.
 
     Routes a synthetic request stream (sensor faults inside a window,
-    availability flapping) across a consistent-hash ring of shards,
+    availability flapping) across shards, each stream placed on one,
     micro-batched into the vectorized decision path, asserting the
     serving invariants.  Optionally kills the shard owning a chosen
     request and/or live-resizes the fleet mid-stream; ``--verify-twin``
@@ -618,7 +618,7 @@ def serve_fleet_main(argv: Optional[Sequence[str]] = None) -> int:
         help="serve experts trained on the miniature configuration "
              "(seconds to train, disk-cached) instead of the full one")
     add("--shards", type=int, default=2, metavar="N",
-        help="shards on the consistent-hash ring (default: 2)")
+        help="shard count; streams are placed evenly (default: 2)")
     add("--batch-max", type=int, default=32, metavar="N",
         help="micro-batch flush threshold (default: 32)")
     add("--batch-linger", type=float, default=0.002, metavar="SECONDS",

@@ -14,11 +14,11 @@ decision loop such a deployment needs:
 * :mod:`repro.serve.journal` — a write-ahead journal of selector
   operations plus checksummed snapshots, so a restart resumes online
   learning with bit-identical state;
-* :mod:`repro.serve.fleet` — the sharded serving fleet: consistent-hash
-  routing by stream id, per-shard micro-batching into the vectorized
+* :mod:`repro.serve.fleet` — the sharded serving fleet: a persisted,
+  balanced stream-to-shard placement table, per-shard micro-batching into the vectorized
   decision path, shared-memory request/decision rings, and lossless
   shard failover (snapshot shipping + journal replay);
-* :mod:`repro.serve.resize` — live elastic resharding: ring-delta
+* :mod:`repro.serve.resize` — live elastic resharding: placement-delta
   planning, drain barriers, staged state shipping, and the atomic
   topology-epoch swap behind ``PolicyFleet.resize``;
 * :mod:`repro.serve.supervisor` — the supervising fleet controller:

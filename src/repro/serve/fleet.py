@@ -1,5 +1,5 @@
-"""Sharded policy-serving fleet: consistent-hash routing, micro-batching,
-shared-memory transport, and lossless shard failover.
+"""Sharded policy-serving fleet: balanced stream placement,
+micro-batching, shared-memory transport, and lossless shard failover.
 
 One :class:`~repro.serve.server.PolicyServer` saturates one core — the
 decision loop is pure Python around small numpy kernels.  The fleet
@@ -7,13 +7,13 @@ scales the serving runtime across cores the way the executor scales
 simulations: shard-per-process, with the parent doing nothing per
 decision but routing, batching and bookkeeping.
 
-* **Routing** (:class:`ShardRouter`) — a consistent-hash ring keyed on
-  the request's *stream id* (the loop name by default).  All requests
-  of a stream land on the same shard, so each shard's online learner
-  sees a coherent substream and a shard's state is a pure function of
-  its substream — the property the failover twin check relies on.
-  Hashing is sha256-based: stable across processes and Python runs
-  (builtin ``hash()`` is salted per process).
+* **Routing** (:class:`ShardRouter`) — a placement table keyed on the
+  request's *stream id* (the loop name by default), persisted in
+  ``topology.json``.  A stream is placed once, on the least-loaded
+  member in its sha256 ring order, and all its requests land on that
+  shard, so each shard's online learner sees a coherent substream and
+  a stream's state is a pure function of its substream — the property
+  the failover twin check relies on.
 * **Micro-batching** — per-shard bounded queues flush on ``batch_max``
   or a ``batch_linger`` deadline, feeding the vectorized
   :meth:`~repro.serve.server.PolicyServer.offer_batch` path.  Batch
@@ -58,8 +58,8 @@ import signal
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import (Any, Callable, Dict, List, Optional, Sequence, Tuple,
-                    Union)
+from typing import (Any, Callable, Dict, Iterator, List, Optional,
+                    Sequence, Tuple, Union)
 
 import numpy as np
 
@@ -119,22 +119,23 @@ def shard_dirname(member: int, generation: int) -> str:
 
 
 class ShardRouter:
-    """Consistent-hash ring mapping stream ids to shard member ids.
+    """Stream -> shard member placement table over a consistent-hash ring.
 
-    ``replicas`` virtual nodes per shard smooth the key distribution;
-    sha256 keeps the mapping stable across processes, runs and machines
-    (required: the parent, every worker generation, and the verifying
-    twin must all agree on which shard owns a stream).
+    ``replicas`` virtual nodes per member on a sha256 ring (stable
+    across processes, unlike the salted builtin ``hash()``) give each
+    stream a deterministic *ring order* of members.  A stream is placed
+    once, on the first member in its ring order holding the fewest
+    streams — consistent hashing with bounded loads at ε = 0, so a
+    fresh router keeps every member within one stream of the others —
+    and :attr:`placement` remembers it.
 
-    ``members`` is either a shard *count* (ring over ``0..n-1``, the
-    original static-fleet form) or an explicit list of member ids — the
-    elastic form, where adding or removing one member moves only the
-    streams whose owning vnode changes hands (the minimal-migration
-    property live resizing relies on).
+    ``members`` is a shard *count* (members ``0..n-1``) or an explicit
+    list of member ids; ``placement`` seeds the table.
     """
 
     def __init__(self, members: Union[int, Sequence[int]],
-                 replicas: int = 64):
+                 replicas: int = 64,
+                 placement: Optional[Dict[str, int]] = None):
         if isinstance(members, int):
             if members < 1:
                 raise ValueError("shards and replicas must be >= 1")
@@ -159,16 +160,41 @@ class ShardRouter:
         points.sort()
         self._points = [point for point, _ in points]
         self._owners = [owner for _, owner in points]
+        #: Stream id -> member id, for every stream placed so far.
+        self.placement: Dict[str, int] = {}
+        #: Member id -> number of streams placed on it.
+        self.counts: Dict[int, int] = dict.fromkeys(self.members, 0)
+        for stream, member in (placement or {}).items():
+            if member not in self.counts:
+                raise ValueError(
+                    f"stream {stream!r} is placed on {member}, which is "
+                    "not a member"
+                )
+            self.placement[stream] = member
+            self.counts[member] += 1
 
-    def route(self, stream: str) -> int:
-        """The shard owning ``stream`` (first ring point clockwise)."""
+    def ring_order(self, stream: str) -> Iterator[int]:
+        """Every member once, clockwise from ``stream``'s ring point."""
         digest = hashlib.sha256(stream.encode("utf-8")).digest()
         point = int.from_bytes(digest[:8], "big")
-        i = bisect.bisect_right(self._points, point) % len(self._points)
-        return self._owners[i]
+        start = bisect.bisect_right(self._points, point)
+        seen = set()
+        for step in range(len(self._owners)):
+            member = self._owners[(start + step) % len(self._owners)]
+            if member not in seen:
+                seen.add(member)
+                yield member
 
-    def assignments(self, streams: Sequence[str]) -> Dict[str, int]:
-        return {stream: self.route(stream) for stream in streams}
+    def route(self, stream: str) -> int:
+        """The member serving ``stream``, placing it on first sight."""
+        member = self.placement.get(stream)
+        if member is None:
+            fewest = min(self.counts.values())
+            member = next(m for m in self.ring_order(stream)
+                          if self.counts[m] == fewest)
+            self.placement[stream] = member
+            self.counts[member] += 1
+        return member
 
 
 @dataclass(frozen=True)
@@ -905,9 +931,9 @@ class PolicyFleet:
     a ``state_root`` is mandatory — failover needs a journal to replay.
     Inline mode serves on the caller's thread with identical decisions.
 
-    The fleet's shape is *elastic*: membership is a list of shard ids
-    on the consistent-hash ring, persisted (with the routing epoch and
-    per-member generations) in ``state_root/topology.json``.
+    The fleet's shape is *elastic*: membership is a list of shard ids,
+    persisted with the routing epoch, per-member generations and the
+    stream placement table in ``state_root/topology.json``.
     :meth:`resize` adds/removes/replaces members live via
     :mod:`repro.serve.resize`; a :class:`~repro.serve.supervisor.
     FleetSupervisor` can layer heartbeats, restart budgets and
@@ -946,7 +972,6 @@ class PolicyFleet:
         self._failovers = 0
         self._started: Optional[float] = None
         self._closed = False
-        self._streams_seen: set = set()
         #: Stream -> on-disk source dir of state evacuated from a lost
         #: shard, shipped to the stream's new owner on first arrival.
         self._pending_ship: Dict[str, str] = {}
@@ -976,6 +1001,7 @@ class PolicyFleet:
         self.epoch = 0
         self.generations: Dict[int, int] = {}
         members = list(range(self.config.shards))
+        placement: Dict[str, int] = {}
         if self._state_root is not None:
             from .resize import FleetTopology, sweep_state_root
 
@@ -990,11 +1016,13 @@ class PolicyFleet:
                                   for s, p in topology.pending.items()}
             # One reclamation path for planned drains *and* crashes:
             # quarantine staging leftovers and stream dirs the topology
-            # says their member no longer owns.
+            # places elsewhere (adopting streams it predates).
             sweep_state_root(self._state_root, topology,
                              self.config.replicas)
+            placement = topology.placement
         self.members: List[int] = sorted(members)
-        self.router = ShardRouter(self.members, self.config.replicas)
+        self.router = ShardRouter(self.members, self.config.replicas,
+                                  placement)
         self._save_topology()
         self._shards: Dict[int, Any] = {}
         for member in self.members:
@@ -1005,7 +1033,8 @@ class PolicyFleet:
     # -- topology ----------------------------------------------------------
 
     def _save_topology(self) -> None:
-        """Persist the routing epoch + membership + generations.
+        """Persist the routing epoch, membership, generations and
+        stream placement.
 
         ``topology.json`` is the resize protocol's atomic commit point:
         a crash *before* the write recovers into the old shape (staged
@@ -1021,6 +1050,7 @@ class PolicyFleet:
             members=list(self.members),
             generations=dict(self.generations),
             pending=dict(self._pending_ship),
+            placement=dict(self.router.placement),
         ).save(self._state_root)
 
     @property
@@ -1075,7 +1105,7 @@ class PolicyFleet:
         The ownership filter is a staleness defense: a stream that
         migrated away earlier may have left a superseded directory
         behind, and shipping it into the replacement would resurrect
-        old state.  Only streams the *current* ring routes to this
+        old state.  Only streams the placement table puts on this
         member travel.
         """
         if source is None or target is None:
@@ -1095,7 +1125,7 @@ class PolicyFleet:
                 except ChecksumError:
                     continue
                 stream = str(doc["stream"])
-                if self.router.route(stream) != member:
+                if self.router.placement.get(stream) != member:
                     continue
                 destination = Path(target) / entry.name
                 ship_state(entry, destination)
@@ -1129,15 +1159,17 @@ class PolicyFleet:
         return [batch for _, batch in unacked]
 
     def _evacuate(self, index: int) -> List[List[StreamRequest]]:
-        """Remove a lost shard from the ring; survivors absorb it.
+        """Remove a lost shard from the fleet; survivors absorb it.
 
-        Graceful degradation: the consistent-hash ring re-homes the
-        lost member's streams onto survivors automatically, and each
-        stream's on-disk state is registered for ship-on-arrival — it
-        travels to whichever survivor first receives that stream.  A
-        later :meth:`resize` re-adding the member shrinks the overflow
-        back.  The pending-ship map rides in the topology document, so
-        a crash mid-degradation loses nothing.
+        Graceful degradation: the lost member's streams are re-placed
+        at once, in sorted order, each on the least-loaded survivor in
+        its ring order, and each stream's on-disk state is registered
+        for ship-on-arrival — it travels to its new owner with the
+        stream's next request.  A later :meth:`resize` re-adding the
+        member shrinks the overflow back.  The new placement and the
+        pending-ship map ride in the topology document, committed
+        before anything is re-delivered, so a crash mid-degradation
+        loses nothing.
         """
         if len(self.members) <= 1:
             raise RuntimeError("cannot evacuate the last shard")
@@ -1161,7 +1193,13 @@ class PolicyFleet:
                         continue
                     self._pending_ship[str(doc["stream"])] = str(entry)
         self.members = [m for m in self.members if m != index]
-        self.router = ShardRouter(self.members, self.config.replicas)
+        placement = self.router.placement
+        self.router = ShardRouter(
+            self.members, self.config.replicas,
+            {s: m for s, m in placement.items() if m != index},
+        )
+        for stream in sorted(s for s, m in placement.items() if m == index):
+            self.router.route(stream)
         self.epoch += 1
         self.events.bump("evacuations")
         self._save_topology()
@@ -1186,8 +1224,9 @@ class PolicyFleet:
         """Re-dispatch orphaned pairs under the *current* routing.
 
         After a restart the owner is unchanged; after an evacuation the
-        ring has moved — grouping by a fresh ``route()`` covers both,
-        so the loss-handling path is one code path, not two.
+        lost member's streams are placed anew — grouping by ``route()``
+        covers both, so the loss-handling path is one code path, not
+        two.
         """
         for batch in batches:
             groups: Dict[int, List[StreamRequest]] = {}
@@ -1303,8 +1342,7 @@ class PolicyFleet:
         if self._started is None:
             self._started = self._clock()
         key = stream if stream is not None else request.ctx.loop_name
-        self._streams_seen.add(key)
-        owner = self.router.route(key)
+        owner = self.owner(key)
         shard = self._shards[owner]
         shard.pending.append((key, request))
         if len(shard.pending) == 1:
@@ -1390,7 +1428,17 @@ class PolicyFleet:
         self._shards[index].kill()
 
     def owner(self, stream: str) -> int:
-        return self.router.route(stream)
+        """The member serving ``stream``, placing it on first sight.
+
+        A new placement is persisted before the caller can dispatch
+        anything for the stream, so no stream directory ever exists
+        whose owner ``topology.json`` does not record.
+        """
+        placed = len(self.router.placement)
+        member = self.router.route(stream)
+        if len(self.router.placement) != placed:
+            self._save_topology()
+        return member
 
     def abort(self) -> None:
         """Kill everything without draining (crash-injection helper).

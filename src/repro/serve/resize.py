@@ -1,11 +1,12 @@
-"""Live elastic resharding: ring-delta planning, lossless migration,
-and the atomic epoch swap.
+"""Live elastic resharding: placement-delta planning, lossless
+migration, and the atomic epoch swap.
 
-The fleet's shape is a list of member ids on the consistent-hash ring.
-Resizing walks the *ring delta* — only streams whose owning vnode moves
-between the old and new rings migrate (the consistent-hash minimality
-property), everything else keeps serving untouched.  Each migrating
-stream crosses in four steps:
+The fleet's shape is a list of member ids plus a stream placement table
+(:class:`~repro.serve.fleet.ShardRouter`).  Resizing plans a new table
+that keeps every stream it can where it is and rebalances the rest, then
+walks the *placement delta* — only streams whose owner changes migrate;
+everything else keeps serving untouched.  Each migrating stream crosses
+in four steps:
 
 1. **Quiesce** — flush every pending micro-batch and collect every
    in-flight decision, so no request is mid-air during the swap.
@@ -17,8 +18,8 @@ stream crosses in four steps:
    (``os.replace``); a crash mid-copy leaves only a staging dir the
    recovery sweep quarantines.
 4. **Epoch swap** — one atomic ``topology.json`` write commits the new
-   membership, epoch and generations.  Everything before it is
-   provisional (crash ⇒ the resize never happened; sources stay
+   membership, placement, epoch and generations.  Everything before it
+   is provisional (crash ⇒ the resize never happened; sources stay
    authoritative); everything after is repair (crash ⇒ the resize
    fully happened; the ownership sweep retires superseded sources).
 
@@ -62,10 +63,11 @@ class FleetTopology:
     """The fleet's persisted shape: the resize protocol's commit point.
 
     One checksummed, atomically-replaced JSON document holding the
-    routing epoch, ring membership, per-member generation counters and
-    the pending ship-on-arrival map.  Whatever this document says at
-    recovery time *is* the fleet — everything on disk that disagrees
-    with it is quarantined by :func:`sweep_state_root`.
+    routing epoch, membership, per-member generation counters, the
+    stream placement table and the pending ship-on-arrival map.
+    Whatever this document says at recovery time *is* the fleet —
+    everything on disk that disagrees with it is quarantined by
+    :func:`sweep_state_root`.
     """
 
     epoch: int = 0
@@ -74,6 +76,10 @@ class FleetTopology:
     #: Stream id -> source directory of state evacuated from a lost
     #: shard, awaiting ship-on-arrival to the stream's new owner.
     pending: Dict[str, str] = field(default_factory=dict)
+    #: Stream id -> member id serving it (absent in documents written
+    #: before placement tables; :func:`sweep_state_root` adopts those
+    #: streams).
+    placement: Dict[str, int] = field(default_factory=dict)
 
     FILENAME = "topology.json"
 
@@ -87,6 +93,8 @@ class FleetTopology:
             },
             "pending": {str(k): str(v)
                         for k, v in sorted(self.pending.items())},
+            "placement": {str(k): int(v)
+                          for k, v in sorted(self.placement.items())},
         }
 
     @classmethod
@@ -98,6 +106,8 @@ class FleetTopology:
                          for k, v in doc.get("generations", {}).items()},
             pending={str(k): str(v)
                      for k, v in doc.get("pending", {}).items()},
+            placement={str(k): int(v)
+                       for k, v in doc.get("placement", {}).items()},
         )
 
     def save(self, state_root: Union[str, Path]) -> Path:
@@ -130,16 +140,20 @@ def sweep_state_root(
 
     The single reclamation path shared by planned drains and crash
     failovers: quarantine every ``*.stage`` leftover (a crash mid-copy)
-    and every stream directory whose sidecar says the current ring no
-    longer routes it to the member hosting it (a crash between place
-    and retire, or a superseded source after a committed resize).
-    Returns the quarantined paths.
+    and every stream directory whose sidecar names a stream the
+    topology places on another member (a crash between place and
+    retire, or a superseded source after a committed resize).  A stream
+    missing from ``topology.placement`` was written before placement
+    tables: it is adopted into the table if its ring owner is the
+    member hosting it — where hash-only routing kept it — and
+    quarantined as superseded otherwise.  The sweep never places a
+    stream.  Returns the quarantined paths.
     """
     state_root = Path(state_root)
     quarantine = state_root / "quarantine"
     if not topology.members:
         return []
-    router = ShardRouter(topology.members, replicas)
+    ring = ShardRouter(topology.members, replicas)
     quarantined: List[Path] = []
     for member in topology.members:
         generation = topology.generations.get(member, 0)
@@ -162,7 +176,10 @@ def sweep_state_root(
             except ChecksumError:
                 continue  # the worker quarantines torn sidecars itself
             stream = str(doc["stream"])
-            if router.route(stream) != member:
+            if (stream not in topology.placement
+                    and next(ring.ring_order(stream)) == member):
+                topology.placement[stream] = member
+            if topology.placement.get(stream) != member:
                 moved = move_aside(entry, quarantine, "superseded")
                 if moved is not None:
                     quarantined.append(moved)
@@ -171,15 +188,18 @@ def sweep_state_root(
 
 @dataclass(frozen=True)
 class ResizePlan:
-    """The ring delta of one resize: who joins, who leaves, what moves."""
+    """The placement delta of one resize: who joins, who leaves, what
+    moves."""
 
     old_members: Tuple[int, ...]
     new_members: Tuple[int, ...]
     added: Tuple[int, ...]
     removed: Tuple[int, ...]
-    #: Stream id -> (old owner, new owner); only streams whose owning
-    #: vnode moves — the consistent-hash minimal-migration set.
+    #: Stream id -> (old owner, new owner); exactly the streams whose
+    #: owner changes.
     migrations: Dict[str, Tuple[int, int]]
+    #: Stream id -> new owner, for every planned stream.
+    placement: Dict[str, int]
 
     @property
     def unchanged(self) -> Tuple[int, ...]:
@@ -189,22 +209,41 @@ class ResizePlan:
 def plan_resize(
     old_members: Sequence[int], new_members: Sequence[int],
     streams: Sequence[str], replicas: int = 64,
+    placement: Optional[Dict[str, int]] = None,
 ) -> ResizePlan:
-    """Walk the ring delta: which streams change owners.
+    """Plan the new placement and its delta: which streams change owner.
 
-    Pure function of the two memberships and the stream set — the
-    parent, the crash-recovery path and the tests all derive the same
-    plan.
+    ``placement`` is the current table (a stream it lacks is placed over
+    ``old_members`` first, in sorted order).  Of ``n`` streams on ``m``
+    new members, each member keeps, in sorted stream order, up to
+    ``floor(n/m)`` of its streams, and ``n mod m`` members one more;
+    every other stream goes to the least-loaded new member in its ring
+    order.  So the new table is balanced to within one stream, and a
+    stream moves only if its owner leaves or holds more than its share.
+    Pure function of its arguments.
     """
     old_sorted = tuple(sorted(set(int(m) for m in old_members)))
     new_sorted = tuple(sorted(set(int(m) for m in new_members)))
     if not new_sorted:
         raise ValueError("a fleet needs at least one shard")
-    old_router = ShardRouter(old_sorted, replicas)
-    new_router = ShardRouter(new_sorted, replicas)
+    old_router = ShardRouter(old_sorted, replicas, placement)
+    owners = {stream: old_router.route(stream)
+              for stream in sorted(set(streams))}
+    share, extra = divmod(len(owners), len(new_sorted))
+    kept: Dict[str, int] = {}
+    held = dict.fromkeys(new_sorted, 0)
+    for stream, owner in owners.items():
+        if owner not in held or held[owner] > share:
+            continue
+        if held[owner] == share:
+            if not extra:
+                continue
+            extra -= 1
+        held[owner] += 1
+        kept[stream] = owner
+    new_router = ShardRouter(new_sorted, replicas, kept)
     migrations: Dict[str, Tuple[int, int]] = {}
-    for stream in sorted(set(streams)):
-        src = old_router.route(stream)
+    for stream, src in owners.items():
         dst = new_router.route(stream)
         if src != dst:
             migrations[stream] = (src, dst)
@@ -214,6 +253,7 @@ def plan_resize(
         added=tuple(m for m in new_sorted if m not in old_sorted),
         removed=tuple(m for m in old_sorted if m not in new_sorted),
         migrations=migrations,
+        placement=new_router.placement,
     )
 
 
@@ -253,13 +293,13 @@ def execute_resize(
     hook("quiesce")
     fleet.drain()
 
-    # Plan over every stream with live or on-disk state.
-    streams: Set[str] = set(fleet._streams_seen)
+    # Plan over every placed stream and every stream with on-disk state.
+    streams: Set[str] = set(fleet.router.placement)
     streams.update(fleet._pending_ship)
     for shard in fleet._shards.values():
         streams.update(_hosted_streams(shard))
     plan = plan_resize(fleet.members, members, streams,
-                       fleet.config.replicas)
+                       fleet.config.replicas, fleet.router.placement)
 
     # 2. Drain barrier: fsync + close every migrating stream at its
     #    current owner (streams awaiting ship-on-arrival have no live
@@ -325,7 +365,8 @@ def execute_resize(
     # 4. Epoch swap: one atomic topology write commits everything.
     hook("pre-epoch-swap")
     fleet.members = list(plan.new_members)
-    fleet.router = ShardRouter(fleet.members, fleet.config.replicas)
+    fleet.router = ShardRouter(fleet.members, fleet.config.replicas,
+                               plan.placement)
     fleet.epoch += 1
     fleet.events.bump("resizes")
     fleet.events.bump("streams_migrated", len(plan.migrations))

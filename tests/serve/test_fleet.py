@@ -50,12 +50,36 @@ def stream_pairs(requests):
 
 class TestShardRouter:
     def test_routes_are_stable_and_in_range(self):
+        # The same arrival order builds the same table in a fresh
+        # router (sha256 ring order, not the salted builtin hash), and
+        # a placed stream never moves.
         router = ShardRouter(4)
         streams = [f"loop_{i}" for i in range(100)]
         first = [router.route(s) for s in streams]
-        again = [ShardRouter(4).route(s) for s in streams]
-        assert first == again  # sha256, not salted builtin hash
+        fresh = ShardRouter(4)
+        again = [fresh.route(s) for s in streams]
+        assert first == again
+        assert fresh.placement == router.placement
+        assert [router.route(s) for s in reversed(streams)] == \
+            first[::-1]
         assert all(0 <= shard < 4 for shard in first)
+        assert sorted(router.counts.values()) == [25, 25, 25, 25]
+
+    @pytest.mark.parametrize("shards", [2, 3, 4, 5])
+    def test_fresh_placement_is_balanced_at_every_step(self, shards):
+        router = ShardRouter(shards)
+        for i in range(40):
+            router.route(f"stream-{i}")
+            counts = router.counts.values()
+            assert max(counts) - min(counts) <= 1
+
+    def test_seeded_placement_is_kept_and_validated(self):
+        router = ShardRouter(2, placement={"a": 1, "b": 1})
+        assert router.route("a") == 1
+        assert router.counts == {0: 0, 1: 2}
+        assert router.route("c") == 0  # the least-loaded member
+        with pytest.raises(ValueError, match="not a member"):
+            ShardRouter(2, placement={"a": 5})
 
     def test_replicas_spread_streams(self):
         router = ShardRouter(4, replicas=64)
@@ -165,16 +189,30 @@ class TestInlineFleet:
                                   states_b[stream]["selector"]["V"])
 
     def test_streams_are_pinned_to_shards(self, tiny_bundle, tmp_path):
-        config = FleetConfig(shards=2, batch_max=16)
-        report, decisions, _ = run_fleet_soak(
-            SPEC, tiny_bundle, config=config, state_root=tmp_path,
+        fleet = PolicyFleet(
+            lambda: build_policy(tiny_bundle),
+            FleetConfig(shards=2, batch_max=16), state_root=tmp_path,
         )
+        for request in stream_requests():
+            fleet.submit(request)
+        report = fleet.close()
         # every shard report covers exactly the requests of its streams
-        router = ShardRouter(2)
         expected = [0, 0]
         for request in stream_requests():
-            expected[router.route(request.ctx.loop_name)] += 1
+            expected[fleet.owner(request.ctx.loop_name)] += 1
         assert [r.total for r in report.per_shard] == expected
+
+    @pytest.mark.parametrize("shards", [2, 4])
+    def test_soak_loops_load_shards_evenly(self, tiny_bundle, tmp_path,
+                                           shards):
+        # 4 loops with 60 requests each: equal totals need the loops
+        # placed 2:2 on 2 shards and 1:1:1:1 on 4.
+        report, _, _ = run_fleet_soak(
+            SPEC, tiny_bundle, state_root=tmp_path,
+            config=FleetConfig(shards=shards, batch_max=16),
+        )
+        assert [r.total for r in report.per_shard] == \
+            [SPEC.requests // shards] * shards
 
     def test_batch_max_flushes(self, tiny_bundle, tmp_path):
         config = FleetConfig(shards=1, batch_max=8,
@@ -491,21 +529,20 @@ class TestBreakerIsolation:
         # window corrupts every request, but we only *submit* corrupted
         # requests for the victim shard's streams.
         config = FleetConfig(shards=2, batch_max=16)
-        router = ShardRouter(config.shards)
         clean = SoakSpec(requests=240, seed=3)
         dirty = SoakSpec(requests=240, seed=3,
                          sensor=SensorFaultSpec(mode="nan", rate=1.0,
                                                 seed=3),
                          fault_window=(0.0, 1.0))
-        victim = router.route(make_request(clean, 0).ctx.loop_name)
 
         fleet = PolicyFleet(
             lambda: build_policy(tiny_bundle), config,
             state_root=tmp_path,
         )
+        victim = fleet.owner(make_request(clean, 0).ctx.loop_name)
         for index in range(clean.requests):
             stream = make_request(clean, index).ctx.loop_name
-            spec = dirty if router.route(stream) == victim else clean
+            spec = dirty if fleet.owner(stream) == victim else clean
             fleet.submit(make_request(spec, index))
         report = fleet.close()
 

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 
-from repro.core.persistence import dump_checked_json
+from repro.core.persistence import dump_checked_json, load_checked_json
 from repro.exec import shm
 from repro.serve.fleet import (
     RECOVERED_TIER,
@@ -45,29 +47,63 @@ def drive(fleet, spec=SPEC, start=0, stop=None):
         fleet.submit(make_request(spec, index))
 
 
+def balanced_table(members, streams):
+    """The table a fresh router builds from ``streams`` in order."""
+    router = ShardRouter(members)
+    for stream in streams:
+        router.route(stream)
+    return router.placement
+
+
+def per_member(placement, members):
+    counts = dict.fromkeys(members, 0)
+    for member in placement.values():
+        counts[member] += 1
+    return list(counts.values())
+
+
 class TestPlanResize:
+    GROWTHS = [([0, 1], [0, 1, 2, 3]), ([0, 1], [0, 1, 2]),
+               ([0, 1, 2], [0, 1, 2, 3]), ([0], [0, 1, 2, 3, 4])]
+
     def test_growth_migrates_only_claimed_streams(self):
-        plan = plan_resize([0, 1], [0, 1, 2, 3], STREAMS)
-        assert plan.added == (2, 3)
-        assert plan.removed == ()
-        assert plan.unchanged == (0, 1)
-        old_router, new_router = ShardRouter([0, 1]), ShardRouter(
-            [0, 1, 2, 3])
-        for stream in STREAMS:
-            src, dst = old_router.route(stream), new_router.route(stream)
-            if src != dst:
-                # consistent hashing: every move lands on a new member
-                assert dst in (2, 3)
-                assert plan.migrations[stream] == (src, dst)
-            else:
-                assert stream not in plan.migrations
+        # From a balanced table, growth moves streams only onto added
+        # members and ends with counts within one of each other.
+        for (old, new), streams in itertools.product(
+                self.GROWTHS,
+                (STREAMS, [f"stream-{i}" for i in range(37)])):
+            table = balanced_table(old, streams)
+            plan = plan_resize(old, new, streams, placement=table)
+            assert plan.added == tuple(m for m in new if m not in old)
+            assert plan.removed == ()
+            assert plan.unchanged == tuple(old)
+            for stream in streams:
+                src, dst = table[stream], plan.placement[stream]
+                if src != dst:
+                    # every move lands on an added member
+                    assert dst in plan.added
+                    assert plan.migrations[stream] == (src, dst)
+                else:
+                    assert stream not in plan.migrations
+            counts = per_member(plan.placement, new)
+            assert max(counts) - min(counts) <= 1
 
     def test_shrink_migrates_only_the_leavers_streams(self):
         plan = plan_resize([0, 1, 2, 3], [0, 1, 2], STREAMS)
         assert plan.removed == (3,)
+        assert plan.migrations
         for stream, (src, dst) in plan.migrations.items():
             assert src == 3
             assert dst in (0, 1, 2)
+        counts = per_member(plan.placement, [0, 1, 2])
+        assert max(counts) - min(counts) <= 1
+
+    def test_unbalanced_table_is_rebalanced_with_fewest_moves(self):
+        # A hash-only (adopted) layout: three streams on member 0.
+        table = {"a": 0, "b": 0, "c": 0, "d": 1}
+        plan = plan_resize([0, 1], [0, 1], sorted(table), placement=table)
+        assert per_member(plan.placement, [0, 1]) == [2, 2]
+        assert plan.migrations == {"c": (0, 1)}
 
     def test_noop_resize_migrates_nothing(self):
         plan = plan_resize([0, 1], [1, 0], STREAMS)
@@ -85,6 +121,7 @@ class TestFleetTopology:
             epoch=3, members=[0, 2, 5],
             generations={0: 1, 5: 2},
             pending={"loop_a": str(tmp_path / "somewhere")},
+            placement={"loop_a": 2, "loop_b": 5},
         )
         topology.save(tmp_path)
         loaded = FleetTopology.load_or_create(tmp_path, [0])
@@ -92,6 +129,7 @@ class TestFleetTopology:
         assert loaded.members == [0, 2, 5]
         assert loaded.generations == {0: 1, 5: 2}
         assert loaded.pending == {"loop_a": str(tmp_path / "somewhere")}
+        assert loaded.placement == {"loop_a": 2, "loop_b": 5}
 
     def test_torn_document_quarantined_and_defaulted(self, tmp_path):
         path = tmp_path / FleetTopology.FILENAME
@@ -103,12 +141,18 @@ class TestFleetTopology:
         assert list((tmp_path / "quarantine").iterdir())
 
 
+def ring_owner(router, stream):
+    return next(router.ring_order(stream))
+
+
 class TestSweep:
     def test_quarantines_stage_and_misrouted_dirs(self, tmp_path):
+        # No placement table: the sweep adopts a stream its ring owner
+        # hosts and quarantines one hosted anywhere else.
         topology = FleetTopology(members=[0, 1])
         router = ShardRouter([0, 1])
-        owned = next(s for s in STREAMS if router.route(s) == 0)
-        stray = next(s for s in STREAMS if router.route(s) == 1)
+        owned = next(s for s in STREAMS if ring_owner(router, s) == 0)
+        stray = next(s for s in STREAMS if ring_owner(router, s) == 1)
         home = tmp_path / shard_dirname(0, 0)
         for stream in (owned, stray):
             directory = home / stream_dirname(stream)
@@ -122,9 +166,143 @@ class TestSweep:
         names = {p.name for p in quarantined}
         assert any("stage" in n for n in names)
         assert any(stream_dirname(stray) in n for n in names)
-        # the correctly-routed stream is untouched
+        # the correctly-routed stream is untouched, and adopted
         assert (home / stream_dirname(owned)).is_dir()
         assert not staging.exists()
+        assert topology.placement == {owned: 0}
+
+    def test_placement_table_overrides_the_ring(self, tmp_path):
+        router = ShardRouter([0, 1])
+        stream = next(s for s in STREAMS if ring_owner(router, s) == 1)
+        topology = FleetTopology(members=[0, 1], placement={stream: 0})
+        for member in (0, 1):
+            directory = (tmp_path / shard_dirname(member, 0)
+                         / stream_dirname(stream))
+            directory.mkdir(parents=True)
+            dump_checked_json({"stream": stream},
+                              directory / "stream.json")
+        (moved,) = sweep_state_root(tmp_path, topology)
+        assert "superseded" in moved.name
+        assert (tmp_path / shard_dirname(0, 0)
+                / stream_dirname(stream)).is_dir()
+        assert not (tmp_path / shard_dirname(1, 0)
+                    / stream_dirname(stream)).exists()
+
+
+def assert_matches_twin(fleet, tiny_bundle, config, root):
+    _, _, twin_states = run_fleet_soak(SPEC, tiny_bundle, config=config,
+                                       state_root=root)
+    assert set(fleet.stream_states) == set(twin_states)
+    for stream in twin_states:
+        for name in ("V", "b", "norm_mean", "norm_m2"):
+            assert np.array_equal(
+                np.asarray(fleet.stream_states[stream]["selector"][name]),
+                np.asarray(twin_states[stream]["selector"][name]),
+            ), (stream, name)
+
+
+def assert_lossless(reborn, served_before):
+    fresh = {d.index for d in reborn.decisions
+             if d.tier != RECOVERED_TIER}
+    assert fresh.isdisjoint(served_before)
+    assert fresh | served_before == set(range(SPEC.requests))
+
+
+class TestPlacementRecovery:
+    HALF = 120
+
+    def crash_half_way(self, tiny_bundle, config, root, placement=None):
+        fleet = PolicyFleet(lambda: build_policy(tiny_bundle), config,
+                            state_root=root)
+        if placement is not None:
+            fleet.router = ShardRouter(fleet.members, config.replicas,
+                                       placement)
+        drive(fleet, stop=self.HALF)
+        table = dict(fleet.router.placement)
+        served = {d.index for d in fleet.decisions
+                  if d.tier != RECOVERED_TIER}
+        fleet.abort()
+        return table, served
+
+    def test_aborted_fleet_reopens_with_its_table(self, tiny_bundle,
+                                                  tmp_path):
+        config = FleetConfig(shards=2, batch_max=16)
+        root = tmp_path / "crashed"
+        table, served = self.crash_half_way(tiny_bundle, config, root)
+        ring = ShardRouter(2)
+        assert any(ring_owner(ring, s) != m for s, m in table.items())
+
+        reborn = PolicyFleet(lambda: build_policy(tiny_bundle), config,
+                             state_root=root)
+        assert reborn.router.placement == table
+        assert not (root / "quarantine").exists()
+        drive(reborn)
+        reborn.close()
+        assert_lossless(reborn, served)
+        assert_matches_twin(reborn, tiny_bundle, config, tmp_path / "twin")
+
+    def test_topology_without_placement_is_adopted(self, tiny_bundle,
+                                                   tmp_path):
+        # A state root written by hash-only routing: stream dirs at
+        # their ring owners and no placement key in topology.json.
+        config = FleetConfig(shards=2, batch_max=16)
+        root = tmp_path / "legacy"
+        ring = ShardRouter(2)
+        by_ring = {s: ring_owner(ring, s) for s in STREAMS}
+        _, served = self.crash_half_way(tiny_bundle, config, root,
+                                        placement=by_ring)
+        path = root / FleetTopology.FILENAME
+        doc = load_checked_json(path)
+        del doc["placement"]
+        dump_checked_json(doc, path)
+        served_streams = {
+            s for s in STREAMS
+            if (root / shard_dirname(by_ring[s], 0)
+                / stream_dirname(s)).is_dir()
+        }
+        assert served_streams
+
+        reborn = PolicyFleet(lambda: build_policy(tiny_bundle), config,
+                             state_root=root)
+        assert reborn.router.placement == {
+            s: by_ring[s] for s in served_streams
+        }
+        assert not (root / "quarantine").exists()
+        drive(reborn)
+        report = reborn.close()
+        assert report.recovered == len(served) > 0
+        assert_lossless(reborn, served)
+        assert_matches_twin(reborn, tiny_bundle, config, tmp_path / "twin")
+
+    def test_evacuation_replaces_on_least_loaded_and_persists(
+            self, tiny_bundle, tmp_path):
+        # 4 streams on 3 members sit 2:1:1; losing a 1-stream member
+        # must refill the other 1-stream member, not the 2-stream one.
+        config = FleetConfig(shards=3, batch_max=16)
+        root = tmp_path / "evacuated"
+        fleet = PolicyFleet(lambda: build_policy(tiny_bundle), config,
+                            state_root=root)
+        drive(fleet, stop=self.HALF)
+        fleet.drain()
+        counts = dict(fleet.router.counts)
+        assert sorted(counts.values()) == [1, 1, 2]
+        victim = max(m for m in counts if counts[m] == 1)
+        (lost,) = [s for s, m in fleet.router.placement.items()
+                   if m == victim]
+        fleet.kill_shard(victim)
+        assert fleet._evacuate(victim) == []
+        survivor = next(m for m in fleet.members if counts.get(m) == 1)
+        assert fleet.router.placement[lost] == survivor
+        assert sorted(fleet.router.counts.values()) == [2, 2]
+        on_disk = FleetTopology.load_or_create(root, [0])
+        assert on_disk.placement == fleet.router.placement
+        assert on_disk.epoch == 1
+        assert lost in on_disk.pending
+
+        drive(fleet, start=self.HALF)
+        report = fleet.close()
+        assert report.answered == SPEC.requests
+        assert_matches_twin(fleet, tiny_bundle, config, tmp_path / "twin")
 
 
 class TestInlineResize:
