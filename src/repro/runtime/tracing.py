@@ -9,10 +9,11 @@ outside Python, and for the paper-style "what happened at t₀" analyses.
 The trace is plain data: export with :meth:`TickTracer.to_csv` or
 consume :attr:`TickTracer.rows` directly.
 
-The serving runtime adds :class:`TierTransition` / :class:`ServeTracer`
-— the same idea at a different granularity: one event per degradation-
-ladder move (mixture → best expert → default and back), so a soak run's
-breaker behaviour can be replayed decision-by-decision afterwards.
+The serving runtime records a :class:`TierTransition` — the same idea
+at a different granularity: one event per degradation-ladder move
+(mixture → best expert → default and back), listed in
+``ServeReport.transitions``, so a soak run's breaker behaviour can be
+replayed decision-by-decision afterwards.
 """
 
 from __future__ import annotations
@@ -52,27 +53,6 @@ class TierTransition:
     #: "probe" (a half-open probe of the upper tier succeeded enough to
     #: step back up), or "probe-failed" (the probe re-tripped).
     reason: str
-
-
-@dataclass
-class ServeTracer:
-    """Collects tier transitions; attach via ``PolicyServer(tracer=)``."""
-
-    transitions: List[TierTransition] = field(default_factory=list)
-
-    def record(
-        self, request_index: int, from_tier: str, to_tier: str,
-        reason: str,
-    ) -> None:
-        self.transitions.append(TierTransition(
-            request_index=request_index,
-            from_tier=from_tier,
-            to_tier=to_tier,
-            reason=reason,
-        ))
-
-    def clear(self) -> None:
-        self.transitions = []
 
 
 @dataclass

@@ -18,6 +18,9 @@ decision loop such a deployment needs:
   balanced stream-to-shard placement table, per-shard micro-batching into the vectorized
   decision path, shared-memory request/decision rings, and lossless
   shard failover (snapshot shipping + journal replay);
+* :mod:`repro.serve.layout` — the on-disk layout of a stream's home
+  and the one staged ship that moves it (failover, evacuation,
+  resize);
 * :mod:`repro.serve.resize` — live elastic resharding: placement-delta
   planning, drain barriers, staged state shipping, and the atomic
   topology-epoch swap behind ``PolicyFleet.resize``;
@@ -42,7 +45,6 @@ from .fleet import (
     ShardLostError,
     ShardRouter,
     ShardWorker,
-    stream_dirname,
 )
 from .journal import (
     SelectorJournal,
@@ -50,6 +52,7 @@ from .journal import (
     SnapshotStore,
     ship_state,
 )
+from .layout import stream_dirname
 from .report import FleetReport, ServeReport, merge_serve_reports
 from .resize import (
     RESIZE_STEPS,

@@ -37,16 +37,22 @@ decision but routing, batching and bookkeeping.
   worker creates, the parent attaches and is the only side that
   unlinks — so a SIGKILLed shard can never leak a segment.
 * **Failover** — a dead shard is detected at the pipe (``EOFError`` /
-  ``BrokenPipeError``), its journal + snapshots are *shipped*
-  (atomically copied, torn tails tolerated) to a fresh generation
-  directory, and a replacement worker recovers from the copy: newest
-  snapshot + journal replay, bit-identical state.  In-flight batches
-  are re-dispatched; the replacement recognises already-journaled
-  requests by index and answers them with a ``"recovered"`` marker
-  instead of serving them twice.  An inline shard can be killed too
-  (its worker is abandoned unclosed), and takes the same failover
-  path.  ``verify_twin`` (in :mod:`repro.serve.soak`) asserts the
-  whole dance against an uninterrupted inline twin.
+  ``BrokenPipeError``), each of its stream homes is *shipped* (copied
+  into a ``*.stage`` directory, torn tails tolerated, then renamed
+  into place) to a fresh generation directory, and a replacement
+  worker recovers from the copy: newest snapshot + journal replay,
+  bit-identical state.  In-flight batches are re-dispatched; the
+  replacement recognises already-journaled requests by index and
+  answers them with a ``"recovered"`` marker instead of serving them
+  twice.  An inline shard can be killed too (its worker is abandoned
+  unclosed), and takes the same failover path.  ``verify_twin`` (in
+  :mod:`repro.serve.soak`) asserts the whole dance against an
+  uninterrupted inline twin.
+* **Evacuation** — a supervised member out of restart budget leaves
+  the fleet: its streams are re-placed on survivors and their homes
+  shipped there the same way, before the new placement is committed.
+  Failover, evacuation and resize all move state through the one
+  staged ship in :mod:`repro.serve.layout`.
 """
 
 from __future__ import annotations
@@ -64,8 +70,7 @@ from typing import (Any, Callable, Dict, Iterator, List, Optional,
 import numpy as np
 
 from ..compiler.features import CodeFeatures
-from ..core.persistence import (ChecksumError, dump_checked_json,
-                                load_checked_json, move_aside)
+from ..core.persistence import move_aside
 from ..core.policies.base import PolicyContext, ThreadPolicy
 from ..exec import shm
 from ..exec.fault import RetryPolicy
@@ -73,7 +78,9 @@ from ..exec.shm import ShmLedger
 from ..runtime.metrics import (Counter, FixedBucketHistogram, Gauge,
                                LatencyLedger)
 from ..sched.stats import EnvironmentSample
-from .journal import ship_state
+from .layout import (SIDECAR, publish_home, quarantine_dir,
+                     shard_dirname, stage_home, stream_dirname,
+                     stream_homes)
 from .report import FleetReport, ServeReport, merge_serve_reports
 from .server import PolicyServer, ServeConfig, ServeDecision, ServeRequest
 
@@ -93,29 +100,6 @@ class ShardLostError(ConnectionError):
     ``ConnectionError`` (hence ``OSError``) so every existing
     pipe-error failover path catches it without special-casing.
     """
-
-
-def stream_dirname(stream: str) -> str:
-    """Directory name for one stream's serving state.
-
-    Human-readable prefix for operators, sha256 suffix for uniqueness
-    (stream ids are arbitrary strings; two may sanitise identically).
-    Pure function of the stream id: the parent, every worker
-    generation, and the resize planner all derive the same name.
-    """
-    safe = "".join(
-        ch if ch.isalnum() or ch in "-_" else "-" for ch in stream
-    )
-    digest = hashlib.sha256(stream.encode("utf-8")).hexdigest()[:10]
-    return f"stream-{safe[:24]}-{digest}"
-
-
-def shard_dirname(member: int, generation: int) -> str:
-    """Directory name of one shard generation under the state root
-    (pure function: the fleet and the resize planner both use it)."""
-    if generation == 0:
-        return f"shard-{member}"
-    return f"shard-{member}-g{generation}"
 
 
 class ShardRouter:
@@ -440,37 +424,13 @@ class ShardWorker:
         #: Reports of servers drained away by a migration — their
         #: served requests still belong in this shard's totals.
         self._retired_reports: List[ServeReport] = []
-        if self.state_dir is not None and self.state_dir.exists():
-            self._recover_streams()
+        if self.state_dir is not None:
+            # Eagerly re-open every stream home; staging leftovers and
+            # torn sidecars are quarantined, never opened.
+            for stream, home in stream_homes(self.state_dir).items():
+                self._open(stream, home)
 
     # -- stream lifecycle --------------------------------------------------
-
-    def _recover_streams(self) -> None:
-        """Eagerly re-open every stream directory under ``state_dir``.
-
-        A directory is a stream's home iff it carries a readable
-        ``stream.json`` sidecar (the dir name is a hash; the sidecar is
-        the authoritative reverse mapping).  Torn sidecars and staging
-        leftovers (``*.stage``, a crash mid-migration) are quarantined,
-        never opened — recovery must not resurrect half-shipped state.
-        """
-        assert self.state_dir is not None
-        quarantine = self.state_dir / "quarantine"
-        for entry in sorted(self.state_dir.iterdir()):
-            if not entry.is_dir() or entry.name == "quarantine":
-                continue
-            if entry.name.endswith(".stage"):
-                move_aside(entry, quarantine, "stage")
-                continue
-            sidecar = entry / "stream.json"
-            if not sidecar.exists():
-                continue
-            try:
-                doc = load_checked_json(sidecar)
-            except ChecksumError:
-                move_aside(entry, quarantine, "torn-sidecar")
-                continue
-            self._open(str(doc["stream"]), entry)
 
     def _open(self, stream: str, directory: Optional[Path]) -> PolicyServer:
         server = PolicyServer(self.policy_factory(), self.config,
@@ -484,9 +444,10 @@ class ShardWorker:
     def server_for(self, stream: str) -> PolicyServer:
         """The stream's server, created (and recovered) on first use.
 
-        Creation is lazy so a migrated-in stream whose state was
-        shipped *after* this worker started still recovers from the
-        shipped journal the moment its first request arrives.
+        Creation is lazy so a stream whose home was shipped in *after*
+        this worker started (an evacuation or resize target) recovers
+        from the shipped journal the moment its first request arrives;
+        a stream with no home gets a new, empty one.
         """
         server = self.servers.get(stream)
         if server is not None:
@@ -494,10 +455,8 @@ class ShardWorker:
         directory = None
         if self.state_dir is not None:
             directory = self.state_dir / stream_dirname(stream)
-            sidecar = directory / "stream.json"
-            if not sidecar.exists():
-                directory.mkdir(parents=True, exist_ok=True)
-                dump_checked_json({"stream": stream}, sidecar)
+            if not (directory / SIDECAR).exists():
+                publish_home(stage_home(stream, directory))
         return self._open(stream, directory)
 
     def resume_map(self) -> Dict[str, int]:
@@ -607,7 +566,7 @@ def _shard_worker_main(conn, policy_factory, state_dir, serve_config,
     with a decision block in the same slot of the return ring.  The
     control pipe also carries supervision traffic: ``("ping", seq)``
     heartbeats (echoed as ``("pong", seq)``) and ``("drain", streams)``
-    migration barriers (answered ``("drained", resume_map)``).
+    migration barriers (answered ``("drained", resume indices)``).
     """
     request_ring = shm.ShmRing(request_name, ring_slots, slot_bytes,
                                create=True)
@@ -615,7 +574,7 @@ def _shard_worker_main(conn, policy_factory, state_dir, serve_config,
                                 create=True)
     try:
         worker = ShardWorker(policy_factory, serve_config, state_dir)
-        conn.send(("ready", worker.resume_map()))
+        conn.send(("ready",))
         while True:
             message = conn.recv()
             kind = message[0]
@@ -757,7 +716,6 @@ class _ProcessShard:
                 raise RuntimeError(
                     f"shard sent {message[0]!r} before ready"
                 )
-            self.resume_map: Dict[str, int] = dict(message[1])
             self.request_ring = shm.ShmRing(
                 self.request_name, fleet_config.ring_slots,
                 fleet_config.slot_bytes,
@@ -972,9 +930,6 @@ class PolicyFleet:
         self._failovers = 0
         self._started: Optional[float] = None
         self._closed = False
-        #: Stream -> on-disk source dir of state evacuated from a lost
-        #: shard, shipped to the stream's new owner on first arrival.
-        self._pending_ship: Dict[str, str] = {}
         #: (member id, report) of shards retired by a resize or an
         #: evacuation.
         self._retired: List[Tuple[int, ServeReport]] = []
@@ -1002,6 +957,7 @@ class PolicyFleet:
         self.generations: Dict[int, int] = {}
         members = list(range(self.config.shards))
         placement: Dict[str, int] = {}
+        pending: Dict[str, str] = {}
         if self._state_root is not None:
             from .resize import FleetTopology, sweep_state_root
 
@@ -1012,17 +968,25 @@ class PolicyFleet:
             members = list(topology.members)
             self.generations = {int(k): int(v)
                                 for k, v in topology.generations.items()}
-            self._pending_ship = {str(s): str(p)
-                                  for s, p in topology.pending.items()}
             # One reclamation path for planned drains *and* crashes:
             # quarantine staging leftovers and stream dirs the topology
             # places elsewhere (adopting streams it predates).
             sweep_state_root(self._state_root, topology,
                              self.config.replicas)
             placement = topology.placement
+            pending = topology.pending
         self.members: List[int] = sorted(members)
         self.router = ShardRouter(self.members, self.config.replicas,
                                   placement)
+        # Documents written while evacuation shipped lazily list
+        # evacuated streams whose state still sits with the lost member:
+        # ship each to its owner before any worker opens its directory.
+        # The save below drops the list.
+        for stream, source in sorted(pending.items()):
+            member = self.router.route(stream)
+            home = (self._shard_dir(member, self.generations.get(member, 0))
+                    / stream_dirname(stream))
+            publish_home(stage_home(stream, home, Path(source)))
         self._save_topology()
         self._shards: Dict[int, Any] = {}
         for member in self.members:
@@ -1049,15 +1013,8 @@ class PolicyFleet:
             epoch=self.epoch,
             members=list(self.members),
             generations=dict(self.generations),
-            pending=dict(self._pending_ship),
             placement=dict(self.router.placement),
         ).save(self._state_root)
-
-    @property
-    def quarantine_dir(self) -> Optional[Path]:
-        if self._state_root is None:
-            return None
-        return self._state_root / "quarantine"
 
     # -- shard lifecycle ---------------------------------------------------
 
@@ -1098,59 +1055,52 @@ class PolicyFleet:
                 self.events.bump("spawn_retries")
                 self._sleep(self._spawn_retry.delay(attempt, key))
 
-    def _ship_shard_state(self, source: Optional[Path],
-                          target: Optional[Path], member: int) -> int:
-        """Ship a dead shard's stream dirs its member still owns.
+    @staticmethod
+    def _ship_homes(source: Path, targets: Dict[str, Path]) -> None:
+        """Ship each stream home in the shard directory ``source`` whose
+        stream ``targets`` names into that stream's target shard
+        directory, staged and then published.
 
-        The ownership filter is a staleness defense: a stream that
-        migrated away earlier may have left a superseded directory
-        behind, and shipping it into the replacement would resurrect
-        old state.  Only streams the placement table puts on this
-        member travel.
+        Callers name only the streams the placement table put on the
+        source member: a stream that migrated away earlier may have
+        left a superseded home behind, and shipping it would resurrect
+        old state.
         """
-        if source is None or target is None:
-            return 0
-        source = Path(source)
-        shipped = 0
-        if source.exists():
-            for entry in sorted(source.iterdir()):
-                if (not entry.is_dir() or entry.name == "quarantine"
-                        or entry.name.endswith(".stage")):
-                    continue
-                sidecar = entry / "stream.json"
-                if not sidecar.exists():
-                    continue
-                try:
-                    doc = load_checked_json(sidecar)
-                except ChecksumError:
-                    continue
-                stream = str(doc["stream"])
-                if self.router.placement.get(stream) != member:
-                    continue
-                destination = Path(target) / entry.name
-                ship_state(entry, destination)
-                dump_checked_json({"stream": stream},
-                                  destination / "stream.json")
-                shipped += 1
-        Path(target).mkdir(parents=True, exist_ok=True)
-        return shipped
+        for stream, home in stream_homes(source).items():
+            if stream in targets:
+                publish_home(stage_home(
+                    stream, targets[stream] / stream_dirname(stream), home))
+
+    def _fresh_generation_dir(self, member: int, generation: int) -> Path:
+        """The directory of a generation ``topology.json`` does not
+        record yet, emptied: a directory already there was left by a
+        failover or resize that died before its commit, and a worker
+        must not reopen its stale homes."""
+        directory = self._shard_dir(member, generation)
+        move_aside(directory, quarantine_dir(directory), "uncommitted")
+        directory.mkdir(parents=True)
+        return directory
 
     def _failover(self, index: int) -> List[List[StreamRequest]]:
         """Replace a dead shard; returns its unacked batches, in order.
 
-        The replacement recovers from an atomically *shipped* copy of
-        the dead generation's journal + snapshots (exactly as a standby
-        on another machine would); the dead directory survives for
-        post-mortem.  The caller owns re-dispatching the returned
-        batches — the replacement's dedupe rule answers the
+        The replacement recovers from a staged, shipped copy of the
+        dead generation's homes in a new generation directory (exactly
+        as a standby on another machine would); the dead directory
+        survives for post-mortem.  The caller owns re-dispatching the
+        returned batches — the replacement's dedupe rule answers the
         already-journaled prefix with :data:`RECOVERED_TIER` markers.
         """
         dead = self._shards[index]
         self._failovers += 1
         unacked = dead.teardown(self.ledger)
         generation = dead.generation + 1
-        target = self._shard_dir(index, generation)
-        self._ship_shard_state(dead.state_dir, target, index)
+        if self._state_root is not None:
+            target = self._fresh_generation_dir(index, generation)
+            self._ship_homes(dead.state_dir, {
+                s: target for s, m in self.router.placement.items()
+                if m == index
+            })
         replacement = self._spawn(index, generation)
         replacement.pending = dead.pending
         replacement.deadline = dead.deadline
@@ -1163,13 +1113,12 @@ class PolicyFleet:
 
         Graceful degradation: the lost member's streams are re-placed
         at once, in sorted order, each on the least-loaded survivor in
-        its ring order, and each stream's on-disk state is registered
-        for ship-on-arrival — it travels to its new owner with the
-        stream's next request.  A later :meth:`resize` re-adding the
-        member shrinks the overflow back.  The new placement and the
-        pending-ship map ride in the topology document, committed
-        before anything is re-delivered, so a crash mid-degradation
-        loses nothing.
+        its ring order, and each stream's home is shipped to its new
+        owner before the new placement is committed — the same staged
+        ship a resize uses.  A crash before the commit reopens the old
+        shape (the shipped copies are superseded); one after it finds
+        every home at its new owner.  A later :meth:`resize` re-adding
+        the member shrinks the overflow back.
         """
         if len(self.members) <= 1:
             raise RuntimeError("cannot evacuate the last shard")
@@ -1180,28 +1129,23 @@ class PolicyFleet:
         batches = [batch for _, batch in unacked]
         if dead.pending:
             batches.append(dead.pending)
-        if dead.state_dir is not None:
-            source = Path(dead.state_dir)
-            if source.exists():
-                for entry in sorted(source.iterdir()):
-                    sidecar = entry / "stream.json"
-                    if not entry.is_dir() or not sidecar.exists():
-                        continue
-                    try:
-                        doc = load_checked_json(sidecar)
-                    except ChecksumError:
-                        continue
-                    self._pending_ship[str(doc["stream"])] = str(entry)
         self.members = [m for m in self.members if m != index]
         placement = self.router.placement
         self.router = ShardRouter(
             self.members, self.config.replicas,
             {s: m for s, m in placement.items() if m != index},
         )
-        for stream in sorted(s for s, m in placement.items() if m == index):
+        lost = sorted(s for s, m in placement.items() if m == index)
+        for stream in lost:
             self.router.route(stream)
+        if dead.state_dir is not None:
+            self._ship_homes(dead.state_dir, {
+                s: self._shards[self.router.placement[s]].state_dir
+                for s in lost
+            })
         self.epoch += 1
         self.events.bump("evacuations")
+        self.events.bump("streams_migrated", len(lost))
         self._save_topology()
         return batches
 
@@ -1236,25 +1180,6 @@ class PolicyFleet:
             for owner, pairs in groups.items():
                 self._dispatch(owner, pairs, deaths)
 
-    def _ship_on_arrival(self, index: int,
-                         batch: List[StreamRequest]) -> None:
-        """Ship evacuated per-stream state to its new owner lazily."""
-        if not self._pending_ship:
-            return
-        shard = self._shards[index]
-        if shard.state_dir is None:
-            return
-        for stream in {stream for stream, _ in batch}:
-            source = self._pending_ship.pop(stream, None)
-            if source is None:
-                continue
-            target = Path(shard.state_dir) / stream_dirname(stream)
-            ship_state(source, target)
-            dump_checked_json({"stream": stream},
-                              target / "stream.json")
-            self.events.bump("streams_migrated")
-            self._save_topology()
-
     def _dispatch(self, index: int, batch: List[StreamRequest],
                   deaths: int = 0) -> None:
         """Dispatch with failover: a torn pipe replaces (or evacuates)
@@ -1270,7 +1195,6 @@ class PolicyFleet:
             # Owner vanished between routing and dispatch (evacuated).
             self._redeliver([batch], deaths)
             return
-        self._ship_on_arrival(index, batch)
         try:
             shard.dispatch(batch, self._sink)
         except self._PIPE_ERRORS:

@@ -221,13 +221,13 @@ class FleetReport:
     failovers: int = 0
     #: Wall-clock seconds of the serving session (0 when unknown).
     wall_s: float = 0.0
-    #: Routing epochs swapped (one per committed resize/failover/
+    #: Routing epochs swapped (one per committed resize or
     #: evacuation — the fleet starts at epoch 0).
     epochs: int = 0
     #: Live resizes committed during the session.
     resizes: int = 0
-    #: Streams whose state was shipped to a new owner (resize +
-    #: evacuation ship-on-arrival combined).
+    #: Streams whose state was shipped to a new owner (resize and
+    #: evacuation combined).
     streams_migrated: int = 0
     #: Supervisor-granted shard restarts (crash failovers that spent
     #: restart budget).

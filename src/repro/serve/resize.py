@@ -13,10 +13,11 @@ in four steps:
 2. **Drain barrier** — the owning shard fsyncs the stream's journal
    and closes its server (``("drain", streams)`` over the control
    pipe); the stream's directory is now quiescent on disk.
-3. **Ship** — snapshot + journal are atomically copied into a
-   ``*.stage`` directory under the new owner, then renamed into place
-   (``os.replace``); a crash mid-copy leaves only a staging dir the
-   recovery sweep quarantines.
+3. **Ship** — the fleet's one staged ship
+   (:mod:`repro.serve.layout`): snapshot + journal are copied into a
+   ``*.stage`` home under the new owner, then renamed into place; a
+   crash mid-copy leaves only a staging dir the recovery sweep
+   quarantines.  Failover and evacuation ship the same way.
 4. **Epoch swap** — one atomic ``topology.json`` write commits the new
    membership, placement, epoch and generations.  Everything before it
    is provisional (crash ⇒ the resize never happened; sources stay
@@ -31,15 +32,15 @@ markers exactly as shard failover does.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..core.persistence import (ChecksumError, dump_checked_json,
                                 load_checked_json, move_aside)
-from .fleet import ShardRouter, _InlineShard, shard_dirname, stream_dirname
-from .journal import ship_state
+from .fleet import ShardRouter
+from .layout import (publish_home, quarantine_dir, shard_dirname,
+                     stage_home, stream_dirname, stream_homes)
 
 #: Step names, in order, at which :func:`execute_resize` calls its
 #: ``crash_hook`` — the crash-at-every-step suite injects faults here.
@@ -63,8 +64,8 @@ class FleetTopology:
     """The fleet's persisted shape: the resize protocol's commit point.
 
     One checksummed, atomically-replaced JSON document holding the
-    routing epoch, membership, per-member generation counters, the
-    stream placement table and the pending ship-on-arrival map.
+    routing epoch, membership, per-member generation counters and the
+    stream placement table.
     Whatever this document says at recovery time *is* the fleet —
     everything on disk that disagrees with it is quarantined by
     :func:`sweep_state_root`.
@@ -74,7 +75,8 @@ class FleetTopology:
     members: List[int] = field(default_factory=list)
     generations: Dict[int, int] = field(default_factory=dict)
     #: Stream id -> source directory of state evacuated from a lost
-    #: shard, awaiting ship-on-arrival to the stream's new owner.
+    #: shard, in documents written while evacuation shipped lazily.
+    #: Read, never written: opening the fleet ships these streams.
     pending: Dict[str, str] = field(default_factory=dict)
     #: Stream id -> member id serving it (absent in documents written
     #: before placement tables; :func:`sweep_state_root` adopts those
@@ -91,8 +93,6 @@ class FleetTopology:
                 str(member): int(generation)
                 for member, generation in sorted(self.generations.items())
             },
-            "pending": {str(k): str(v)
-                        for k, v in sorted(self.pending.items())},
             "placement": {str(k): int(v)
                           for k, v in sorted(self.placement.items())},
         }
@@ -140,8 +140,8 @@ def sweep_state_root(
 
     The single reclamation path shared by planned drains and crash
     failovers: quarantine every ``*.stage`` leftover (a crash mid-copy)
-    and every stream directory whose sidecar names a stream the
-    topology places on another member (a crash between place and
+    or home with a torn sidecar, and every stream home whose sidecar
+    names a stream the topology places on another member (a crash between place and
     retire, or a superseded source after a committed resize).  A stream
     missing from ``topology.placement`` was written before placement
     tables: it is adopted into the table if its ring owner is the
@@ -150,7 +150,6 @@ def sweep_state_root(
     stream.  Returns the quarantined paths.
     """
     state_root = Path(state_root)
-    quarantine = state_root / "quarantine"
     if not topology.members:
         return []
     ring = ShardRouter(topology.members, replicas)
@@ -158,29 +157,13 @@ def sweep_state_root(
     for member in topology.members:
         generation = topology.generations.get(member, 0)
         directory = state_root / shard_dirname(member, generation)
-        if not directory.exists():
-            continue
-        for entry in sorted(directory.iterdir()):
-            if not entry.is_dir() or entry.name == "quarantine":
-                continue
-            if entry.name.endswith(".stage"):
-                moved = move_aside(entry, quarantine, "stage")
-                if moved is not None:
-                    quarantined.append(moved)
-                continue
-            sidecar = entry / "stream.json"
-            if not sidecar.exists():
-                continue
-            try:
-                doc = load_checked_json(sidecar)
-            except ChecksumError:
-                continue  # the worker quarantines torn sidecars itself
-            stream = str(doc["stream"])
+        for stream, home in stream_homes(directory, quarantined).items():
             if (stream not in topology.placement
                     and next(ring.ring_order(stream)) == member):
                 topology.placement[stream] = member
             if topology.placement.get(stream) != member:
-                moved = move_aside(entry, quarantine, "superseded")
+                moved = move_aside(home, quarantine_dir(directory),
+                                   "superseded")
                 if moved is not None:
                     quarantined.append(moved)
     return quarantined
@@ -257,13 +240,6 @@ def plan_resize(
     )
 
 
-def _hosted_streams(shard) -> Set[str]:
-    """Streams a shard is known to hold serving state for."""
-    if isinstance(shard, _InlineShard):
-        return set(shard.worker.servers)
-    return set(getattr(shard, "resume_map", {}) or {})
-
-
 def execute_resize(
     fleet, new_members: Sequence[int], *,
     crash_hook: Optional[Callable[[str], None]] = None,
@@ -293,60 +269,42 @@ def execute_resize(
     hook("quiesce")
     fleet.drain()
 
-    # Plan over every placed stream and every stream with on-disk state.
-    streams: Set[str] = set(fleet.router.placement)
-    streams.update(fleet._pending_ship)
-    for shard in fleet._shards.values():
-        streams.update(_hosted_streams(shard))
-    plan = plan_resize(fleet.members, members, streams,
+    # Plan over every placed stream: a stream is placed, and the
+    # placement persisted, before it has a home anywhere.
+    plan = plan_resize(fleet.members, members, list(fleet.router.placement),
                        fleet.config.replicas, fleet.router.placement)
 
     # 2. Drain barrier: fsync + close every migrating stream at its
-    #    current owner (streams awaiting ship-on-arrival have no live
-    #    server — their state is already quiescent at the source).
+    #    current owner.
     hook("drain")
     by_source: Dict[int, List[str]] = {}
     for stream, (src, _) in plan.migrations.items():
-        if stream in fleet._pending_ship:
-            continue
         by_source.setdefault(src, []).append(stream)
     for src in sorted(by_source):
         fleet._shards[src].drain_streams(sorted(by_source[src]))
     hook("post-drain")
 
-    # 3. Ship: copy each migrating stream into a staging dir under its
-    #    new owner, then rename into place.  Added members get a fresh
+    # 3. Ship: stage each migrating stream's home under its new owner,
+    #    then publish every stage.  Added members get a fresh
     #    generation directory (never inherit a stale one).
     next_generation = {m: fleet.generations.get(m, -1) + 1
                        for m in plan.added}
+    shard_dirs = {m: fleet._fresh_generation_dir(m, g)
+                  for m, g in next_generation.items()}
+    shard_dirs.update((m, shard.state_dir)
+                      for m, shard in fleet._shards.items())
 
-    def target_dir(member: int) -> Path:
-        if member in next_generation:
-            return Path(fleet._shard_dir(member, next_generation[member]))
-        return Path(fleet._shards[member].state_dir)
-
-    staged: List[Tuple[Path, Path, Path]] = []
-    first_copy = True
+    staged: List[Tuple[Path, Path]] = []
     for stream in sorted(plan.migrations):
         src_member, dst_member = plan.migrations[stream]
-        if stream in fleet._pending_ship:
-            source = Path(fleet._pending_ship[stream])
-        else:
-            source = (Path(fleet._shards[src_member].state_dir)
-                      / stream_dirname(stream))
-        destination = target_dir(dst_member) / stream_dirname(stream)
-        stage = destination.with_name(destination.name + ".stage")
-        ship_state(source, stage)
-        dump_checked_json({"stream": stream}, stage / "stream.json")
-        staged.append((stage, destination, source))
-        if first_copy:
+        source = shard_dirs[src_member] / stream_dirname(stream)
+        home = shard_dirs[dst_member] / stream_dirname(stream)
+        staged.append((stage_home(stream, home, source), source))
+        if len(staged) == 1:
             hook("mid-copy")
-            first_copy = False
     hook("place")
-    for stage, destination, _ in staged:
-        if destination.exists():
-            move_aside(destination, fleet.quarantine_dir, "superseded")
-        os.replace(stage, destination)
+    for stage, _ in staged:
+        publish_home(stage)
 
     # Retire leaving members (their streams are all drained and
     # shipped; a clean stop collects their lifetime report) and spawn
@@ -370,8 +328,6 @@ def execute_resize(
     fleet.epoch += 1
     fleet.events.bump("resizes")
     fleet.events.bump("streams_migrated", len(plan.migrations))
-    for stream in plan.migrations:
-        fleet._pending_ship.pop(stream, None)
     fleet._save_topology()
     hook("commit")
 
@@ -379,9 +335,8 @@ def execute_resize(
     # failover can never resurrect a migrated-away stream.  A crash
     # in this window is finished by the recovery sweep — same
     # reclamation path.
-    for _, destination, source in staged:
-        if source != destination and source.exists():
-            move_aside(source, fleet.quarantine_dir, "migrated")
+    for _, source in staged:
+        move_aside(source, quarantine_dir(source.parent), "migrated")
     hook("retire")
 
     fleet.drain_pause.record(max(0.0, fleet._clock() - pause_started))

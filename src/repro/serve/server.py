@@ -35,7 +35,7 @@ import numpy as np
 from ..core.features import sanitize_features
 from ..core.policies.base import PolicyContext, ThreadPolicy
 from ..runtime.metrics import Gauge, LatencyLedger
-from ..runtime.tracing import ServeTracer
+from ..runtime.tracing import TierTransition
 from .breaker import BreakerConfig, CircuitBreaker
 from .journal import ServeStateStore
 from .report import ServeReport
@@ -185,12 +185,10 @@ class PolicyServer:
         *,
         state_dir: Optional[Union[str, Path]] = None,
         clock: Callable[[], float] = time.perf_counter,
-        tracer: Optional[ServeTracer] = None,
     ):
         self.policy = policy
         self.config = config or ServeConfig()
         self._clock = clock
-        self.tracer = tracer
         self.tiers = _build_tiers(policy)
         self.breaker = CircuitBreaker(
             len(self.tiers), self.config.breaker
@@ -200,7 +198,7 @@ class PolicyServer:
         self.batch_sizes = Gauge()
         self._failures: dict = {}
         self._tier_decisions: dict = {}
-        self._transitions: list = []
+        self._transitions: List[TierTransition] = []
         self._total = 0
         self._answered = 0
         self._shed = 0
@@ -251,15 +249,10 @@ class PolicyServer:
 
     def _record_transition(self, index: int, from_tier: str,
                            to_tier: str, reason: str) -> None:
-        if self.tracer is not None:
-            self.tracer.record(index, from_tier, to_tier, reason)
-            self._transitions = self.tracer.transitions
-        else:
-            from ..runtime.tracing import TierTransition
-            self._transitions.append(TierTransition(
-                request_index=index, from_tier=from_tier,
-                to_tier=to_tier, reason=reason,
-            ))
+        self._transitions.append(TierTransition(
+            request_index=index, from_tier=from_tier,
+            to_tier=to_tier, reason=reason,
+        ))
 
     def _serve(self, request: ServeRequest,
                planned=None) -> ServeDecision:

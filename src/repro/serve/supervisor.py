@@ -19,11 +19,13 @@ gaps from the parent's event loop (:meth:`tick` rides on
 * **Restart budgets** — each loss spends one restart from the
   member's budget, with exponential backoff and deterministic jitter
   (the executor's :class:`~repro.exec.fault.RetryPolicy`).  An
-  exhausted budget flips the verdict to *evacuate*: the ring re-homes
-  the member's streams onto survivors (state shipped on first
-  arrival), and :meth:`reinstate` shrinks the overflow back later via
-  a normal resize.  Planned drains and crash failovers share one
-  reclamation path — the topology-driven ownership sweep.
+  exhausted budget flips the verdict to *evacuate*: the member's
+  streams are re-placed on survivors and their state is shipped there
+  before the new placement is committed, and :meth:`reinstate` shrinks
+  the overflow back later via a normal resize.  Failover, evacuation
+  and resize move state through one staged ship, and planned drains
+  and crashes share one reclamation path — the topology-driven
+  ownership sweep.
 """
 
 from __future__ import annotations

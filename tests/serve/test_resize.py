@@ -120,7 +120,6 @@ class TestFleetTopology:
         topology = FleetTopology(
             epoch=3, members=[0, 2, 5],
             generations={0: 1, 5: 2},
-            pending={"loop_a": str(tmp_path / "somewhere")},
             placement={"loop_a": 2, "loop_b": 5},
         )
         topology.save(tmp_path)
@@ -128,7 +127,6 @@ class TestFleetTopology:
         assert loaded.epoch == 3
         assert loaded.members == [0, 2, 5]
         assert loaded.generations == {0: 1, 5: 2}
-        assert loaded.pending == {"loop_a": str(tmp_path / "somewhere")}
         assert loaded.placement == {"loop_a": 2, "loop_b": 5}
 
     def test_torn_document_quarantined_and_defaulted(self, tmp_path):
@@ -297,12 +295,128 @@ class TestPlacementRecovery:
         on_disk = FleetTopology.load_or_create(root, [0])
         assert on_disk.placement == fleet.router.placement
         assert on_disk.epoch == 1
-        assert lost in on_disk.pending
+        assert (root / shard_dirname(survivor, 0)
+                / stream_dirname(lost)).is_dir()
 
         drive(fleet, start=self.HALF)
         report = fleet.close()
         assert report.answered == SPEC.requests
         assert_matches_twin(fleet, tiny_bundle, config, tmp_path / "twin")
+
+    def test_topology_with_pending_ships_is_adopted(self, tiny_bundle,
+                                                    tmp_path):
+        # A state root written while evacuation shipped lazily: the lost
+        # member is gone from topology.json and its streams are placed
+        # on survivors, but their state still sits in the lost member's
+        # directory, listed under "pending".
+        config = FleetConfig(shards=3, batch_max=16)
+        root = tmp_path / "lazy"
+        table, served = self.crash_half_way(tiny_bundle, config, root)
+        victim = 2
+        survivors = [0, 1]
+        router = ShardRouter(survivors, config.replicas, {
+            s: m for s, m in table.items() if m != victim
+        })
+        lost = sorted(s for s, m in table.items() if m == victim)
+        assert lost
+        for stream in lost:
+            router.route(stream)
+        path = root / FleetTopology.FILENAME
+        doc = load_checked_json(path)
+        doc.update(epoch=1, members=survivors, placement=router.placement,
+                   pending={s: str(root / shard_dirname(victim, 0)
+                                   / stream_dirname(s)) for s in lost})
+        dump_checked_json(doc, path)
+
+        reborn = PolicyFleet(lambda: build_policy(tiny_bundle), config,
+                             state_root=root)
+        assert reborn.members == survivors
+        assert reborn.router.placement == router.placement
+        for stream in lost:
+            owner = router.placement[stream]
+            assert (root / shard_dirname(owner, 0)
+                    / stream_dirname(stream)).is_dir()
+        assert "pending" not in load_checked_json(path)
+        drive(reborn)
+        reborn.close()
+        assert_lossless(reborn, served)
+        assert_matches_twin(reborn, tiny_bundle, config, tmp_path / "twin")
+
+
+class TestUncommittedGeneration:
+    def test_failover_never_reopens_an_uncommitted_generation(
+            self, tiny_bundle, tmp_path, monkeypatch):
+        # A failover that dies after shipping into shard-0-g1 but before
+        # committing it leaves a populated directory behind.  After a
+        # resize moves one of member 0's streams away, the next failover
+        # of member 0 must not reopen that stream's stale copy there.
+        config = FleetConfig(shards=2, batch_max=16)
+        root = tmp_path / "root"
+        fleet = PolicyFleet(lambda: build_policy(tiny_bundle), config,
+                            state_root=root)
+        drive(fleet, stop=80)
+        fleet.drain()
+
+        def spawn_dies(index, generation):
+            raise InjectedCrash("parent died starting the replacement")
+
+        fleet.kill_shard(0)
+        monkeypatch.setattr(fleet, "_spawn", spawn_dies)
+        with pytest.raises(InjectedCrash):
+            drive(fleet, start=80)
+        assert list((root / shard_dirname(0, 1)).iterdir())
+        served = {d.index for d in fleet.decisions
+                  if d.tier != RECOVERED_TIER}
+        fleet.abort()
+
+        reborn = PolicyFleet(lambda: build_policy(tiny_bundle), config,
+                             state_root=root)
+        assert reborn.generations[0] == 0
+        drive(reborn, stop=160)
+        plan = reborn.resize(3)
+        assert any(src == 0 for src, _ in plan.migrations.values())
+        reborn.kill_shard(0)
+        drive(reborn, start=160)
+        reborn.close()
+        assert reborn.generations[0] == 1
+        assert any("uncommitted" in p.name
+                   for p in (root / "quarantine").iterdir())
+        assert_lossless(reborn, served)
+        assert_matches_twin(reborn, tiny_bundle, config, tmp_path / "twin")
+
+    def test_resize_never_reopens_a_rolled_back_member_dir(
+            self, tiny_bundle, tmp_path):
+        # A resize that dies before its commit has already placed homes
+        # in the added member's directory; re-adding that member later
+        # must start it on an empty one.
+        config = FleetConfig(shards=2, batch_max=16)
+        root = tmp_path / "root"
+        fleet = PolicyFleet(lambda: build_policy(tiny_bundle), config,
+                            state_root=root)
+        drive(fleet, stop=80)
+
+        def hook(step):
+            if step == "pre-epoch-swap":
+                raise InjectedCrash(step)
+
+        with pytest.raises(InjectedCrash):
+            fleet.resize(3, crash_hook=hook)
+        assert list((root / shard_dirname(2, 0)).iterdir())
+        served = {d.index for d in fleet.decisions
+                  if d.tier != RECOVERED_TIER}
+        fleet.abort()
+
+        reborn = PolicyFleet(lambda: build_policy(tiny_bundle), config,
+                             state_root=root)
+        assert reborn.members == [0, 1]
+        drive(reborn, stop=160)
+        reborn.resize(3)
+        drive(reborn, start=160)
+        reborn.close()
+        assert any("uncommitted" in p.name
+                   for p in (root / "quarantine").iterdir())
+        assert_lossless(reborn, served)
+        assert_matches_twin(reborn, tiny_bundle, config, tmp_path / "twin")
 
 
 class TestInlineResize:
@@ -459,6 +573,69 @@ class TestCrashDuringResize:
                         reborn.stream_states[stream]["selector"][field]),
                     np.asarray(twin_states[stream]["selector"][field]),
                 ), (stream, field)
+
+
+@pytest.mark.parametrize("after_commit", [False, True],
+                         ids=["before-commit", "after-commit"])
+class TestCrashDuringEvacuation:
+    """A crash on either side of an evacuation's topology write.
+
+    Before it, the reopened fleet still has the lost member and its
+    source homes, and the copies already shipped to survivors are
+    quarantined as superseded; after it, every lost stream's home is at
+    its new owner.  Either way the re-driven stream loses nothing,
+    serves nothing twice and ends bit-equal to the twin.
+    """
+
+    HALF = 120
+
+    def test_crash_is_lossless(self, after_commit, tiny_bundle, tmp_path,
+                               monkeypatch):
+        config = FleetConfig(shards=3, batch_max=16)
+        root = tmp_path / "crashed"
+        fleet = PolicyFleet(lambda: build_policy(tiny_bundle), config,
+                            state_root=root)
+        drive(fleet, stop=self.HALF)
+        fleet.drain()
+        victim = 1
+        lost = sorted(s for s, m in fleet.router.placement.items()
+                      if m == victim)
+        assert lost
+        save = fleet._save_topology
+
+        def crash():
+            if after_commit:
+                save()
+            raise InjectedCrash("evacuation")
+
+        monkeypatch.setattr(fleet, "_save_topology", crash)
+        fleet.kill_shard(victim)
+        with pytest.raises(InjectedCrash):
+            fleet._evacuate(victim)
+        served_before = {d.index for d in fleet.decisions
+                         if d.tier != RECOVERED_TIER}
+        fleet.abort()
+
+        reborn = PolicyFleet(lambda: build_policy(tiny_bundle), config,
+                             state_root=root)
+        if after_commit:
+            assert reborn.members == [0, 2]
+            assert reborn.epoch == 1
+            for stream in lost:
+                owner = reborn.router.placement[stream]
+                assert (root / shard_dirname(owner, 0)
+                        / stream_dirname(stream)).is_dir()
+        else:
+            assert reborn.members == [0, 1, 2]
+            assert reborn.epoch == 0
+            quarantined = [p.name for p in (root / "quarantine").iterdir()]
+            for stream in lost:
+                assert f"{stream_dirname(stream)}.superseded" in quarantined
+        drive(reborn)
+        report = reborn.close()
+        assert_lossless(reborn, served_before)
+        assert report.recovered == len(served_before)
+        assert_matches_twin(reborn, tiny_bundle, config, tmp_path / "twin")
 
 
 @needs_shm

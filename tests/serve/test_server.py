@@ -18,7 +18,6 @@ from repro.core.features import NUM_FEATURES
 from repro.core.policies import MixturePolicy
 from repro.core.policies.base import PolicyContext
 from repro.core.selector import HyperplaneSelector
-from repro.runtime.tracing import ServeTracer
 from repro.sched.stats import EnvironmentSample
 from repro.serve import (
     BreakerConfig,
@@ -154,10 +153,7 @@ class TestDegradationLadder:
 
     def test_trips_to_default_and_recovers(self):
         policy = StubPolicy()
-        tracer = ServeTracer()
-        server = PolicyServer(
-            policy, ServeConfig(breaker=BREAKER), tracer=tracer
-        )
+        server = PolicyServer(policy, ServeConfig(breaker=BREAKER))
         # Healthy: the policy answers.
         assert self.serve_n(server, 2)[0].tier == "stub"
         # Meltdown: after trip_threshold consecutive failures the
@@ -168,15 +164,17 @@ class TestDegradationLadder:
         assert all(d.tier == "default" for d in melted)
         assert all(d.threads == 16 for d in melted)
         assert server.breaker.tier == 1
-        assert [t.reason for t in tracer.transitions] == ["trip"]
-        assert tracer.transitions[0].request_index == 4
+        transitions = server.report().transitions
+        assert [t.reason for t in transitions] == ["trip"]
+        assert transitions[0].request_index == 4
         # Recovery: faults clear, the cooldown passes, probes succeed,
         # and the ladder steps back up.
         policy.failing = False
         self.serve_n(server, BREAKER.cooldown_requests
                      + BREAKER.probe_successes, start=6)
         assert server.breaker.tier == 0
-        assert [t.reason for t in tracer.transitions] == ["trip", "probe"]
+        assert [t.reason for t in server.report().transitions] == [
+            "trip", "probe"]
         assert server.serve_one(request(99)).tier == "stub"
         report = server.report()
         assert (report.trips, report.recoveries) == (1, 1)
