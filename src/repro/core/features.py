@@ -10,6 +10,7 @@ number of instructions in the program (done in
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Sequence
 
 import numpy as np
@@ -34,6 +35,26 @@ def make_feature_vector(
     return np.concatenate(
         [np.asarray(code.as_tuple(), dtype=float), env.as_vector()]
     )
+
+
+#: ``ctx -> (f^1, ..., f^10)`` for a policy context: the ten fields
+#: :func:`make_feature_vector` reads, fetched in one C call.
+_CONTEXT_FIELDS = attrgetter(
+    *(f"code.{name}" for name in CODE_FEATURE_NAMES),
+    *(f"env.{name}" for name in ENV_FEATURE_NAMES),
+)
+
+
+def feature_matrix(contexts: Sequence) -> np.ndarray:
+    """The ``(B, F)`` matrix of the contexts' feature vectors.
+
+    Row ``i`` equals ``contexts[i].feature_vector()`` bit for bit: the
+    same fields are converted to float64 the same way, just in one
+    array construction instead of two per row plus a stack.
+    """
+    return np.array(
+        [_CONTEXT_FIELDS(ctx) for ctx in contexts], dtype=float
+    ).reshape(len(contexts), NUM_FEATURES)
 
 
 def sanitize_features(
@@ -87,6 +108,21 @@ def env_part(features: np.ndarray) -> np.ndarray:
             f"got shape {features.shape}"
         )
     return features[..., ENV_OFFSET:]
+
+
+def env_norms(feature_rows: np.ndarray) -> list[float]:
+    """‖e‖ of every row of a ``(B, F)`` matrix, in one batched reduce.
+
+    Equal, bit for bit, to :func:`~repro.sched.stats.environment_norm`
+    of each row's environment slice (``EnvironmentSample.norm``):
+    ``np.add.reduce`` along a row sums in the order the 1-D reduce
+    does, and division and ``sqrt`` are correctly rounded in both.
+    Non-finite rows give NaN or inf, exactly as the scalar call does.
+    """
+    env = feature_rows[:, ENV_OFFSET:]
+    return np.sqrt(
+        np.add.reduce(env * env, axis=1) / (NUM_FEATURES - ENV_OFFSET)
+    ).tolist()
 
 
 def env_norm_of(features: np.ndarray) -> float:

@@ -23,7 +23,8 @@ from typing import List, Optional, Protocol, Sequence
 import numpy as np
 
 from ..expert import Expert
-from ..features import NUM_FEATURES, sanitize_features, sanitize_features_batch
+from ..features import (NUM_FEATURES, env_norms, feature_matrix,
+                        sanitize_features, sanitize_features_batch)
 from ..selector import ExpertSelector, HyperplaneSelector
 from .base import PolicyContext, ThreadPolicy
 
@@ -86,6 +87,9 @@ class BatchDecisionPlan:
     #: Per row: (predicted ‖ê‖, thread predictions, domain distances),
     #: one entry per expert.
     rows: List[tuple]
+    #: Per row: the observed ‖e‖ of the *unsanitized* row, equal to its
+    #: context's ``env.norm`` (NaN/inf for a faulty sensor reading).
+    observed: List[float]
 
 
 class _FrozenPool:
@@ -258,17 +262,21 @@ class MixturePolicy(ThreadPolicy):
         )
 
     def drop_decision_log(self) -> None:
-        """Forget :attr:`decisions`.
+        """Forget :attr:`decisions` and the selector's selection log.
 
-        The serving runtime never reads the log (snapshots exclude it,
-        recovery resets it), so it calls this after every batch rather
-        than let the log grow without bound.  The pending prediction is
-        still scored; like one from :meth:`restore_pending`, it just has
-        no logged decision left to rewrite.
+        The serving runtime never reads either log (snapshots exclude
+        them, recovery resets them), so it calls this after every batch
+        rather than let each grow by one entry per request, forever.
+        The pending prediction is still scored; like one from
+        :meth:`restore_pending`, it just has no logged decision left to
+        rewrite.
         """
         self.decisions.clear()
         if self._pending is not None:
             self._pending.decision_index = -1
+        stats = getattr(self._selector, "stats", None)
+        if stats is not None:
+            stats.selections.clear()
 
     def export_online_state(self) -> dict:
         """Snapshot of everything online learning has accumulated."""
@@ -316,10 +324,9 @@ class MixturePolicy(ThreadPolicy):
     def select(self, ctx: PolicyContext) -> int:
         if self._pool is None:
             features, degenerate = sanitize_features(ctx.feature_vector())
-            return self._decide(ctx, features, degenerate, None)
-        plan = self.plan_batch(
-            ctx.feature_vector()[None, :], ctx.max_threads
-        )
+            return self._decide(ctx, features, degenerate, None,
+                                ctx.env.norm)
+        plan = self.plan_batch(feature_matrix([ctx]), ctx.max_threads)
         return self._select_planned(ctx, plan, 0)
 
     def _decide(
@@ -328,6 +335,7 @@ class MixturePolicy(ThreadPolicy):
         features: np.ndarray,
         degenerate: bool,
         planned: Optional[tuple],
+        observed_norm: float,
     ) -> int:
         """The per-decision core: score, learn, select, log.
 
@@ -335,9 +343,8 @@ class MixturePolicy(ThreadPolicy):
         domain_distances)`` from :meth:`plan_batch`.  It is None only
         for a pool the kernel does not plan; those predictions are then
         made here, after the experts that learn online have seen the
-        observation.
+        observation.  ``observed_norm`` is ``ctx.env.norm``.
         """
-        observed_norm = ctx.env.norm
         if not math.isfinite(observed_norm):
             # A NaN/inf observation cannot score anything; discard the
             # pending predictions rather than learn from garbage (the
@@ -450,6 +457,7 @@ class MixturePolicy(ThreadPolicy):
             features=matrix,
             degenerate=degenerate.tolist(),
             rows=self._pool.plan(matrix, limits),
+            observed=env_norms(np.asarray(feature_rows, dtype=float)),
         )
 
     def _select_planned(
@@ -457,7 +465,8 @@ class MixturePolicy(ThreadPolicy):
     ) -> int:
         """One decision using row ``row`` of a plan."""
         return self._decide(
-            ctx, plan.features[row], plan.degenerate[row], plan.rows[row]
+            ctx, plan.features[row], plan.degenerate[row], plan.rows[row],
+            plan.observed[row],
         )
 
     def select_batch(self, ctxs: Sequence[PolicyContext]) -> List[int]:
@@ -470,8 +479,7 @@ class MixturePolicy(ThreadPolicy):
         plan = None
         if ctxs:
             plan = self.plan_batch(
-                np.stack([ctx.feature_vector() for ctx in ctxs]),
-                [ctx.max_threads for ctx in ctxs],
+                feature_matrix(ctxs), [ctx.max_threads for ctx in ctxs]
             )
         if plan is None:
             return [self.select(ctx) for ctx in ctxs]

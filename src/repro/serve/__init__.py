@@ -47,6 +47,7 @@ from .fleet import (
     ShardWorker,
 )
 from .journal import (
+    JournalWriteError,
     SelectorJournal,
     ServeStateStore,
     SnapshotStore,
@@ -87,6 +88,7 @@ __all__ = [
     "FleetReport",
     "FleetSupervisor",
     "FleetTopology",
+    "JournalWriteError",
     "PolicyFleet",
     "PolicyServer",
     "RESIZE_STEPS",

@@ -18,6 +18,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
+#: The fields of :meth:`CircuitBreaker.export_state`, in export order
+#: (the journal's binary record stores them by position).
+STATE_FIELDS = ("tier", "failures", "cooldown", "probe_streak")
+
 
 @dataclass(frozen=True)
 class BreakerConfig:

@@ -291,31 +291,33 @@ def encode_requests(
 def decode_requests(
     meta: dict, arrays: dict
 ) -> Tuple[int, List[StreamRequest]]:
-    """Inverse of :func:`encode_requests`."""
+    """Inverse of :func:`encode_requests`.
+
+    Column by column: each ring column becomes Python values with one
+    ``tolist()``, so no field pays a NumPy scalar index.
+    """
     if meta.get("kind") != "requests":
         raise ValueError(f"expected a request block, got {meta.get('kind')!r}")
     vocab = meta["vocab"]
-    width = len(_ENV_FIELDS)
+    n = int(meta["n"])
+    envs = arrays["env"].reshape(n, len(_ENV_FIELDS)).tolist()
+    codes = arrays["code"].reshape(n, 3).tolist()
     batch: List[StreamRequest] = []
-    for i in range(int(meta["n"])):
-        base = width * i
-        env = EnvironmentSample(*(
-            float(arrays["env"][base + j]) for j in range(width)
-        ))
+    for index, time_, stream, loop, available, max_threads, code, env in zip(
+        arrays["idx"].tolist(), arrays["time"].tolist(),
+        arrays["stream"].tolist(), arrays["loop"].tolist(),
+        arrays["available"].tolist(), arrays["max_threads"].tolist(),
+        codes, envs,
+    ):
         ctx = PolicyContext(
-            time=float(arrays["time"][i]),
-            loop_name=vocab[int(arrays["loop"][i])],
-            code=CodeFeatures(*(
-                float(v) for v in arrays["code"][3 * i:3 * i + 3]
-            )),
-            env=env,
-            available_processors=int(arrays["available"][i]),
-            max_threads=int(arrays["max_threads"][i]),
+            time=time_,
+            loop_name=vocab[loop],
+            code=CodeFeatures(*code),
+            env=EnvironmentSample(*env),
+            available_processors=available,
+            max_threads=max_threads,
         )
-        batch.append((
-            vocab[int(arrays["stream"][i])],
-            ServeRequest(index=int(arrays["idx"][i]), ctx=ctx),
-        ))
+        batch.append((vocab[stream], ServeRequest(index=index, ctx=ctx)))
     return int(meta["start_position"]), batch
 
 

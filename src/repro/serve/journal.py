@@ -1,17 +1,19 @@
 """Crash-safe online-learning state: write-ahead journal + snapshots.
 
-The serving runtime's durability story has two layers, both built on
-the checksummed-document primitives in :mod:`repro.core.persistence`:
+The serving runtime's durability story has two layers:
 
-* a **journal** (:class:`SelectorJournal`) — one JSON line per served
-  request, carrying the selector/mixture operations that request
-  performed (captured by an :class:`_OpBuffer` attached through
-  :meth:`~repro.core.selector.HyperplaneSelector.attach_journal`) plus
-  the circuit breaker's compact state.  Each line embeds a checksum; a
-  torn tail (the classic crash artifact) is detected, quarantined for
-  post-mortem, and truncated away;
+* a **journal** (:class:`SelectorJournal`) — one length-framed binary
+  record per served request, carrying the selector/mixture operations
+  that request performed (captured by an :class:`_OpBuffer` attached
+  through :meth:`~repro.core.selector.HyperplaneSelector.attach_journal`)
+  plus the circuit breaker's compact state.  Each record ends in a
+  crc32; a torn tail (the classic crash artifact) is detected,
+  quarantined for post-mortem, and truncated away.  Journals written
+  before the binary record (one JSON line per request) still replay,
+  and binary records continue them in place;
 * periodic **snapshots** (:class:`SnapshotStore`) — checksummed,
-  atomically-written documents of the full online state.  A corrupt
+  atomically-written documents of the full online state (the
+  primitives in :mod:`repro.core.persistence`).  A corrupt
   snapshot is quarantined and recovery falls back to the previous one.
 
 Recovery = newest good snapshot + replay of journal records with a
@@ -21,25 +23,31 @@ normalizer, and tie-breaker phase are bit-identical to the state at the
 moment of the crash (see ``tests/serve/test_crash_recovery.py``).
 
 Durability model: group commit.  :meth:`SelectorJournal.append`
-encodes a record once and buffers the line; :meth:`SelectorJournal.flush`
-writes every buffered line in one ``write`` and flushes it to the OS.
-The server flushes once per served batch, *before* that batch's
-decisions leave it, so no answered decision is ever missing from the
-journal after any *process* death (kill -9, unhandled exception, OOM).
-Records committed but not yet flushed die with the process, together
-with the decisions nobody has seen.  Surviving power loss would
-additionally need an fsync per batch, which costs more than the
-decisions themselves; a mapping runtime restarted after power loss
-retrains cheaply from the last snapshot.
+encodes a record once and buffers it; :meth:`SelectorJournal.flush`
+writes every buffered record in one unbuffered ``write``.  The server
+flushes once per served batch, *before* that batch's decisions leave
+it, so no answered decision is ever missing from the journal after any
+*process* death (kill -9, unhandled exception, OOM).  Records
+committed but not yet flushed die with the process, together with the
+decisions nobody has seen.  Surviving power loss would additionally
+need an fsync per batch, which costs more than the decisions
+themselves; a mapping runtime restarted after power loss retrains
+cheaply from the last snapshot.  A group write that fails (``ENOSPC``,
+``EIO``, a short write) is cut back to the last whole record and
+raises :class:`JournalWriteError`; the journal then refuses every write
+until its stream is reopened from disk.
 """
 
 from __future__ import annotations
 
-import hashlib
+import errno
 import json
+import math
 import os
+import struct
+import zlib
 from pathlib import Path
-from typing import Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -52,10 +60,196 @@ from ..core.persistence import (
     payload_checksum,
     prune_quarantine,
 )
+from .breaker import STATE_FIELDS
 
 #: Snapshots retained on disk.  Two, not one: the newest may be the
 #: crash victim, and then its predecessor is the recovery point.
 SNAPSHOTS_KEPT = 2
+
+#: First byte of a binary journal record, format version 1.  A legacy
+#: JSON record starts with ``{``, and 0xB1 is a UTF-8 continuation
+#: byte, so no text line can start with it: replay tells the two
+#: formats apart by this one byte.
+RECORD_MAGIC = 0xB1
+
+# Record layout, all little-endian (docs/robustness.md):
+#   magic u8 | body length u32 | body | crc32 of everything before it u32
+# body:
+#   req i64 | op count u8 | ops | breaker presence u8 | non-zero mask u8
+#   | each non-zero breaker field as i32, in STATE_FIELDS order
+# op: kind u8, then per float vector a count u8 and that many f64s;
+#   "u" (update) carries features then errors, "s" (select) features,
+#   "c" (clear) nothing.
+_HEAD = struct.Struct("<BI")
+_BODY_HEAD = struct.Struct("<qB")
+_CRC = struct.Struct("<I")
+_INT32 = struct.Struct("<i")
+_UPDATE, _SELECT, _CLEAR = b"u", b"s", b"c"
+_OP_NAMES = {_UPDATE[0]: "update", _SELECT[0]: "select", _CLEAR[0]: "clear"}
+#: Breaker-presence bit of the extra block (the low bits flag fields).
+_BREAKER_SECTION = 0x80
+_COUNT = [bytes((n,)) for n in range(256)]
+_LE_FLOAT64 = np.dtype("<f8")
+_FLOATS: Dict[int, struct.Struct] = {}
+#: Encoded extra blocks by breaker state: the state changes rarely.
+_EXTRA_BLOCKS: Dict[tuple, bytes] = {}
+
+
+def _floats_struct(count: int) -> struct.Struct:
+    packer = _FLOATS.get(count)
+    if packer is None:
+        packer = _FLOATS[count] = struct.Struct(f"<{count}d")
+    return packer
+
+
+def _raw_vector(values) -> bytes:
+    """Count byte + raw float64s of a vector the selector consumed."""
+    if type(values) is list:
+        return _COUNT[len(values)] + _floats_struct(len(values)).pack(*values)
+    array = np.asarray(values, dtype=_LE_FLOAT64)
+    return _COUNT[array.size] + array.tobytes()
+
+
+def _checked_vector(values) -> bytes:
+    """:func:`_raw_vector` for caller-built ops: every value must be a
+    finite float, as the selector guarantees for what it records."""
+    values = list(values)
+    for value in values:
+        if not isinstance(value, float):
+            raise TypeError(
+                f"journal op values must be floats, got "
+                f"{type(value).__name__}"
+            )
+        if not math.isfinite(value):
+            raise ValueError(f"journal op value {value!r} is not finite")
+    if len(values) > 255:
+        raise ValueError("a journal op vector holds at most 255 values")
+    return _raw_vector([float(value) for value in values])
+
+
+def _encode_op(op) -> bytes:
+    """One op given as a list (``["update", features, errors]``,
+    ``["select", features]`` or ``["clear"]``)."""
+    kind = op[0]
+    if kind == "update":
+        _, features, errors = op
+        return _UPDATE + _checked_vector(features) + _checked_vector(errors)
+    if kind == "select":
+        _, features = op
+        return _SELECT + _checked_vector(features)
+    if kind == "clear" and len(op) == 1:
+        return _CLEAR
+    raise ValueError(f"malformed journal op {op!r}")
+
+
+def _pack_breaker(breaker: dict) -> bytes:
+    """Presence byte, non-zero mask, then each non-zero field as i32.
+
+    Values must be integers; an integral float is stored as the equal
+    integer (so a cache hit on an equal state gives the same block).
+    """
+    unknown = set(breaker) - set(STATE_FIELDS)
+    if unknown:
+        raise TypeError(f"unknown breaker fields {sorted(unknown)}")
+    present, nonzero, values = _BREAKER_SECTION, 0, []
+    for bit, name in enumerate(STATE_FIELDS):
+        if name in breaker:
+            raw = breaker[name]
+            try:
+                value = int(raw)
+            except (TypeError, ValueError, OverflowError):
+                value = None
+            if value is None or value != raw:
+                raise TypeError(f"breaker field {name}={raw!r} is not "
+                                "an integer")
+            present |= 1 << bit
+            if value:
+                nonzero |= 1 << bit
+                values.append(_INT32.pack(value))
+    return bytes((present, nonzero)) + b"".join(values)
+
+
+def _encode_extra(extra: Optional[dict]) -> bytes:
+    """The extra block: nothing but the breaker state, or nothing."""
+    if not extra:
+        return b"\x00\x00"
+    breaker = extra.get("breaker")
+    if len(extra) != 1 or not isinstance(breaker, dict):
+        raise TypeError(
+            f"journal extra holds only the breaker state, got {extra!r}"
+        )
+    key = tuple(breaker.items())
+    block = _EXTRA_BLOCKS.get(key)
+    if block is None:
+        block = _pack_breaker(breaker)
+        if len(_EXTRA_BLOCKS) < 4096:
+            _EXTRA_BLOCKS[key] = block
+    return block
+
+
+def _decode_body(body: memoryview) -> Tuple[int, list, dict]:
+    """Inverse of the body encoding; ValueError on any inconsistency."""
+    req, count = _BODY_HEAD.unpack_from(body, 0)
+    offset = _BODY_HEAD.size
+    ops: list = []
+
+    def vector() -> list:
+        nonlocal offset
+        size = body[offset]
+        values = _floats_struct(size).unpack_from(body, offset + 1)
+        offset += 1 + 8 * size
+        return list(values)
+
+    for _ in range(count):
+        name = _OP_NAMES.get(body[offset])
+        offset += 1
+        if name == "update":
+            ops.append([name, vector(), vector()])
+        elif name == "select":
+            ops.append([name, vector()])
+        elif name == "clear":
+            ops.append([name])
+        else:
+            raise ValueError(f"unknown op kind {body[offset - 1]}")
+    present, nonzero = body[offset], body[offset + 1]
+    offset += 2
+    extra: dict = {}
+    if present:
+        fields = (1 << len(STATE_FIELDS)) - 1
+        if (present & ~(_BREAKER_SECTION | fields) or nonzero & ~present
+                or not present & _BREAKER_SECTION):
+            raise ValueError("malformed breaker block")
+        breaker = {}
+        for bit, name in enumerate(STATE_FIELDS):
+            if present >> bit & 1:
+                value = 0
+                if nonzero >> bit & 1:
+                    (value,) = _INT32.unpack_from(body, offset)
+                    offset += _INT32.size
+                breaker[name] = value
+        extra = {"breaker": breaker}
+    if offset != len(body):
+        raise ValueError("record body length mismatch")
+    return req, ops, extra
+
+
+def _decode_json_line(raw: bytes) -> Tuple[int, list, dict]:
+    """One legacy JSON record (either separator style)."""
+    record = json.loads(raw.decode("utf-8"))
+    payload = {"req": record["req"], "ops": record["ops"],
+               "extra": record.get("extra", {})}
+    if record.get("crc") != payload_checksum(payload):
+        raise ValueError("crc mismatch")
+    return payload["req"], payload["ops"], payload["extra"]
+
+
+class JournalWriteError(OSError):
+    """A group write failed (``ENOSPC``, ``EIO``, a short write).
+
+    The file was cut back to its last whole record, and the journal
+    refuses every later write: the in-memory state has run ahead of
+    the disk, so the stream must be reopened (recovered) from disk.
+    """
 
 
 class _OpBuffer:
@@ -64,28 +258,24 @@ class _OpBuffer:
     Implements both sink protocols
     (:class:`~repro.core.selector.SelectorJournalSink` and
     :class:`~repro.core.policies.mixture.MixtureJournalSink`); the
-    server drains it into one journal record per request.
+    server drains it into one journal record per request.  Each op is
+    kept already encoded — raw float64 bytes, no per-value checks: the
+    selector records only finite, sanitized features and finite errors.
     """
 
     def __init__(self) -> None:
-        self.ops: List[list] = []
+        self.ops: List[bytes] = []
 
     def record_update(self, features, errors) -> None:
-        self.ops.append([
-            "update",
-            np.asarray(features, dtype=float).tolist(),
-            np.asarray(errors, dtype=float).tolist(),
-        ])
+        self.ops.append(_UPDATE + _raw_vector(features) + _raw_vector(errors))
 
     def record_select(self, features) -> None:
-        self.ops.append([
-            "select", np.asarray(features, dtype=float).tolist(),
-        ])
+        self.ops.append(_SELECT + _raw_vector(features))
 
     def record_clear(self) -> None:
-        self.ops.append(["clear"])
+        self.ops.append(_CLEAR)
 
-    def drain(self) -> List[list]:
+    def drain(self) -> List[bytes]:
         ops, self.ops = self.ops, []
         return ops
 
@@ -93,55 +283,108 @@ class _OpBuffer:
 class SelectorJournal:
     """Append-only, per-record-checksummed journal of served requests.
 
-    One line per record: ``{"crc": "...", "extra": {...}, "ops": [...],
-    "req": k}`` where ``crc`` covers everything else.  :meth:`append`
-    buffers lines and :meth:`flush` writes them whole in one group; a
-    crash can therefore only damage the final group, which
-    :meth:`replay` cuts back to its last whole record, quarantining and
-    truncating the rest.
+    One binary record per request (layout in docs/robustness.md):
+    ``req``, the ops, the breaker state and a crc32 over the record.
+    :meth:`append` buffers records and :meth:`flush` writes them whole
+    in one group; a crash can therefore only damage the final group,
+    which :meth:`replay` cuts back to its last whole record,
+    quarantining and truncating the rest.  The file keeps its
+    historical name ``journal.jsonl``: legacy JSON-line journals under
+    that name replay and are continued in place.
     """
 
     def __init__(self, path: Union[str, Path]):
         self.path = Path(path)
         self.path.parent.mkdir(parents=True, exist_ok=True)
         self._fh = None
-        self._pending: List[str] = []
+        self._pending: List[bytes] = []
+        #: File size up to the last whole record, while the file is open.
+        self._size: Optional[int] = None
+        #: The failure that poisoned this journal (see JournalWriteError).
+        self._failed: Optional[OSError] = None
         self.records_written = 0
         self.tails_quarantined = 0
 
     # -- writing ----------------------------------------------------------
 
-    def append(self, req: int, ops: Sequence[list],
+    def _refuse_if_failed(self) -> None:
+        if self._failed is not None:
+            raise JournalWriteError(
+                errno.EIO,
+                f"journal {self.path} refused a write after a failed "
+                "group write; reopen its stream from disk",
+            ) from self._failed
+
+    def append(self, req: int, ops: Sequence,
                extra: Optional[dict] = None) -> None:
         """Encode one record and buffer it until the next :meth:`flush`.
 
-        The payload is encoded once, in exactly the canonical form
-        :func:`~repro.core.persistence.payload_checksum` hashes, so the
-        records must already be plain JSON (Python floats, ints, strings
-        — what :class:`_OpBuffer` and the breaker emit); anything else
-        raises ``TypeError`` here rather than writing an unverifiable
-        line.
+        ``ops`` are :class:`_OpBuffer` ops or lists
+        (``["update", features, errors]``, ``["select", features]``,
+        ``["clear"]``) whose values must be finite floats, and
+        ``extra`` is empty or ``{"breaker": <breaker state>}``;
+        anything else raises ``TypeError``/``ValueError`` here rather
+        than writing a record that cannot replay.
         """
-        canonical = json.dumps(
-            {"req": int(req), "ops": list(ops), "extra": extra or {}},
-            sort_keys=True, separators=(",", ":"), allow_nan=False,
-        )
-        crc = hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
-        # "crc" sorts before every payload key, so the spliced line is
-        # itself the sorted-key encoding of the whole record.
-        self._pending.append(f'{{"crc":"{crc}",{canonical[1:]}\n')
+        self._refuse_if_failed()
+        encoded = [op if type(op) is bytes else _encode_op(op)
+                   for op in ops]
+        try:
+            body = b"".join((_BODY_HEAD.pack(req, len(encoded)),
+                             *encoded, _encode_extra(extra)))
+        except struct.error as exc:
+            raise ValueError(f"unencodable journal record: {exc}") from exc
+        record = _HEAD.pack(RECORD_MAGIC, len(body)) + body
+        self._pending.append(record + _CRC.pack(zlib.crc32(record)))
         self.records_written += 1
 
+    def _open(self):
+        """The append handle: unbuffered, so one ``write`` is one
+        syscall and its count says exactly how much reached the OS."""
+        return open(self.path, "ab", buffering=0)
+
     def flush(self) -> None:
-        """Write every buffered record in one group and flush it to the
-        OS — the durability point against process death."""
+        """Write every buffered record in one group to the OS — the
+        durability point against process death.
+
+        A failed or short write cuts the file back to the last whole
+        record, poisons the journal and raises :class:`JournalWriteError`,
+        so no later group can follow a torn record.
+        """
+        self._refuse_if_failed()
         if not self._pending:
             return
-        if self._fh is None:
-            self._fh = open(self.path, "a")
-        lines, self._pending = self._pending, []
-        self._fh.write("".join(lines))
-        self._fh.flush()
+        group = b"".join(self._pending)
+        self._pending = []
+        try:
+            if self._fh is None:
+                self._fh = self._open()
+                self._size = os.fstat(self._fh.fileno()).st_size
+            written = self._fh.write(group)
+            if written != len(group):
+                raise OSError(
+                    errno.EIO,
+                    f"short journal write: {written} of {len(group)} bytes",
+                )
+        except OSError as exc:
+            self._fail(exc)
+        self._size += len(group)
+
+    def _fail(self, cause: OSError) -> None:
+        self._failed = cause
+        if self._size is not None:
+            try:
+                # None of the group's records counted as written, so
+                # whatever part of it reached the file is cut away.
+                os.truncate(self.path, self._size)
+            except OSError:
+                pass  # the torn tail stays; replay quarantines it
+        self._close_handle()
+        raise JournalWriteError(
+            cause.errno or errno.EIO,
+            f"journal group write to {self.path} failed ({cause}); "
+            "reopen its stream from disk",
+        ) from cause
 
     def sync(self) -> None:
         """Flush, then fsync the journal file (the migration drain
@@ -160,6 +403,7 @@ class SelectorJournal:
     def truncate(self) -> None:
         """Empty the journal (its contents, buffered records included,
         are covered by a snapshot)."""
+        self._refuse_if_failed()
         self._pending = []
         self.close()
         # Truncation IS the committed state here: the snapshot written
@@ -168,11 +412,21 @@ class SelectorJournal:
         with open(self.path, "w"):  # sanitize: ok S003
             pass
 
-    def close(self) -> None:
-        self.flush()
+    def _close_handle(self) -> None:
         if self._fh is not None:
-            self._fh.close()
+            try:
+                self._fh.close()
+            except OSError:
+                pass
             self._fh = None
+            self._size = None
+
+    def close(self) -> None:
+        """Flush and release the file (a failed journal has nothing
+        left to flush and only releases it)."""
+        if self._failed is None:
+            self.flush()
+        self._close_handle()
 
     # -- reading ----------------------------------------------------------
 
@@ -194,45 +448,59 @@ class SelectorJournal:
         self.tails_quarantined += 1
         prune_quarantine(quarantine)
 
+    @staticmethod
+    def _next_record(data: bytes, start: int):
+        """``((req, ops, extra), end)`` for the record at ``start``, or
+        None when it is torn or fails its check.  The first byte picks
+        the format: :data:`RECORD_MAGIC` or a legacy JSON line."""
+        if data[start] == RECORD_MAGIC:
+            if start + _HEAD.size > len(data):
+                return None
+            _, size = _HEAD.unpack_from(data, start)
+            body_end = start + _HEAD.size + size
+            end = body_end + _CRC.size
+            if end > len(data):
+                return None
+            view = memoryview(data)
+            (crc,) = _CRC.unpack_from(data, body_end)
+            if zlib.crc32(view[start:body_end]) != crc:
+                return None
+            try:
+                return _decode_body(view[start + _HEAD.size:body_end]), end
+            except (IndexError, ValueError, struct.error):
+                return None
+        newline = data.find(b"\n", start)
+        if data[start] != ord("{") or newline < 0:
+            # A group write cut just before a JSON line's newline is a
+            # torn tail too: keeping it would glue the next record on.
+            return None
+        try:
+            return _decode_json_line(data[start:newline + 1]), newline + 1
+        except (KeyError, TypeError, ValueError, UnicodeDecodeError):
+            return None
+
     def replay(self, after_req: int = -1) -> Iterator[Tuple[int, list, dict]]:
         """Yield ``(req, ops, extra)`` for good records with
         ``req > after_req``; stops at (and repairs) a torn tail.
-        Records in either encoding verify: the compact one
-        :meth:`append` writes and the spaced one older journals hold.
+        Binary records and legacy JSON lines (compact or spaced) may
+        follow each other in one file.
 
         Materialised eagerly so the tail repair happens even if the
         caller stops consuming early.
         """
         if not self.path.exists():
             return iter(())
+        data = self.path.read_bytes()
         records: List[Tuple[int, list, dict]] = []
         good_bytes = 0
-        damaged = False
-        with open(self.path, "rb") as fh:
-            for raw in fh:
-                if not raw.endswith(b"\n"):
-                    # A group write cut just before its last newline:
-                    # keeping that record would glue the next append
-                    # onto its line, so it is a torn tail too.
-                    damaged = True
-                    break
-                try:
-                    line = raw.decode("utf-8")
-                    record = json.loads(line)
-                    payload = {"req": record["req"], "ops": record["ops"],
-                               "extra": record.get("extra", {})}
-                    if record.get("crc") != payload_checksum(payload):
-                        raise ValueError("crc mismatch")
-                except (KeyError, TypeError, ValueError,
-                        UnicodeDecodeError):
-                    damaged = True
-                    break
-                good_bytes += len(raw)
-                if payload["req"] > after_req:
-                    records.append((payload["req"], payload["ops"],
-                                    payload["extra"]))
-        if damaged:
-            self._quarantine_tail(good_bytes)
+        while good_bytes < len(data):
+            found = self._next_record(data, good_bytes)
+            if found is None:
+                self._quarantine_tail(good_bytes)
+                break
+            record, good_bytes = found
+            if record[0] > after_req:
+                records.append(record)
         return iter(records)
 
 

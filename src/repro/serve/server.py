@@ -30,9 +30,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, List, Optional, Sequence, Union
 
-import numpy as np
-
-from ..core.features import sanitize_features
+from ..core.features import feature_matrix, sanitize_features
 from ..core.policies.base import PolicyContext, ThreadPolicy
 from ..runtime.metrics import Gauge, LatencyLedger
 from ..runtime.tracing import TierTransition
@@ -361,11 +359,9 @@ class PolicyServer:
         admitted = batch[:max(0, capacity - start_position)]
         if not admitted:
             return None
-        rows = np.stack(
-            [request.ctx.feature_vector() for request in admitted]
-        )
+        contexts = [request.ctx for request in admitted]
         return plan_batch(
-            rows, [request.ctx.max_threads for request in admitted]
+            feature_matrix(contexts), [ctx.max_threads for ctx in contexts]
         )
 
     def _offer(

@@ -17,7 +17,9 @@ import pytest
 from repro.analysis.determinism import StateDigest
 from repro.compiler.features import CodeFeatures
 from repro.core.features import (
+    ENV_OFFSET,
     NUM_FEATURES,
+    feature_matrix,
     sanitize_features,
     sanitize_features_batch,
 )
@@ -275,6 +277,84 @@ def assert_same_decisions(policy_a, policy_b):
     assert len(policy_a.decisions) == len(policy_b.decisions)
     for left, right in zip(policy_a.decisions, policy_b.decisions):
         assert left == right  # dataclass ==: exact floats, exact ints
+
+
+def random_contexts(rng, count):
+    """Contexts over many magnitudes, with faulty-sensor rows: NaN,
+    +inf and -inf in environment fields, NaN in code fields, and
+    integer-valued fields."""
+    values = rng.normal(size=(count, NUM_FEATURES)) * 10.0 ** rng.integers(
+        -6, 7, size=(count, NUM_FEATURES))
+    faults = (math.nan, math.inf, -math.inf)
+    for i in range(0, count, 7):
+        values[i, int(rng.integers(ENV_OFFSET, NUM_FEATURES))] = \
+            faults[i % 3]
+    for i in range(3, count, 29):
+        values[i, int(rng.integers(ENV_OFFSET))] = math.nan
+    for i in range(5, count, 31):
+        values[i] = 0.0
+    ctxs = []
+    for i, row in enumerate(values.tolist()):
+        if i % 17 == 1:
+            row[ENV_OFFSET] = i % 64
+        ctxs.append(PolicyContext(
+            time=float(i), loop_name="loop",
+            code=CodeFeatures(*row[:ENV_OFFSET]),
+            env=EnvironmentSample(float(i), *row[ENV_OFFSET:]),
+            available_processors=16, max_threads=32,
+        ))
+    return ctxs
+
+
+def same_float(a: float, b: float) -> bool:
+    return a == b or (math.isnan(a) and math.isnan(b))
+
+
+class TestColumnarIntake:
+    """The shard intake's one-call matrix and batched ‖e‖ reduce equal
+    the per-context reference bit for bit (``==``, NaN rows included)."""
+
+    def test_feature_matrix_equals_stacked_feature_vectors(self):
+        ctxs = random_contexts(np.random.default_rng(3), 20_000)
+        matrix = feature_matrix(ctxs)
+        reference = np.stack([ctx.feature_vector() for ctx in ctxs])
+        assert matrix.shape == reference.shape
+        assert matrix.dtype == reference.dtype
+        assert np.array_equal(matrix, reference, equal_nan=True)
+        assert matrix.tobytes() == reference.tobytes()
+        assert feature_matrix([]).shape == (0, NUM_FEATURES)
+
+    def test_plan_norms_equal_env_norm(self, tiny_bundle):
+        policy = MixturePolicy(tiny_bundle.experts)
+        ctxs = random_contexts(np.random.default_rng(4), 20_000)
+        plan = policy.plan_batch(feature_matrix(ctxs), 32)
+        norms = [ctx.env.norm for ctx in ctxs]
+        assert sum(math.isnan(n) for n in norms) > 100
+        assert sum(math.isinf(n) for n in norms) > 100
+        assert len(plan.observed) == len(norms)
+        mismatched = [i for i, (a, b) in enumerate(zip(plan.observed, norms))
+                      if not same_float(a, b)]
+        assert mismatched == []
+
+    def test_decoded_ring_block_rebuilds_the_same_matrix(self):
+        from repro.serve.fleet import decode_requests, encode_requests
+        from repro.serve.server import ServeRequest
+
+        ctxs = random_contexts(np.random.default_rng(5), 500)
+        pairs = [(f"s{i % 3}", ServeRequest(index=i, ctx=ctx))
+                 for i, ctx in enumerate(ctxs)]
+        position, decoded = decode_requests(*encode_requests(pairs, 7))
+        assert position == 7
+        assert [(s, r.index) for s, r in decoded] == \
+            [(s, r.index) for s, r in pairs]
+        assert feature_matrix([r.ctx for _, r in decoded]).tobytes() == \
+            feature_matrix(ctxs).tobytes()
+        for (_, got), want in zip(decoded, ctxs):
+            assert (got.ctx.time, got.ctx.loop_name,
+                    got.ctx.available_processors, got.ctx.max_threads) == \
+                (want.time, want.loop_name, want.available_processors,
+                 want.max_threads)
+            assert same_float(got.ctx.env.norm, want.env.norm)
 
 
 class TestMixtureSelectBatch:

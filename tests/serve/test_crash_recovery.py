@@ -14,6 +14,8 @@ Two layers of evidence:
 
 from __future__ import annotations
 
+import errno
+
 import numpy as np
 import pytest
 
@@ -30,8 +32,10 @@ from repro.serve import (
     run_fleet_soak,
     verify_twin,
 )
-from repro.serve.journal import ServeStateStore
-from repro.serve.soak import _state_mismatches
+from repro.serve.journal import (RECORD_MAGIC, SelectorJournal,
+                                 ServeStateStore)
+from repro.serve.soak import (_compare_decisions, _compare_stream_states,
+                              _state_mismatches)
 
 
 def random_ops(rng: np.random.Generator, count: int, num_experts: int):
@@ -119,10 +123,16 @@ class TestCrashAtEveryPrefix:
 
         # Every prefix, so the crash lands on each flush boundary and
         # inside every group (its unflushed records die with it).
+        written = 0
         for prefix in range(self.OPS + 1):
             state_dir = tmp_path / f"prefix-{prefix}"
             run_victim(build_policy(tiny_bundle), state_dir, ops, bounds,
                        prefix, self.INTERVAL)
+            # The victim's journal holds binary records only.
+            journal = state_dir / "journal.jsonl"
+            if journal.exists() and journal.stat().st_size:
+                assert journal.read_bytes()[0] == RECORD_MAGIC
+                written += 1
 
             # Restart: recover, then the world re-delivers every op
             # past the recovery point.
@@ -143,6 +153,7 @@ class TestCrashAtEveryPrefix:
                 f"crash after {prefix}/{self.OPS} ops (groups {bounds}) "
                 f"diverged on {mismatches}"
             )
+        assert written > self.OPS // 2
 
     def test_unflushed_records_are_not_recovered(self, tiny_bundle,
                                                  tmp_path):
@@ -290,3 +301,67 @@ class TestServingKillRestart:
         with pytest.raises(ValueError, match="kill_at and/or resize_at"):
             verify_twin(self.SPEC, tiny_bundle, tmp_path,
                         processes=False)
+
+
+class TestFailedJournalWrite:
+    """A stream whose group write fails (ENOSPC after a partial write)
+    takes its shard down; the fleet fails over, reopens every stream of
+    the shard from disk and ends bit-identical to an undisturbed twin."""
+
+    SPEC = SoakSpec(requests=600)
+
+    @pytest.mark.parametrize("processes,shards,fail_at,keep", [
+        (False, 1, 40, 0.5), (False, 1, 90, 0.0), (False, 2, 61, 0.99),
+        (True, 2, 30, 0.5),
+    ])
+    def test_fleet_recovers_to_its_twin(
+            self, tiny_bundle, tmp_path, monkeypatch, processes, shards,
+            fail_at, keep):
+        config = FleetConfig(shards=shards, batch_max=16,
+                             serve=ServeConfig(snapshot_interval=32))
+        _, twin_decisions, twin_states = run_fleet_soak(
+            self.SPEC, tiny_bundle, config=config,
+            state_root=tmp_path / "twin")
+
+        # Files, not memory: forked shards count and fail in their own
+        # processes, and exactly one write fleet-wide may fail.
+        counter = tmp_path / "writes"
+        failed = tmp_path / "failed"
+        real_open = SelectorJournal._open
+
+        class FaultyHandle:
+            """The ``fail_at``-th group write of a process keeps a
+            ``keep`` share of its bytes, then raises ENOSPC — once."""
+
+            def __init__(self, real):
+                self.real = real
+
+            def write(self, data):
+                with open(counter, "a") as fh:
+                    fh.write(".")
+                if (counter.stat().st_size == fail_at
+                        and not failed.exists()):
+                    failed.touch()
+                    self.real.write(data[:int(len(data) * keep)])
+                    raise OSError(errno.ENOSPC, "injected: disk full")
+                return self.real.write(data)
+
+            def fileno(self):
+                return self.real.fileno()
+
+            def close(self):
+                self.real.close()
+
+        monkeypatch.setattr(SelectorJournal, "_open",
+                            lambda journal: FaultyHandle(real_open(journal)))
+        report, decisions, states = run_fleet_soak(
+            self.SPEC, tiny_bundle, config=config,
+            state_root=tmp_path / "run", processes=processes)
+
+        assert failed.exists()
+        assert report.failovers == 1
+        _compare_stream_states(twin_states, states, "a failed write")
+        recovered, missed, compared = _compare_decisions(
+            twin_decisions, decisions, "a failed write")
+        assert recovered + missed + compared == self.SPEC.requests
+        assert compared > self.SPEC.requests // 2

@@ -1,21 +1,51 @@
 """Journal and snapshot durability: torn tails, corruption, recovery.
 
 Every failure injected here is a crash artifact the serving runtime
-promises to absorb: a torn final journal line, a flipped byte mid-file,
-a corrupted snapshot.  The contract is always the same — quarantine the
-evidence, fall back to the last good state, keep serving.
+promises to absorb: a torn final journal record, a flipped byte
+mid-file, a corrupted snapshot, a failed or short group write.  The
+contract is always the same — quarantine the evidence (or refuse to go
+on), fall back to the last good state, keep serving.
 """
 
 from __future__ import annotations
 
+import errno
 import json
+import struct
+import zlib
 
 import numpy as np
 import pytest
 
 from repro.core.persistence import payload_checksum
 from repro.serve import SelectorJournal, SnapshotStore
-from repro.serve.journal import SNAPSHOTS_KEPT, ServeStateStore
+from repro.serve import journal as journal_module
+from repro.serve.journal import (RECORD_MAGIC, SNAPSHOTS_KEPT,
+                                 JournalWriteError, ServeStateStore)
+
+
+def record_ends(data: bytes):
+    """End offset of every binary record in ``data`` (whole or not)."""
+    ends, pos = [], 0
+    while pos < len(data):
+        assert data[pos] == RECORD_MAGIC
+        pos += 9 + struct.unpack_from("<I", data, pos + 1)[0]
+        ends.append(pos)
+    return ends
+
+
+def write_legacy_json(path, records, spaced: bool) -> None:
+    """Records as the JSON-line writer wrote them, one per line."""
+    with open(path, "w") as fh:
+        for req, ops, extra in records:
+            record = {"req": req, "ops": ops, "extra": extra}
+            record["crc"] = payload_checksum(dict(record))
+            if spaced:
+                line = json.dumps(record, allow_nan=False, sort_keys=True)
+            else:
+                line = json.dumps(record, allow_nan=False, sort_keys=True,
+                                  separators=(",", ":"))
+            fh.write(line + "\n")
 
 
 class TestSelectorJournal:
@@ -61,29 +91,32 @@ class TestSelectorJournal:
         path = tmp_path / "journal.jsonl"
         journal = SelectorJournal(path)
         for req in range(3):
-            journal.append(req, [["clear"]])
+            journal.append(req, [["update", [1.0], [2.0]]])
         journal.close()
-        lines = path.read_text().splitlines()
-        # Flip the second record's payload without fixing its crc.
-        record = json.loads(lines[1])
-        record["ops"] = [["update", [9.0], [9.0]]]
-        lines[1] = json.dumps(record)
-        path.write_text("\n".join(lines) + "\n")
+        data = bytearray(path.read_bytes())
+        # Flip a float byte of the second record without fixing its crc.
+        first_end = record_ends(bytes(data))[0]
+        data[first_end + 20] ^= 0x40
+        path.write_bytes(bytes(data))
         records = list(journal.replay())
         # Replay trusts nothing after the first bad record.
         assert [req for req, _, _ in records] == [0]
         assert journal.tails_quarantined == 1
 
     def test_record_crc_covers_whole_payload(self, tmp_path):
-        journal = SelectorJournal(tmp_path / "journal.jsonl")
+        path = tmp_path / "journal.jsonl"
+        journal = SelectorJournal(path)
         journal.append(7, [["select", [0.5]]], {"breaker": {"tier": 1}})
         journal.close()
-        (line,) = (tmp_path / "journal.jsonl").read_text().splitlines()
-        record = json.loads(line)
-        assert record["crc"] == payload_checksum({
-            "req": 7, "ops": [["select", [0.5]]],
-            "extra": {"breaker": {"tier": 1}},
-        })
+        data = path.read_bytes()
+        assert list(journal.replay()) == [
+            (7, [["select", [0.5]]], {"breaker": {"tier": 1}})]
+        # Any single flipped bit, anywhere in the record, fails it.
+        for index in range(len(data)):
+            damaged = bytearray(data)
+            damaged[index] ^= 0x01
+            path.write_bytes(bytes(damaged))
+            assert list(SelectorJournal(path).replay()) == [], index
 
     def test_truncate_empties_the_file(self, tmp_path):
         path = tmp_path / "journal.jsonl"
@@ -97,22 +130,68 @@ class TestSelectorJournal:
         assert path.read_text() == ""
         assert list(journal.replay()) == []
 
-    def test_lines_are_the_canonical_encoding(self, tmp_path):
+    def test_record_bytes_follow_the_documented_layout(self, tmp_path):
         journal = SelectorJournal(tmp_path / "journal.jsonl")
-        journal.append(3, [["update", [0.1, -2.5e-300], [1.0]]],
+        journal.append(3, [["update", [0.1, -2.5e-300], [1.0]],
+                           ["select", [0.5]], ["clear"]],
                        {"breaker": {"tier": 0, "cooldown": 2}})
         journal.close()
-        (line,) = (tmp_path / "journal.jsonl").read_text().splitlines()
-        record = json.loads(line)
-        assert line == json.dumps(record, sort_keys=True,
-                                  separators=(",", ":"))
+        body = (
+            struct.pack("<qB", 3, 3)
+            + b"u" + struct.pack("<B2d", 2, 0.1, -2.5e-300)
+            + struct.pack("<Bd", 1, 1.0)
+            + b"s" + struct.pack("<Bd", 1, 0.5)
+            + b"c"
+            # breaker block: section + tier + cooldown present, only
+            # cooldown non-zero, stored as one int32
+            + bytes((0x80 | 0b0101, 0b0100)) + struct.pack("<i", 2)
+        )
+        head = struct.pack("<BI", 0xB1, len(body)) + body
+        expected = head + struct.pack("<I", zlib.crc32(head))
+        assert (tmp_path / "journal.jsonl").read_bytes() == expected
+        assert list(journal.replay()) == [(
+            3, [["update", [0.1, -2.5e-300], [1.0]], ["select", [0.5]],
+                ["clear"]],
+            {"breaker": {"tier": 0, "cooldown": 2}},
+        )]
 
-    def test_non_json_values_fail_loudly(self, tmp_path):
+    def test_every_breaker_state_round_trips(self, tmp_path):
+        from repro.serve.breaker import STATE_FIELDS, CircuitBreaker
+
+        breaker = CircuitBreaker(3)
+        assert tuple(breaker.export_state()) == STATE_FIELDS
         journal = SelectorJournal(tmp_path / "journal.jsonl")
-        with pytest.raises(TypeError):
-            journal.append(0, [["select", [np.int64(1)]]])
+        states = []
+        for req, ok in enumerate([False] * 7 + [True] * 60 + [False] * 3):
+            if breaker.wants_probe():
+                breaker.record_probe(ok)
+            else:
+                breaker.record_result(ok)
+            states.append({"breaker": breaker.export_state()})
+            journal.append(req, [], states[-1])
+        journal.close()
+        assert any(state["breaker"]["cooldown"] for state in states)
+        assert [extra for _, _, extra in journal.replay()] == states
+
+    def test_non_finite_or_non_float_values_fail_loudly(self, tmp_path):
+        journal = SelectorJournal(tmp_path / "journal.jsonl")
+        for value in (np.int64(1), 1, True, "1.0", None):
+            with pytest.raises(TypeError):
+                journal.append(0, [["select", [value]]])
+        for value in (float("nan"), float("inf"), -float("inf")):
+            with pytest.raises(ValueError):
+                journal.append(0, [["select", [0.5, value]]])
+            with pytest.raises(ValueError):
+                journal.append(0, [["update", [0.5], [value]]])
         with pytest.raises(ValueError):
-            journal.append(0, [["select", [float("nan")]]])
+            journal.append(0, [["update", [0.5]]])  # malformed op
+        with pytest.raises(TypeError):
+            journal.append(0, [], {"breaker": {"tier": 0.5}})
+        with pytest.raises(TypeError):
+            journal.append(0, [], {"other": {}})
+        # Nothing half-encoded was buffered along the way.
+        journal.close()
+        assert list(journal.replay()) == []
 
 
 class TestGroupCommit:
@@ -121,9 +200,9 @@ class TestGroupCommit:
         journal = SelectorJournal(path)
         journal.append(0, [["clear"]])
         journal.append(1, [["clear"]])
-        assert not path.exists() or path.read_text() == ""
+        assert not path.exists() or path.read_bytes() == b""
         journal.flush()
-        assert len(path.read_text().splitlines()) == 2
+        assert len(record_ends(path.read_bytes())) == 2
         journal.append(2, [["clear"]])
         journal.close()  # close flushes
         assert [req for req, _, _ in journal.replay()] == [0, 1, 2]
@@ -141,8 +220,7 @@ class TestGroupCommit:
         journal.flush()
         journal.close()
         data = source.read_bytes()
-        line_ends = {i + 1 for i, byte in enumerate(data)
-                     if byte == ord("\n")}
+        line_ends = set(record_ends(data))
 
         # A crash mid-group leaves the file cut at any byte of the
         # group write; recovery keeps exactly the whole records.
@@ -186,6 +264,182 @@ class TestGroupCommit:
         journal.close()
         assert [req for req, _, _ in journal.replay()] == [0, 1, 2]
         assert journal.tails_quarantined == 0
+
+    @pytest.mark.parametrize("spaced", [False, True])
+    def test_legacy_json_journal_continues_with_binary_records(
+            self, tmp_path, spaced):
+        path = tmp_path / "journal.jsonl"
+        legacy = [
+            (0, [["select", [1.0, 2.0]]], {"breaker": {"tier": 0}}),
+            (1, [["update", [1.0], [0.5, 0.25]], ["clear"]],
+             {"breaker": {"tier": 1, "failures": 2}}),
+            (2, [], {}),
+        ]
+        write_legacy_json(path, legacy, spaced)
+        legacy_size = path.stat().st_size
+        journal = SelectorJournal(path)
+        assert list(journal.replay()) == legacy
+        binary = [
+            (3, [["update", [0.25, -1.5], [0.125, 8.0]]],
+             {"breaker": {"tier": 0, "failures": 0, "cooldown": 0,
+                          "probe_streak": 0}}),
+            (4, [["select", [3.0, 4.0]]], {"breaker": {"tier": 2}}),
+        ]
+        for record in binary:
+            journal.append(*record)
+        journal.flush()
+        journal.append(5, [["clear"]])
+        journal.close()
+        data = path.read_bytes()
+        assert data[legacy_size] == RECORD_MAGIC
+        reopened = SelectorJournal(path)
+        assert list(reopened.replay()) == legacy + binary + [
+            (5, [["clear"]], {})]
+        assert [req for req, _, _ in reopened.replay(after_req=1)] == \
+            [2, 3, 4, 5]
+        # A torn binary group after the JSON prefix cuts back to the
+        # last whole record, JSON or binary.
+        path.write_bytes(data[:legacy_size + 3])
+        torn = SelectorJournal(path)
+        assert list(torn.replay()) == legacy
+        assert torn.tails_quarantined == 1
+        assert path.stat().st_size == legacy_size
+
+
+class _FailingHandle:
+    """A journal handle whose next write keeps ``keep`` bytes of the
+    group, then fails: a short write, or an error after a partial one."""
+
+    def __init__(self, real, keep: int, mode: str):
+        self.real, self.keep, self.mode = real, keep, mode
+
+    def write(self, data):
+        self.real.write(data[:self.keep])
+        if self.mode == "short":
+            return self.keep
+        code = errno.ENOSPC if self.mode == "enospc" else errno.EIO
+        raise OSError(code, "injected storage fault")
+
+    def fileno(self):
+        return self.real.fileno()
+
+    def close(self):
+        self.real.close()
+
+
+def _group_records():
+    return [
+        (req, [["update", [0.5, float(req)], [1.0, 2.0 + req]],
+               ["select", [float(req), -0.5]]],
+         {"breaker": {"tier": req % 2, "failures": 0, "cooldown": req,
+                      "probe_streak": 0}})
+        for req in range(3, 7)
+    ]
+
+
+class TestFailedGroupWrite:
+    """A failed or short group write never leaves a gap or a torn
+    record that a later group would follow."""
+
+    def _first_group(self, path):
+        journal = SelectorJournal(path)
+        for req in range(3):
+            journal.append(req, [["select", [float(req), 0.5]]])
+        journal.flush()
+        return journal, path.stat().st_size
+
+    def _group_size(self, tmp_path):
+        probe = SelectorJournal(tmp_path / "probe" / "journal.jsonl")
+        for record in _group_records():
+            probe.append(*record)
+        probe.close()
+        return probe.path.stat().st_size
+
+    @pytest.mark.parametrize("mode", ["short", "enospc", "eio"])
+    def test_failure_cuts_back_to_last_whole_record(self, tmp_path, mode):
+        group_size = self._group_size(tmp_path)
+        # Every byte offset of the group: before it, inside each
+        # record, on each record boundary, and one byte short of whole.
+        for keep in range(group_size):
+            path = tmp_path / f"{mode}-{keep}" / "journal.jsonl"
+            journal, whole = self._first_group(path)
+            for record in _group_records():
+                journal.append(*record)
+            journal._fh = _FailingHandle(journal._fh, keep, mode)
+            with pytest.raises(JournalWriteError):
+                journal.flush()
+            assert path.stat().st_size == whole, keep
+            # Poisoned until the stream is reopened from disk.
+            with pytest.raises(JournalWriteError):
+                journal.append(7, [["clear"]])
+            with pytest.raises(JournalWriteError):
+                journal.flush()
+            with pytest.raises(JournalWriteError):
+                journal.truncate()
+            journal.close()
+            assert path.stat().st_size == whole
+            reopened = SelectorJournal(path)
+            assert [req for req, _, _ in reopened.replay()] == [0, 1, 2]
+            assert reopened.tails_quarantined == 0
+            for record in _group_records():
+                reopened.append(*record)
+            reopened.close()
+            assert list(SelectorJournal(path).replay())[3:] == \
+                _group_records()
+
+    def test_failed_cut_back_is_repaired_on_reopen(self, tmp_path,
+                                                   monkeypatch):
+        # If even the cut-back fails, the torn bytes stay on disk — but
+        # nothing may follow them: the journal refuses every write, and
+        # reopening quarantines the torn tail before the next group.
+        group_size = self._group_size(tmp_path)
+
+        def broken_truncate(path, size):
+            raise OSError(errno.EIO, "injected truncate fault")
+
+        for keep in (1, group_size // 2, group_size - 1):
+            path = tmp_path / f"keep-{keep}" / "journal.jsonl"
+            journal, whole = self._first_group(path)
+            for record in _group_records():
+                journal.append(*record)
+            journal._fh = _FailingHandle(journal._fh, keep, "enospc")
+            with monkeypatch.context() as patch:
+                patch.setattr(journal_module.os, "truncate",
+                              broken_truncate)
+                with pytest.raises(JournalWriteError):
+                    journal.flush()
+            assert path.stat().st_size == whole + keep
+            with pytest.raises(JournalWriteError):
+                journal.append(7, [["clear"]])
+            journal.close()
+            assert path.stat().st_size == whole + keep
+            reopened = SelectorJournal(path)
+            survivors = [req for req, _, _ in reopened.replay()]
+            whole_in_group = sum(
+                1 for end in record_ends(path.read_bytes())
+                if end <= whole + keep) - 3
+            assert survivors == list(range(3 + whole_in_group))
+            reopened.append(9, [["clear"]])
+            reopened.close()
+            assert [req for req, _, _ in
+                    SelectorJournal(path).replay()] == survivors + [9]
+
+    def test_failed_open_leaves_the_file_alone(self, tmp_path,
+                                               monkeypatch):
+        path = tmp_path / "journal.jsonl"
+        journal, whole = self._first_group(path)
+        journal.close()
+
+        def refuse(self):
+            raise OSError(errno.EMFILE, "injected open fault")
+
+        monkeypatch.setattr(SelectorJournal, "_open", refuse)
+        journal.append(3, [["clear"]])
+        with pytest.raises(JournalWriteError):
+            journal.flush()
+        assert path.stat().st_size == whole
+        assert [req for req, _, _ in
+                SelectorJournal(path).replay()] == [0, 1, 2]
 
 
 class TestSnapshotStore:
@@ -342,11 +596,11 @@ class TestSync:
         from repro.serve.journal import SelectorJournal
 
         journal = SelectorJournal(tmp_path / "journal.jsonl")
-        journal.append(0, [["update", 1]])
+        journal.append(0, [["update", [1.0], [0.5]]])
         journal.sync()
         # the record is durable before close: a reader sees it now
         twin = SelectorJournal(tmp_path / "journal.jsonl")
         assert [(req, ops) for req, ops, _ in twin.replay()] == [
-            (0, [["update", 1]])
+            (0, [["update", [1.0], [0.5]]])
         ]
         journal.close()

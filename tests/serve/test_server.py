@@ -307,3 +307,37 @@ class TestDecisionLog:
                 == twin.policy.selection_counts())
         for server in servers:
             server.close()
+
+    def test_served_selector_keeps_a_bounded_selection_log(
+            self, tiny_bundle, tmp_path):
+        # The selector appends every choice to stats.selections; served
+        # for ever, that list must not grow by one entry per request.
+        spec = SoakSpec(requests=6_000, seed=11)
+        requests = [make_request(spec, i) for i in range(spec.requests)]
+        servers = [
+            PolicyServer(
+                factory(tiny_bundle.experts,
+                        selector=HyperplaneSelector(
+                            num_experts=len(tiny_bundle.experts),
+                            dim=NUM_FEATURES)),
+                state_dir=tmp_path / name, clock=lambda: 0.0,
+            )
+            for name, factory in (("served", MixturePolicy),
+                                  ("twin", KeepLogMixture))
+        ]
+        served, twin = servers
+        longest = 0
+        for start in range(0, len(requests), 32):
+            batch = requests[start:start + 32]
+            assert served.offer_batch(batch) == twin.offer_batch(batch)
+            longest = max(longest,
+                          len(served.policy.selector.stats.selections))
+        assert longest == 0
+        assert len(twin.policy.selector.stats.selections) > \
+            spec.requests // 2
+        left = served.policy.export_online_state()["selector"]
+        right = twin.policy.export_online_state()["selector"]
+        for key in left:
+            assert np.array_equal(left[key], right[key]), key
+        for server in servers:
+            server.close()
