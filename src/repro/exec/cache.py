@@ -18,6 +18,12 @@ Writes go through :func:`~repro.core.persistence.atomic_write` (temp
 file + ``os.replace``) so a crashed or killed run can corrupt at most
 its own in-flight entry.  The ``--resume`` checkpoint is a second
 :class:`RunCache` rooted at the resume directory.
+
+An entry is one pickled ``{"version", "summary"}`` dict.  Since version
+2 the summary's selection log is a columnar
+:class:`~repro.exec.request.SelectionLog`, so a load restores a few
+``bytes`` columns instead of thousands of ``Selection`` objects;
+version-1 entries (a tuple log) are discarded as misses.
 """
 
 from __future__ import annotations
@@ -32,7 +38,8 @@ from ..core.persistence import atomic_write, cache_root, move_aside
 from .request import RunSummary
 
 #: On-disk entry format version; bump to orphan all existing entries.
-CACHE_ENTRY_VERSION = 1
+#: Version 2: the summary's selection log is columnar.
+CACHE_ENTRY_VERSION = 2
 
 _DISABLE_VALUES = ("0", "no", "off", "false")
 

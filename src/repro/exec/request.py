@@ -18,15 +18,27 @@ That buys two things at once:
 The result of executing a request is a slim :class:`RunSummary` — the
 headline numbers plus the selection log, *not* the full tick timeline —
 small enough to cache by the thousand and to send back over a pipe.
+The selection log is a :class:`SelectionLog`: four columns (float64
+times, u16 indexes into interned job and loop tables, u16 threads) that
+pickle as a handful of ``bytes`` and ``tuple`` values and decode into
+:class:`~repro.runtime.engine.Selection` objects only when read.  A
+replayed run that nobody inspects therefore never builds its thousands
+of decision objects.
 """
 
 from __future__ import annotations
 
 import hashlib
 import pickle
+import sys
 import warnings
+import zlib
+from array import array
+from collections.abc import Sequence
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, Iterable, Optional, Tuple
+
+from ..runtime.engine import Selection
 
 #: Bump whenever the semantics of executing a request change in a way
 #: the simulator calibration fingerprint does not capture (e.g. job
@@ -188,6 +200,138 @@ class RecordedSelection:
     threads: int
 
 
+#: Largest value a u16 column holds: the most entries a job or loop
+#: table may have, and the most threads one decision may select.
+U16_MAX = 0xFFFF
+
+
+def _column(typecode: str, values: Iterable, what: str) -> bytes:
+    """``values`` as little-endian ``typecode`` bytes; a value that does
+    not fit raises rather than wrapping."""
+    try:
+        column = array(typecode, values)
+    except OverflowError as exc:
+        raise ValueError(
+            f"selection log {what} out of range for {typecode!r}"
+        ) from exc
+    if sys.byteorder == "big":
+        column.byteswap()
+    return column.tobytes()
+
+
+def _unpack(typecode: str, raw: bytes) -> list:
+    column = array(typecode)
+    column.frombytes(raw)
+    if sys.byteorder == "big":
+        column.byteswap()
+    return column.tolist()
+
+
+class SelectionLog(Sequence):
+    """A run's :class:`~repro.runtime.engine.Selection` log, as columns.
+
+    ``times`` holds one float64 per decision, ``job_index`` and
+    ``loop_index`` one u16 each into the interned ``jobs`` and ``loops``
+    name tables (first-appearance order), and ``threads`` one u16.  As
+    a sequence it is the tuple of ``Selection`` objects it encodes,
+    decoded once on first read; ``repr`` is that tuple's ``repr``.  Two
+    logs compare (and hash) by their columns without decoding, and a
+    pickled log carries only the columns.  Compare a log with a tuple
+    through ``tuple(log)``.
+    """
+
+    __slots__ = ("times", "jobs", "loops", "job_index", "loop_index",
+                 "threads", "_decoded")
+
+    def __init__(self, times: bytes = b"", jobs: Tuple[str, ...] = (),
+                 loops: Tuple[str, ...] = (), job_index: bytes = b"",
+                 loop_index: bytes = b"", threads: bytes = b""):
+        count = len(threads) // 2
+        if (len(times) != 8 * count or len(job_index) != 2 * count
+                or len(loop_index) != 2 * count or len(threads) % 2):
+            raise ValueError("selection log columns differ in length")
+        self.times = times
+        self.jobs = jobs
+        self.loops = loops
+        self.job_index = job_index
+        self.loop_index = loop_index
+        self.threads = threads
+        self._decoded: Optional[Tuple[Selection, ...]] = None
+
+    @classmethod
+    def of(cls, selections: Iterable[Selection]) -> "SelectionLog":
+        """Encode ``selections``; a table with more than
+        :data:`U16_MAX` entries or a thread count above it raises
+        ``ValueError``."""
+        jobs: Dict[str, int] = {}
+        loops: Dict[str, int] = {}
+        times, job_index, loop_index, threads = [], [], [], []
+        for selection in selections:
+            times.append(selection.time)
+            job_index.append(jobs.setdefault(selection.job_id, len(jobs)))
+            loop_index.append(
+                loops.setdefault(selection.loop_name, len(loops)))
+            threads.append(selection.threads)
+        if len(jobs) > U16_MAX or len(loops) > U16_MAX:
+            raise ValueError(
+                f"selection log tables hold {len(jobs)} jobs and "
+                f"{len(loops)} loops; at most {U16_MAX} fit u16"
+            )
+        return cls(
+            _column("d", times, "times"),
+            tuple(jobs), tuple(loops),
+            _column("H", job_index, "job indexes"),
+            _column("H", loop_index, "loop indexes"),
+            _column("H", threads, "thread counts"),
+        )
+
+    def _columns(self) -> tuple:
+        return (self.times, self.jobs, self.loops, self.job_index,
+                self.loop_index, self.threads)
+
+    def decoded(self) -> Tuple[Selection, ...]:
+        """The log as a tuple of ``Selection`` objects (built once)."""
+        if self._decoded is None:
+            jobs, loops = self.jobs, self.loops
+            self._decoded = tuple(
+                Selection(time=time, job_id=jobs[job],
+                          loop_name=loops[loop], threads=threads)
+                for time, job, loop, threads in zip(
+                    _unpack("d", self.times),
+                    _unpack("H", self.job_index),
+                    _unpack("H", self.loop_index),
+                    _unpack("H", self.threads),
+                )
+            )
+        return self._decoded
+
+    def __len__(self) -> int:
+        return len(self.threads) // 2
+
+    def __getitem__(self, index):
+        return self.decoded()[index]
+
+    def __iter__(self):
+        return iter(self.decoded())
+
+    def __repr__(self) -> str:
+        return repr(self.decoded())
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, SelectionLog):
+            return self._columns() == other._columns()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        # Over the index and value columns only (equal logs have equal
+        # tables); crc32 is stable across processes, unlike str hashes.
+        return zlib.crc32(self.times + self.job_index + self.loop_index
+                          + self.threads)
+
+    def __reduce__(self):
+        return (SelectionLog, self._columns())
+
+
 @dataclass(frozen=True)
 class RunSummary:
     """Slim outcome of one run: headline numbers + the selection log.
@@ -196,6 +340,8 @@ class RunSummary:
     experiments that interrogate those (Figure 2 timelines, the mixture
     decision-log analyses) keep using
     :func:`repro.experiments.runner.run_target` directly.
+    ``selections`` accepts any sequence of ``Selection`` objects and is
+    stored as a :class:`SelectionLog`.
     """
 
     target: str
@@ -204,13 +350,18 @@ class RunSummary:
     workload_throughput: float
     duration: float
     workload_runs: Tuple[Tuple[str, int], ...]
-    selections: tuple
+    selections: SelectionLog
     records: Tuple[RecordedSelection, ...] = ()
     #: Times the target policy hit its degraded-input safe fallback
     #: (NaN/degenerate features — see ``docs/robustness.md``).  Zero on
     #: healthy runs; non-zero makes chaos-induced degradation visible
     #: without digging through selection logs.
     policy_fallbacks: int = 0
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.selections, SelectionLog):
+            object.__setattr__(self, "selections",
+                               SelectionLog.of(self.selections))
 
 
 @dataclass(frozen=True)
@@ -417,7 +568,7 @@ def execute_request(request: RunRequest) -> RunSummary:
         workload_throughput=result.workload_throughput,
         duration=result.duration,
         workload_runs=tuple(result.workload_runs.items()),
-        selections=tuple(result.selections),
+        selections=SelectionLog.of(result.selections),
         records=records,
         policy_fallbacks=int(
             getattr(base_policy, "fallback_count", 0) or 0

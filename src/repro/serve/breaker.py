@@ -107,13 +107,13 @@ class CircuitBreaker:
 
     # -- persistence (journaled per request) ------------------------------
 
+    def state(self) -> tuple:
+        """The exported values in :data:`STATE_FIELDS` order."""
+        return (self.tier, self._failures, self._cooldown,
+                self._probe_streak)
+
     def export_state(self) -> dict:
-        return {
-            "tier": self.tier,
-            "failures": self._failures,
-            "cooldown": self._cooldown,
-            "probe_streak": self._probe_streak,
-        }
+        return dict(zip(STATE_FIELDS, self.state()))
 
     def load_state(self, state: dict) -> None:
         tier = int(state.get("tier", 0))

@@ -58,6 +58,7 @@ decision but routing, batching and bookkeeping.
 from __future__ import annotations
 
 import bisect
+import errno
 import hashlib
 import os
 import signal
@@ -81,6 +82,7 @@ from ..sched.stats import EnvironmentSample
 from .layout import (SIDECAR, publish_home, quarantine_dir,
                      shard_dirname, stage_home, stream_dirname,
                      stream_homes)
+from .journal import JournalWriteError
 from .report import FleetReport, ServeReport, merge_serve_reports
 from .server import PolicyServer, ServeConfig, ServeDecision, ServeRequest
 
@@ -99,7 +101,18 @@ class ShardLostError(ConnectionError):
     claiming a ring slot and posting its doorbell.  Subclasses
     ``ConnectionError`` (hence ``OSError``) so every existing
     pipe-error failover path catches it without special-casing.
+    ``cause`` is the loss's key in :attr:`FleetReport.failover_causes`.
     """
+
+    def __init__(self, message: str, cause: str = "died"):
+        super().__init__(message)
+        self.cause = cause
+
+
+def _journal_cause(code: Optional[int]) -> str:
+    """The failover cause of a failed journal write with ``errno`` code,
+    e.g. ``"journal-write:ENOSPC"``."""
+    return f"journal-write:{errno.errorcode.get(code or 0, code)}"
 
 
 class ShardRouter:
@@ -522,9 +535,13 @@ class ShardWorker:
                 )
             deduped += skip
             if skip < len(requests):
-                decisions = server.offer_batch(
-                    requests[skip:], start_position=position + skip
-                )
+                try:
+                    decisions = server.offer_batch(
+                        requests[skip:], start_position=position + skip
+                    )
+                except JournalWriteError as exc:
+                    exc.stream = stream
+                    raise
                 for request, decision in zip(requests[skip:], decisions):
                     answered[(stream, request.index)] = decision
         self.recovered += deduped
@@ -569,6 +586,9 @@ def _shard_worker_main(conn, policy_factory, state_dir, serve_config,
     control pipe also carries supervision traffic: ``("ping", seq)``
     heartbeats (echoed as ``("pong", seq)``) and ``("drain", streams)``
     migration barriers (answered ``("drained", resume indices)``).
+    A failed journal write ends the worker after one
+    ``("failed", "journal-write", errno, stream)`` message, so the
+    parent's failover knows why the shard died.
     """
     request_ring = shm.ShmRing(request_name, ring_slots, slot_bytes,
                                create=True)
@@ -601,6 +621,11 @@ def _shard_worker_main(conn, policy_factory, state_dir, serve_config,
                 break
             else:  # pragma: no cover - protocol error
                 raise RuntimeError(f"unknown fleet message {kind!r}")
+    except JournalWriteError as exc:
+        try:
+            conn.send(("failed", "journal-write", exc.errno, exc.stream))
+        except OSError:
+            pass
     except (EOFError, OSError, BrokenPipeError, KeyboardInterrupt):
         # Parent died or tore the pipe down: exit quietly; the parent
         # (or its ledger sweep) owns segment cleanup.
@@ -664,6 +689,9 @@ class _InlineShard:
 
     def kill(self) -> None:
         self.killed = True
+
+    def last_words(self) -> Optional[str]:
+        return None  # an inline shard's error reaches the fleet itself
 
     def teardown(self, ledger: ShmLedger
                  ) -> List[Tuple[int, List[StreamRequest]]]:
@@ -764,6 +792,7 @@ class _ProcessShard:
                 self.last_activity = self._clock()
                 if message[0] == "pong":
                     continue
+                self._raise_if_failed(message)
                 return message
             if not self.process.is_alive():
                 raise ShardLostError(
@@ -775,8 +804,20 @@ class _ProcessShard:
                     self._events.bump("heartbeat_timeouts")
                 raise ShardLostError(
                     f"shard {self.index} (gen {self.generation}) "
-                    f"unresponsive for {limit:.1f}s"
+                    f"unresponsive for {limit:.1f}s",
+                    cause="unresponsive",
                 )
+
+    def _raise_if_failed(self, message) -> None:
+        """Turn the worker's last words into a typed loss."""
+        if message[0] == "failed":
+            _, kind, code, stream = message
+            raise ShardLostError(
+                f"shard {self.index} (gen {self.generation}) exited "
+                f"after a failed {kind} (errno {code}) on stream "
+                f"{stream!r}",
+                cause=_journal_cause(code),
+            )
 
     def ping(self, seq: int) -> None:
         """Send one heartbeat; the reply is skimmed by any receive."""
@@ -814,6 +855,7 @@ class _ProcessShard:
                 self.last_activity = self._clock()
                 if candidate[0] == "pong":
                     continue
+                self._raise_if_failed(candidate)
                 message = candidate
                 break
             if message is None:
@@ -854,6 +896,22 @@ class _ProcessShard:
         return report, states
 
     # -- failover ----------------------------------------------------------
+
+    def last_words(self) -> Optional[str]:
+        """The cause a lost worker sent before it exited, if any.
+
+        A worker whose journal refused a write sends ``("failed", ...)``
+        and exits; the parent may first notice the exit as a torn pipe
+        on its next send, with the message still unread in the pipe.
+        """
+        try:
+            while self.conn.poll():
+                message = self.conn.recv()
+                if message[0] == "failed":
+                    return _journal_cause(message[2])
+        except (EOFError, OSError):
+            pass
+        return None
 
     def kill(self) -> None:
         """SIGKILL the shard process (chaos injection for tests/CI)."""
@@ -930,6 +988,7 @@ class PolicyFleet:
                              else RetryPolicy())
         self._recovered = 0
         self._failovers = 0
+        self._failover_causes: Dict[str, int] = {}
         self._started: Optional[float] = None
         self._closed = False
         #: (member id, report) of shards retired by a resize or an
@@ -1083,7 +1142,8 @@ class PolicyFleet:
         directory.mkdir(parents=True)
         return directory
 
-    def _failover(self, index: int) -> List[List[StreamRequest]]:
+    def _failover(self, index: int,
+                  cause: str) -> List[List[StreamRequest]]:
         """Replace a dead shard; returns its unacked batches, in order.
 
         The replacement recovers from a staged, shipped copy of the
@@ -1095,6 +1155,8 @@ class PolicyFleet:
         """
         dead = self._shards[index]
         self._failovers += 1
+        self._failover_causes[cause] = (
+            self._failover_causes.get(cause, 0) + 1)
         unacked = dead.teardown(self.ledger)
         generation = dead.generation + 1
         if self._state_root is not None:
@@ -1153,7 +1215,20 @@ class PolicyFleet:
 
     _PIPE_ERRORS = (EOFError, BrokenPipeError, OSError)
 
-    def _handle_loss(self, index: int) -> List[List[StreamRequest]]:
+    def _loss_cause(self, index: int, exc: BaseException) -> str:
+        """Why member ``index`` was lost, given the error that showed it:
+        ``"journal-write:<ERRNO>"`` (its journal refused a write),
+        ``"unresponsive"`` (past its liveness deadline), else ``"died"``
+        (it went away without saying why)."""
+        words = self._shards[index].last_words()
+        if words is not None:
+            return words
+        if isinstance(exc, JournalWriteError):
+            return _journal_cause(exc.errno)
+        return getattr(exc, "cause", "died")
+
+    def _handle_loss(self, index: int,
+                     cause: str) -> List[List[StreamRequest]]:
         """A shard is gone: restart it or evacuate it, per verdict.
 
         Without a supervisor every loss restarts in place (the PR 8
@@ -1163,7 +1238,7 @@ class PolicyFleet:
         if self._supervisor is not None:
             if self._supervisor.verdict(index) == "evacuate":
                 return self._evacuate(index)
-        return self._failover(index)
+        return self._failover(index, cause)
 
     def _redeliver(self, batches: List[List[StreamRequest]],
                    deaths: int) -> None:
@@ -1199,8 +1274,8 @@ class PolicyFleet:
             return
         try:
             shard.dispatch(batch, self._sink)
-        except self._PIPE_ERRORS:
-            orphans = self._handle_loss(index)
+        except self._PIPE_ERRORS as exc:
+            orphans = self._handle_loss(index, self._loss_cause(index, exc))
             self._redeliver(orphans + [batch], deaths + 1)
 
     def _collect(self, index: int, blocking: bool = False) -> bool:
@@ -1209,8 +1284,10 @@ class PolicyFleet:
             return False
         try:
             return shard.collect_one(self._sink, blocking)
-        except self._PIPE_ERRORS:
-            self._redeliver(self._handle_loss(index), deaths=1)
+        except self._PIPE_ERRORS as exc:
+            self._redeliver(
+                self._handle_loss(index, self._loss_cause(index, exc)),
+                deaths=1)
             return True
 
     # -- decision collection -----------------------------------------------
@@ -1396,12 +1473,14 @@ class PolicyFleet:
                 try:
                     report, states = self._shards[index].stop(self._sink)
                     break
-                except self._PIPE_ERRORS:
+                except self._PIPE_ERRORS as exc:
                     # Died at the finish line: recover one last time so
                     # the aggregate still reflects the journal.  Always
                     # restart (never evacuate) — the shard must yield
                     # its report and per-stream states.
-                    self._redeliver(self._failover(index), deaths=1)
+                    self._redeliver(
+                        self._failover(index, self._loss_cause(index, exc)),
+                        deaths=1)
             reports.append((index, self._delivered_row(index, report)))
             self._merge_states(states)
         self._closed = True
@@ -1446,6 +1525,7 @@ class PolicyFleet:
             deadline_misses=misses,
             recovered=self._recovered,
             failovers=self._failovers,
+            failover_causes=dict(sorted(self._failover_causes.items())),
             wall_s=wall_s,
             epochs=self.epoch,
             resizes=self.events.get("resizes"),

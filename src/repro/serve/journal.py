@@ -91,8 +91,6 @@ _BREAKER_SECTION = 0x80
 _COUNT = [bytes((n,)) for n in range(256)]
 _LE_FLOAT64 = np.dtype("<f8")
 _FLOATS: Dict[int, struct.Struct] = {}
-#: Encoded extra blocks by breaker state: the state changes rarely.
-_EXTRA_BLOCKS: Dict[tuple, bytes] = {}
 
 
 def _floats_struct(count: int) -> struct.Struct:
@@ -146,7 +144,7 @@ def _pack_breaker(breaker: dict) -> bytes:
     """Presence byte, non-zero mask, then each non-zero field as i32.
 
     Values must be integers; an integral float is stored as the equal
-    integer (so a cache hit on an equal state gives the same block).
+    integer.
     """
     unknown = set(breaker) - set(STATE_FIELDS)
     if unknown:
@@ -178,13 +176,7 @@ def _encode_extra(extra: Optional[dict]) -> bytes:
         raise TypeError(
             f"journal extra holds only the breaker state, got {extra!r}"
         )
-    key = tuple(breaker.items())
-    block = _EXTRA_BLOCKS.get(key)
-    if block is None:
-        block = _pack_breaker(breaker)
-        if len(_EXTRA_BLOCKS) < 4096:
-            _EXTRA_BLOCKS[key] = block
-    return block
+    return _pack_breaker(breaker)
 
 
 def _decode_body(body: memoryview) -> Tuple[int, list, dict]:
@@ -249,7 +241,10 @@ class JournalWriteError(OSError):
     The file was cut back to its last whole record, and the journal
     refuses every later write: the in-memory state has run ahead of
     the disk, so the stream must be reopened (recovered) from disk.
+    A fleet shard sets ``stream`` to the stream it was serving.
     """
+
+    stream: Optional[str] = None
 
 
 class _OpBuffer:
@@ -304,6 +299,9 @@ class SelectorJournal:
         self._failed: Optional[OSError] = None
         self.records_written = 0
         self.tails_quarantined = 0
+        #: The last ``extra`` appended and its encoded block.
+        self._extra: Optional[dict] = None
+        self._extra_block = _encode_extra(None)
 
     # -- writing ----------------------------------------------------------
 
@@ -324,14 +322,19 @@ class SelectorJournal:
         ``["clear"]``) whose values must be finite floats, and
         ``extra`` is empty or ``{"breaker": <breaker state>}``;
         anything else raises ``TypeError``/``ValueError`` here rather
-        than writing a record that cannot replay.
+        than writing a record that cannot replay.  An ``extra`` that is
+        the very object of the previous append is not encoded again, so
+        a caller must not mutate one it has passed.
         """
         self._refuse_if_failed()
         encoded = [op if type(op) is bytes else _encode_op(op)
                    for op in ops]
         try:
+            if extra is not self._extra:
+                self._extra_block = _encode_extra(extra)
+                self._extra = extra
             body = b"".join((_BODY_HEAD.pack(req, len(encoded)),
-                             *encoded, _encode_extra(extra)))
+                             *encoded, self._extra_block))
         except struct.error as exc:
             raise ValueError(f"unencodable journal record: {exc}") from exc
         record = _HEAD.pack(RECORD_MAGIC, len(body)) + body

@@ -219,6 +219,10 @@ class FleetReport:
     recovered: int = 0
     #: Shard deaths detected and replaced mid-session.
     failovers: int = 0
+    #: ``failovers`` by cause (sums to it): ``"journal-write:<ERRNO>"``
+    #: when the shard's journal refused a write, ``"unresponsive"``
+    #: past its liveness deadline, else ``"died"``.
+    failover_causes: Dict[str, int] = field(default_factory=dict)
     #: Wall-clock seconds of the serving session (0 when unknown).
     wall_s: float = 0.0
     #: Routing epochs swapped (one per committed resize or
@@ -287,6 +291,7 @@ class FleetReport:
             "deadline_misses": self.deadline_misses,
             "recovered": self.recovered,
             "failovers": self.failovers,
+            "failover_causes": dict(self.failover_causes),
             "wall_s": self.wall_s,
             "throughput_rps": self.throughput_rps,
             "epochs": self.epochs,
@@ -312,8 +317,11 @@ class FleetReport:
             f"deadline misses {self.deadline_misses})",
         ]
         if self.failovers or self.recovered:
+            causes = ", ".join(f"{cause} {count}" for cause, count
+                               in sorted(self.failover_causes.items()))
             lines.append(
-                f"failover: {self.failovers} shard deaths, "
+                f"failover: {self.failovers} shard deaths"
+                f"{f' ({causes})' if causes else ''}, "
                 f"{self.recovered} journaled requests deduplicated"
             )
         if self.resizes or self.streams_migrated or self.epochs:

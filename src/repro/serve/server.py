@@ -205,6 +205,11 @@ class PolicyServer:
         self.store: Optional[ServeStateStore] = None
         self.next_index = 0
         self._drop_log = getattr(policy, "drop_decision_log", None)
+        #: The journal extra and the breaker state it holds: rebuilt
+        #: only when the state changes, so the journal re-encodes it
+        #: only then (it keys its last block on this dict's identity).
+        self._extra_state: Optional[tuple] = None
+        self._extra: dict = {}
         if state_dir is not None:
             if not hasattr(policy, "export_online_state"):
                 raise TypeError(
@@ -384,7 +389,7 @@ class PolicyServer:
                 planned = None if plan is None else (plan, offset)
                 decisions.append(self._serve(request, planned))
             if self.store is not None:
-                extra = {"breaker": self.breaker.export_state()}
+                extra = self._journal_extra()
                 self.store.commit(request.index, extra)
                 self.store.maybe_snapshot(request.index, extra)
             self.next_index = request.index + 1
@@ -398,6 +403,13 @@ class PolicyServer:
             # memory by one record per request, forever.
             self._drop_log()
         return decisions
+
+    def _journal_extra(self) -> dict:
+        state = self.breaker.state()
+        if state != self._extra_state:
+            self._extra_state = state
+            self._extra = {"breaker": self.breaker.export_state()}
+        return self._extra
 
     def serve_one(self, request: ServeRequest) -> ServeDecision:
         (decision,) = self.offer([request])

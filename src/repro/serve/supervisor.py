@@ -133,17 +133,19 @@ class FleetSupervisor:
                             raise RuntimeError(
                                 f"unexpected idle message {message[0]!r}"
                             )
-            except self.fleet._PIPE_ERRORS:
-                self._declare_lost(index)
+            except self.fleet._PIPE_ERRORS as exc:
+                self._declare_lost(index,
+                                   self.fleet._loss_cause(index, exc))
                 continue
             if (self._clock() - shard.last_activity
                     > self.config.liveness_timeout_s):
                 self.fleet.events.bump("heartbeat_timeouts")
-                self._declare_lost(index)
+                self._declare_lost(index, "unresponsive")
 
-    def _declare_lost(self, index: int) -> None:
+    def _declare_lost(self, index: int, cause: str) -> None:
         self._last_ping.pop(index, None)
-        self.fleet._redeliver(self.fleet._handle_loss(index), deaths=1)
+        self.fleet._redeliver(self.fleet._handle_loss(index, cause),
+                              deaths=1)
 
     # -- the loss arbiter --------------------------------------------------
 

@@ -360,6 +360,10 @@ class TestFailedJournalWrite:
 
         assert failed.exists()
         assert report.failovers == 1
+        # A process shard says why it exited before it does; an inline
+        # shard's error reaches the fleet directly.
+        assert report.failover_causes == {"journal-write:ENOSPC": 1}
+        assert "journal-write:ENOSPC 1" in report.format()
         _compare_stream_states(twin_states, states, "a failed write")
         recovered, missed, compared = _compare_decisions(
             twin_decisions, decisions, "a failed write")

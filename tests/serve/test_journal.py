@@ -10,6 +10,7 @@ on), fall back to the last good state, keep serving.
 from __future__ import annotations
 
 import errno
+import hashlib
 import json
 import struct
 import zlib
@@ -17,8 +18,11 @@ import zlib
 import numpy as np
 import pytest
 
+from repro.chaos import SensorFaultSpec
 from repro.core.persistence import payload_checksum
-from repro.serve import SelectorJournal, SnapshotStore
+from repro.serve import (PolicyServer, SelectorJournal, ServeConfig,
+                         SnapshotStore, SoakSpec, build_policy,
+                         make_request)
 from repro.serve import journal as journal_module
 from repro.serve.journal import (RECORD_MAGIC, SNAPSHOTS_KEPT,
                                  JournalWriteError, ServeStateStore)
@@ -604,3 +608,44 @@ class TestSync:
             (0, [["update", [1.0], [0.5]]])
         ]
         journal.close()
+
+
+#: sha256 of the journal :class:`TestBreakerExtra` serves, recorded when
+#: the server built a new extra dict for every request.
+SOAK_JOURNAL_DIGEST = (
+    "8bd8cbc5597e56b200f3dee4a4f6ac1a45b54154b91c7e9ab1b15df58cd2f863"
+)
+
+
+class TestBreakerExtra:
+    """The server hands the journal one extra dict per breaker state and
+    the journal encodes each once; the records are unchanged by it."""
+
+    def test_soak_journal_bytes_are_unchanged(self, tiny_bundle, tmp_path):
+        spec = SoakSpec(requests=400,
+                        sensor=SensorFaultSpec(mode="nan", rate=1.0),
+                        fault_window=(0.2, 0.5))
+        server = PolicyServer(
+            build_policy(tiny_bundle),
+            ServeConfig(snapshot_interval=spec.requests + 1),
+            state_dir=tmp_path / "served", clock=lambda: 0.0,
+        )
+        requests = [make_request(spec, i) for i in range(spec.requests)]
+        for start in range(0, spec.requests, 16):
+            server.offer_batch(requests[start:start + 16])
+        report = server.report()
+        server.close()
+        assert report.trips > 0 and report.recoveries > 0
+
+        served = tmp_path / "served" / "journal.jsonl"
+        data = served.read_bytes()
+        # The reference: every record re-encoded from a fresh extra.
+        reference = SelectorJournal(tmp_path / "reference.jsonl")
+        records = list(SelectorJournal(served).replay())
+        assert len(records) == spec.requests
+        assert len({repr(extra) for _, _, extra in records}) > 2
+        for req, ops, extra in records:
+            reference.append(req, ops, {"breaker": dict(extra["breaker"])})
+        reference.close()
+        assert reference.path.read_bytes() == data
+        assert hashlib.sha256(data).hexdigest() == SOAK_JOURNAL_DIGEST

@@ -94,6 +94,7 @@ class TestLiveness:
         report = fleet.close()
         assert report.answered + report.recovered == SPEC.requests
         assert report.restarts == 1
+        assert report.failover_causes.get("unresponsive") == 1
 
 
 @needs_shm
