@@ -780,7 +780,7 @@ def _format_bytes(count: int) -> str:
 def _exec_footer(before: dict) -> str:
     """Fault-tolerance and transport footer for one experiment.
 
-    Renders the pool-rebuild and serial-fallback activity (with the
+    Renders the worker-restart and serial-fallback activity (with the
     triggering causes) plus the request-serialization traffic that
     :class:`~repro.exec.executor.ExecutionStats` accumulated since
     ``before`` — empty when the run was clean and
@@ -796,7 +796,7 @@ def _exec_footer(before: dict) -> str:
     parts = []
     rebuilds = delta("pool_rebuilds")
     if rebuilds:
-        parts.append(f"{rebuilds} pool rebuilds")
+        parts.append(f"{rebuilds} worker restarts")
     fallbacks = delta("serial_fallbacks")
     if fallbacks:
         causes = STATS.serial_fallback_causes[-fallbacks:]

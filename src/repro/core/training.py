@@ -30,20 +30,12 @@ from typing import Any, Callable, Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from ..machine.availability import StaticAvailability
-from ..machine.machine import SimMachine
 from ..machine.topology import TWELVE_CORE, Topology, XEON_L7555
 from ..programs import registry
 from ..programs.model import ProgramModel
 from .expert import Expert, train_expert
 from .features import FeatureSample, env_norm_of
-from .policies.fixed import FixedPolicy, RecordingPolicy
-
-def _engine():
-    """Lazy import to avoid a package-level cycle (runtime imports the
-    policy base classes from core)."""
-    from ..runtime.engine import CoExecutionEngine, JobSpec
-    return CoExecutionEngine, JobSpec
+from .policies.fixed import RecordingPolicy
 
 
 _PLATFORMS: Dict[str, Topology] = {
@@ -137,69 +129,6 @@ def _scalability_request(
         topology=platform,
         iterations_scale=config.iterations_scale,
         dt=config.dt,
-        processors=platform.cores,
-    )
-
-
-def measure_scalability(
-    program: ProgramModel,
-    platform: Topology,
-    config: TrainingConfig,
-    executor=None,
-) -> ScalabilityRecord:
-    """Isolated static runs at 1 and P threads -> speedup at P."""
-    from ..exec import Executor
-
-    try:
-        registered = registry.get(program.name) is program
-    except KeyError:
-        registered = False
-    if not registered:
-        # Ad-hoc program models cannot be named in a RunRequest; run
-        # them directly (serial, unmemoised) with identical physics.
-        return _measure_scalability_direct(program, platform, config)
-    if executor is None:
-        executor = Executor()
-    summaries = executor.run([
-        _scalability_request(program.name, platform, threads, config)
-        for threads in (1, platform.cores)
-    ])
-    return ScalabilityRecord(
-        program=program.name,
-        platform=platform.name,
-        speedup_at_p=summaries[0].target_time / summaries[1].target_time,
-        processors=platform.cores,
-    )
-
-
-def _measure_scalability_direct(
-    program: ProgramModel, platform: Topology, config: TrainingConfig
-) -> ScalabilityRecord:
-    scaled = scale_program(program, config.iterations_scale)
-    times = {}
-    for threads in (1, platform.cores):
-        machine = SimMachine(
-            topology=platform,
-            availability=StaticAvailability(platform.cores),
-        )
-        CoExecutionEngine, JobSpec = _engine()
-        engine = CoExecutionEngine(
-            machine=machine,
-            jobs=[JobSpec(program=scaled, policy=FixedPolicy(threads),
-                          job_id="target", is_target=True)],
-            dt=config.dt,
-        )
-        result = engine.run()
-        if result.target_time is None:
-            raise RuntimeError(
-                f"scalability run timed out: {program.name} on "
-                f"{platform.name} with {threads} threads"
-            )
-        times[threads] = result.target_time
-    return ScalabilityRecord(
-        program=program.name,
-        platform=platform.name,
-        speedup_at_p=times[1] / times[platform.cores],
         processors=platform.cores,
     )
 

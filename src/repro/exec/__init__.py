@@ -2,22 +2,23 @@
 
 ``repro.exec`` turns the evaluation harness's embarrassing parallelism
 into wall-clock speed: every simulation is described by a picklable
-:class:`RunRequest`, executed by an :class:`Executor` over a process
-pool (or serially, bit-identically), and memoised on disk through a
-content-addressed :class:`RunCache`.  See ``docs/performance.md``.
+:class:`RunRequest`, executed by an :class:`Executor` over worker
+processes it owns (or serially, bit-identically), and memoised on disk
+through a content-addressed :class:`RunCache`.  See
+``docs/performance.md``.
 
 The executor is fault-tolerant: per-request retries with backoff
-(:class:`RetryPolicy`), per-run wall-clock timeouts, automatic pool
-rebuild after worker crashes, and corrupt-cache quarantine.  Given a
+(:class:`RetryPolicy`), per-run wall-clock timeouts, a restart of
+just the worker that crashed, and corrupt-cache quarantine.  Given a
 resume directory (:func:`resolve_checkpoint`), every completed summary
 is also published to a second :class:`RunCache` rooted there, so an
 interrupted grid resumes from every completed run.  Each run is accounted
 for in a structured :class:`FailureReport`.  See
 ``docs/robustness.md``.
 
-Every request runs on its own, event-stepped, in a pool worker or in
-this process, and a pool worker returns its summary through the pool's
-ordinary pickled result pipe.  :mod:`repro.exec.shm` holds the
+Every request runs on its own, event-stepped, in a worker process or
+in this process, and a worker returns its summary pickled on its own
+pipe.  :mod:`repro.exec.shm` holds the
 shared-memory rings (:class:`~repro.exec.shm.ShmRing`) that the serving
 fleet moves request and decision blocks through, and the ledger
 (:class:`ShmLedger`) that tracks their segment names.  See

@@ -3,32 +3,40 @@
 Every paper figure is a grid of *independent* co-execution simulations,
 so the evaluation harness is embarrassingly parallel across runs.  The
 :class:`Executor` fans a list of :class:`~repro.exec.request.RunRequest`
-objects out over a ``ProcessPoolExecutor`` and returns summaries **in
-request order**, falling back to in-process serial execution whenever
-``jobs == 1``, a request cannot be serialised, or the platform refuses
-to give us a worker pool (sandboxes without ``/dev/shm``, missing
-``fork`` …).  Each simulation is deterministic given its request, so
-serial and parallel execution return identical summaries.
+objects out over worker processes it forks and owns, and returns
+summaries **in request order**, falling back to in-process serial
+execution whenever ``jobs == 1``, a request cannot be serialised, or a
+worker process cannot be started (no ``fork``, process limits …).  Each
+simulation is deterministic given its request, so serial and parallel
+execution return identical summaries.
 
-Requests are memoised through :class:`~repro.exec.cache.RunCache` keyed
-on :meth:`RunRequest.fingerprint`; cache hits never reach the pool.
+Each worker has one duplex pipe to the parent and one run in flight:
+the parent sends a pickled request, the worker answers with the
+summary or the exception the run raised, and the parent waits on every
+pipe at once (``multiprocessing.connection.wait``).  Requests are
+memoised through :class:`~repro.exec.cache.RunCache` keyed on
+:meth:`RunRequest.fingerprint`; cache hits never reach a worker.
 
-A grid survives partial failure instead of dying wholesale:
+A grid survives partial failure instead of dying wholesale, and a
+failure touches only the run that caused it:
 
 * each request gets bounded retries with exponential backoff and
   deterministic jitter (:class:`~repro.exec.fault.RetryPolicy`);
-* a crashed worker (``BrokenProcessPool`` — segfault, OOM kill, chaos
-  injection) rebuilds the pool and re-submits the in-flight requests,
-  degrading to serial execution after ``max_pool_rebuilds`` rebuilds;
-* a per-run wall-clock timeout (pool execution only — an in-process
-  serial run cannot be preempted) kills the pool, requeues the
-  innocent in-flight victims without charging their retry budget, and
-  counts a retry against the offender;
+* a worker that dies (segfault, OOM kill, chaos injection) shows as
+  EOF on its pipe: its run is charged one ``"pool-crash"`` attempt and
+  requeued, and the worker is restarted; after more than
+  ``max_pool_rebuilds`` restarts in one :meth:`Executor.run` the rest
+  of the grid runs serially;
+* a run past its wall-clock ``run_timeout`` (worker execution only; an
+  in-process serial run cannot be stopped) has its own worker
+  SIGKILLed and restarted, and is charged one ``"timeout"`` attempt;
 * every completed summary is published to the resume checkpoint (a
   :class:`~repro.exec.cache.RunCache` rooted at the resume directory)
   the moment it finishes, so an interrupted grid
   (``KeyboardInterrupt``, SIGKILL, machine death) resumes from every
   completed run via ``REPRO_CHECKPOINT`` / ``checkpoint=``;
+* every worker is killed and reaped before :meth:`Executor.run`
+  returns or raises;
 * everything that happened is recorded in a structured
   :class:`~repro.exec.fault.FailureReport` exposed as
   ``executor.last_report``.
@@ -65,16 +73,6 @@ from .fault import (
 )
 from .request import RunRequest, RunSummary, execute_request
 
-#: Exceptions that mean "the pool is unusable", not "the run failed".
-#: Application errors (timeouts, bad policies) propagate unchanged.
-_POOL_ERRORS: tuple = (OSError, ImportError)
-try:  # pragma: no cover - import layout is version-dependent
-    from concurrent.futures.process import BrokenProcessPool
-
-    _POOL_ERRORS = _POOL_ERRORS + (BrokenProcessPool,)
-except ImportError:  # pragma: no cover
-    BrokenProcessPool = None  # type: ignore[assignment]
-
 
 def resolve_jobs(jobs: Optional[int] = None) -> int:
     """Worker-count resolution: argument > ``REPRO_JOBS`` > 1."""
@@ -99,9 +97,10 @@ class ExecutionStats:
     cache_hits: int = 0
     retries: int = 0
     timeouts: int = 0
+    #: Worker restarts after a crash; the benchmark reads this key.
     pool_rebuilds: int = 0
     serial_fallbacks: int = 0
-    #: Parent-side serialization cost of pool execution: bytes of
+    #: Parent-side serialization cost of worker execution: bytes of
     #: pickled request blobs and wall seconds spent pickling them.
     pickled_bytes: int = 0
     serialize_seconds: float = 0.0
@@ -144,7 +143,7 @@ def _maybe_chaos_crash() -> None:
 
     Uses ``SystemRandom`` so forked workers do not inherit correlated
     RNG state, and ``os._exit`` so the death looks like a real segfault
-    or OOM kill (no exception, no cleanup, pool goes broken).  Crashing
+    or OOM kill (no exception, no cleanup, EOF on the pipe).  Crashing
     *before* deserialising the request means a retried run replays
     identically — chaos never perturbs simulation determinism.
     """
@@ -166,12 +165,86 @@ def _execute_blob(blob: bytes) -> RunSummary:
     return execute_request(request)
 
 
-class _PoolBroken(Exception):
-    """Internal marker: the current pool crashed; rebuild and resume."""
+def _worker_main(conn, inherited) -> None:
+    """Worker process: run each request blob the parent sends.
 
-    def __init__(self, cause: BaseException):
-        super().__init__(str(cause))
-        self.cause = cause
+    ``inherited`` holds this process's copies of the parent's pipe
+    ends, closed first so that the worker reads EOF, and exits, once
+    the parent's end is gone.  Each reply is ``(True, summary)`` or
+    ``(False, exception)``.  :func:`_execute_blob` is looked up as a
+    module global on every request, so a patched entry point is the
+    one that runs.
+    """
+    for end in inherited:
+        end.close()
+    while True:
+        try:
+            blob = conn.recv_bytes()
+        except EOFError:
+            return
+        try:
+            reply = (True, _execute_blob(blob))
+        except Exception as error:
+            reply = (False, error)
+        try:
+            conn.send(reply)
+        except Exception as error:  # an unpicklable summary or exception
+            conn.send((False, RuntimeError(
+                f"worker reply could not be pickled: {error!r}"
+            )))
+
+
+class _Worker:
+    """A forked worker process and the parent's end of its duplex pipe.
+
+    One request is in flight at a time: ``index`` is its position in
+    the request list (``None`` when idle) and ``started`` the monotonic
+    instant it was dispatched.
+    """
+
+    def __init__(self, context, inherited: list):
+        self.conn, child = context.Pipe()
+        self.process = context.Process(
+            target=_worker_main, args=(child, [self.conn, *inherited])
+        )
+        try:
+            self.process.start()
+        except BaseException:
+            self.conn.close()
+            raise
+        finally:
+            child.close()
+        self.index: Optional[int] = None
+        self.started = 0.0
+
+    def dispatch(self, index: int, blob: bytes) -> None:
+        self.index, self.started = index, time.monotonic()
+        try:
+            self.conn.send_bytes(blob)
+        except OSError:
+            pass  # the worker is dead; wait() reports its EOF
+
+    def kill(self) -> Optional[int]:
+        """SIGKILL the worker, reap it and return its exit code.
+
+        SIGKILL acts even on a hung or descheduled process, so no
+        worker outlives the :meth:`Executor.run` that started it.
+        """
+        self.conn.close()
+        self.process.kill()
+        self.process.join()
+        code = self.process.exitcode
+        self.process.close()
+        return code
+
+
+def _pop_ready(queue: deque, ready_at: Dict[int, float], now: float):
+    """Remove and return the first queued index whose backoff is over."""
+    for position, index in enumerate(queue):
+        if ready_at.get(index, 0.0) <= now:
+            del queue[position]
+            return index
+    return None
 
 
 @dataclass
@@ -361,15 +434,23 @@ class Executor:
                 f"requests not serialisable ({error!r})", error,
             )
             return
+        #: One slot per worker; ``None`` marks a slot to (re)spawn.
+        workers: List[Optional[_Worker]] = [None] * min(
+            self.jobs, len(pending)
+        )
         try:
-            self._pump_pool(
-                requests, pending, blobs, fingerprints, results, report
+            fallback = self._run_workers(
+                pending, blobs, workers, fingerprints, results, report
             )
-        except _POOL_ERRORS as error:
+        finally:
+            for worker in workers:
+                if worker is not None:
+                    worker.kill()
+        if fallback is not None:
             remaining = [i for i in pending if results[i] is None]
             self._fall_back_serial(
                 requests, remaining, fingerprints, results, report,
-                f"worker pool unavailable ({error!r})", error,
+                *fallback,
             )
 
     def _fall_back_serial(
@@ -383,370 +464,175 @@ class Executor:
         report.serial_fallback_causes.append(reason)
         self._run_serial(requests, pending, fingerprints, results, report)
 
-    def _pump_pool(
+    def _run_workers(
         self,
-        requests: List[RunRequest],
         pending: List[int],
         blobs: Dict[int, bytes],
+        workers: List[Optional["_Worker"]],
         fingerprints: List[Optional[str]],
         results: List[Optional[RunSummary]],
         report: FailureReport,
-    ) -> None:
+    ) -> Optional[tuple]:
+        """Run ``pending`` on forked workers, one request per worker.
+
+        Returns ``None`` once every request completed, or the
+        ``(reason, cause)`` of a serial fallback.  Workers are started
+        into the caller's ``workers`` slots, so the caller kills what is
+        left however this returns.
+        """
         import multiprocessing
-        from concurrent.futures import (
-            FIRST_COMPLETED,
-            ProcessPoolExecutor,
-            wait,
-        )
+        from multiprocessing.connection import wait
 
         try:
             context = multiprocessing.get_context("fork")
-        except ValueError:  # pragma: no cover - non-POSIX platforms
-            context = None
-        workers = min(self.jobs, len(pending))
-        retry: RetryPolicy = self.retry  # type: ignore[assignment]
+        except ValueError as error:  # pragma: no cover - non-POSIX
+            return f"fork start method unavailable ({error!r})", error
+        queue = deque(pending)
+        #: monotonic instant before which an index must not be
+        #: dispatched again (retry backoff); absent means ready now.
+        ready_at: Dict[int, float] = {}
+        attempts: Dict[int, int] = {index: 0 for index in pending}
+        respawns = 0
+        while True:
+            now = time.monotonic()
+            for slot, worker in enumerate(workers):
+                if worker is not None and worker.index is not None:
+                    continue
+                index = _pop_ready(queue, ready_at, now)
+                if index is None:
+                    break
+                if worker is None:
+                    try:
+                        worker = workers[slot] = _Worker(context, [
+                            w.conn for w in workers if w is not None
+                        ])
+                    except OSError as error:
+                        return (
+                            f"cannot start a worker process ({error!r})",
+                            error,
+                        )
+                attempts[index] += 1
+                worker.dispatch(index, blobs[index])
+            busy = [w for w in workers
+                    if w is not None and w.index is not None]
+            if not busy:
+                if not queue:
+                    return None
+                # Everything runnable is backing off; sleep until the
+                # earliest retry becomes ready.
+                soonest = min(ready_at.get(index, 0.0) for index in queue)
+                time.sleep(max(0.0, soonest - time.monotonic()))
+                continue
 
-        def make_pool() -> ProcessPoolExecutor:
-            return ProcessPoolExecutor(
-                max_workers=workers, mp_context=context
+            timeout = None
+            if self.run_timeout is not None:
+                oldest = min(w.started for w in busy)
+                timeout = oldest + self.run_timeout - time.monotonic()
+            if queue and len(busy) < len(workers):
+                soonest = min(ready_at.get(index, 0.0) for index in queue)
+                wake = soonest - time.monotonic()
+                timeout = wake if timeout is None else min(timeout, wake)
+            ready = wait(
+                [w.conn for w in busy],
+                None if timeout is None else max(0.0, timeout),
             )
 
-        queue = deque(pending)
-        #: monotonic instant before which an index must not resubmit
-        #: (retry backoff); absent means ready now.
-        ready_at: Dict[int, float] = {}
-        #: counted execution attempts per index ("preempted" re-runs
-        #: caused by another request's timeout are not counted).
-        attempts: Dict[int, int] = {index: 0 for index in pending}
-        rebuilds = 0
-        pool = make_pool()
-        in_flight: Dict[object, tuple] = {}
-        #: Every worker process ever observed, across rebuilds.  After
-        #: a pool breaks, ``pool._processes`` may already be cleared by
-        #: the manager thread, so teardown kills and joins this
-        #: snapshot instead: no dying worker outlives the call.
-        worker_procs: Dict[int, object] = {}
-        clean_exit = False
-        try:
-            while queue or in_flight:
+            for slot, worker in enumerate(workers):
+                if worker is None or worker.conn not in ready:
+                    continue
+                index, started = worker.index, worker.started
+                worker.index = None
+                req_report = report.requests[index]
                 try:
-                    current_procs = getattr(pool, "_processes", None)
-                    if current_procs:
-                        worker_procs.update(current_procs)
-                    now = time.monotonic()
-                    deferred = []
-                    while queue and len(in_flight) < workers:
-                        index = queue.popleft()
-                        if ready_at.get(index, 0.0) > now:
-                            deferred.append(index)
-                            continue
-                        attempts[index] += 1
-                        try:
-                            future = pool.submit(
-                                _execute_blob, blobs[index]
-                            )
-                        except _POOL_ERRORS as error:
-                            # The pool broke between collections; the
-                            # rejected submission is charged like a
-                            # crashed future and the rebuild path takes
-                            # over.
-                            queue.extend(deferred)
-                            req_report = report.requests[index]
-                            req_report.attempts.append(AttemptRecord(
-                                attempt=attempts[index],
-                                kind="pool-crash",
-                                error=type(error).__name__,
-                                message=str(error)[:200],
-                            ))
-                            self._retry_or_raise(
-                                index, attempts, ready_at, queue,
-                                error, req_report,
-                            )
-                            raise _PoolBroken(error) from error
-                        in_flight[future] = (index, time.monotonic())
-                    queue.extend(deferred)
-                    # Workers spawn lazily inside submit(); re-snapshot
-                    # after the submission loop so a pool that spawns
-                    # and breaks within one iteration leaves no
-                    # unobserved (hence unreapable) straggler.
-                    current_procs = getattr(pool, "_processes", None)
-                    if current_procs:
-                        worker_procs.update(current_procs)
-
-                    if not in_flight:
-                        # Everything runnable is backing off; sleep
-                        # until the earliest retry becomes ready.
-                        soonest = min(
-                            ready_at.get(index, 0.0) for index in queue
-                        )
-                        pause = soonest - time.monotonic()
-                        if pause > 0:
-                            time.sleep(pause)
-                        continue
-
-                    timeout = None
-                    if self.run_timeout is not None:
-                        deadline = min(
-                            started + self.run_timeout
-                            for _, started in in_flight.values()
-                        )
-                        timeout = max(0.0, deadline - time.monotonic())
-                    if queue and len(in_flight) < workers:
-                        soonest = min(
-                            ready_at.get(index, 0.0) for index in queue
-                        )
-                        wake = max(0.0, soonest - time.monotonic())
-                        timeout = wake if timeout is None else min(
-                            timeout, wake
-                        )
-                    done, _ = wait(
-                        set(in_flight), timeout=timeout,
-                        return_when=FIRST_COMPLETED,
-                    )
-
-                    for future in done:
-                        index, started = in_flight.pop(future)
-                        self._collect(
-                            future, index, started, attempts, ready_at,
-                            queue, fingerprints, results, report,
-                        )
-                except _PoolBroken as broken:
-                    current_procs = getattr(pool, "_processes", None)
-                    if current_procs:
-                        worker_procs.update(current_procs)
-                    rebuilds += 1
+                    ok, value = worker.conn.recv()
+                except (EOFError, OSError) as error:
+                    # The worker died (segfault, OOM kill, chaos
+                    # injection) and took only this run with it.
+                    elapsed = time.monotonic() - started
+                    code = worker.kill()
+                    workers[slot] = None
+                    req_report.attempts.append(AttemptRecord(
+                        attempt=attempts[index],
+                        kind="pool-crash",
+                        error=type(error).__name__,
+                        message=f"worker exited with code {code}",
+                        elapsed=elapsed,
+                    ))
+                    if not self._requeue(index, attempts, ready_at, queue):
+                        raise RuntimeError(
+                            f"request {req_report.target}/"
+                            f"{req_report.policy} crashed its worker on "
+                            f"all {attempts[index]} attempts"
+                        ) from error
+                    respawns += 1
                     STATS.pool_rebuilds += 1
                     report.pool_rebuilds += 1
-                    self._requeue_crashed(
-                        in_flight, attempts, ready_at, queue, report,
-                        broken.cause,
-                    )
-                    self._kill_pool(pool)
-                    self._reap_stragglers(worker_procs)
-                    if rebuilds > self.max_pool_rebuilds:
-                        remaining = [
-                            i for i in pending if results[i] is None
-                        ]
-                        self._fall_back_serial(
-                            requests, remaining, fingerprints, results,
-                            report,
-                            f"worker pool crashed {rebuilds} times "
-                            f"({broken.cause!r})",
-                            broken.cause,
+                    if respawns > self.max_pool_rebuilds:
+                        return (
+                            f"workers crashed {respawns} times (last "
+                            f"exit code {code})",
+                            error,
                         )
-                        clean_exit = True
-                        return
-                    pool = make_pool()
                     continue
-
-                if self.run_timeout is not None and in_flight:
-                    pool = self._reap_timeouts(
-                        pool, make_pool, in_flight, attempts, ready_at,
-                        queue, report, requests, retry,
-                    )
-            clean_exit = True
-        finally:
-            if clean_exit:
-                pool.shutdown(wait=True)
-            else:
-                self._kill_pool(pool)
-            self._reap_stragglers(worker_procs)
-
-    def _collect(
-        self, future, index, started, attempts, ready_at, queue,
-        fingerprints, results, report,
-    ) -> None:
-        """Fold one finished future into results / retry queue."""
-        elapsed = time.monotonic() - started
-        req_report = report.requests[index]
-        try:
-            summary = future.result()
-        except Exception as error:
-            if BrokenProcessPool is not None and isinstance(
-                error, BrokenProcessPool
-            ):
-                # The pool died under this future; hand the crash to
-                # the rebuild path with this index still charged.
+                elapsed = time.monotonic() - started
+                if ok:
+                    req_report.attempts.append(AttemptRecord(
+                        attempt=attempts[index], kind="ok", elapsed=elapsed,
+                    ))
+                    self._complete(index, value, fingerprints, results)
+                    continue
                 req_report.attempts.append(AttemptRecord(
                     attempt=attempts[index],
-                    kind="pool-crash",
-                    error=type(error).__name__,
-                    message=str(error)[:200],
+                    kind="error",
+                    error=type(value).__name__,
+                    message=str(value)[:200],
                     elapsed=elapsed,
                 ))
-                self._retry_or_raise(
-                    index, attempts, ready_at, queue, error, req_report
-                )
-                raise _PoolBroken(error) from error
-            req_report.attempts.append(AttemptRecord(
-                attempt=attempts[index],
-                kind="error",
-                error=type(error).__name__,
-                message=str(error)[:200],
-                elapsed=elapsed,
-            ))
-            self._retry_or_raise(
-                index, attempts, ready_at, queue, error, req_report
-            )
-            return
-        req_report.attempts.append(AttemptRecord(
-            attempt=attempts[index], kind="ok", elapsed=elapsed,
-        ))
-        self._complete(index, summary, fingerprints, results)
+                if not self._requeue(index, attempts, ready_at, queue):
+                    raise value
 
-    def _retry_or_raise(
-        self, index, attempts, ready_at, queue, error, req_report
-    ) -> None:
+            if self.run_timeout is None:
+                continue
+            now = time.monotonic()
+            for slot, worker in enumerate(workers):
+                if (worker is None or worker.index is None
+                        or now - worker.started < self.run_timeout):
+                    continue
+                # Only a kill stops a hung simulation; the other
+                # workers' runs go on untouched.
+                index, elapsed = worker.index, now - worker.started
+                worker.kill()
+                workers[slot] = None
+                req_report = report.requests[index]
+                req_report.attempts.append(AttemptRecord(
+                    attempt=attempts[index],
+                    kind="timeout",
+                    error="RunTimeoutError",
+                    message=f"exceeded run_timeout={self.run_timeout:.3f}s",
+                    elapsed=elapsed,
+                ))
+                STATS.timeouts += 1
+                report.timeouts += 1
+                if not self._requeue(index, attempts, ready_at, queue):
+                    raise RunTimeoutError(
+                        f"request {req_report.target}/{req_report.policy} "
+                        f"timed out after {elapsed:.3f}s on attempt "
+                        f"{attempts[index]} "
+                        f"(run_timeout={self.run_timeout:.3f}s)"
+                    )
+
+    def _requeue(self, index, attempts, ready_at, queue) -> bool:
+        """Queue ``index`` again after its backoff; False once its retry
+        budget is spent."""
         retry: RetryPolicy = self.retry  # type: ignore[assignment]
         if attempts[index] > retry.max_retries:
-            if BrokenProcessPool is not None and isinstance(
-                error, BrokenProcessPool
-            ):
-                raise RuntimeError(
-                    f"request {req_report.target}/{req_report.policy} "
-                    f"crashed the worker pool on all "
-                    f"{attempts[index]} attempts"
-                ) from error
-            raise error
+            return False
         STATS.retries += 1
         ready_at[index] = time.monotonic() + retry.delay(
             attempts[index], f"#{index}"
         )
         queue.append(index)
-
-    def _requeue_crashed(
-        self, in_flight, attempts, ready_at, queue, report, cause
-    ) -> None:
-        """After a pool crash, recycle every in-flight request."""
-        for index, started in in_flight.values():
-            elapsed = time.monotonic() - started
-            req_report = report.requests[index]
-            req_report.attempts.append(AttemptRecord(
-                attempt=attempts[index],
-                kind="pool-crash",
-                error=type(cause).__name__,
-                message=str(cause)[:200],
-                elapsed=elapsed,
-            ))
-            self._retry_or_raise(
-                index, attempts, ready_at, queue, cause, req_report
-            )
-        in_flight.clear()
-
-    def _reap_timeouts(
-        self, pool, make_pool, in_flight, attempts, ready_at, queue,
-        report, requests, retry,
-    ):
-        """Kill the pool if any in-flight run exceeded its deadline.
-
-        Killing worker processes is the only way to preempt a hung
-        simulation.  The timed-out requests burn one retry each; the
-        other in-flight requests are innocent victims — requeued with
-        a "preempted" attempt record that does not count against their
-        budget.  The rebuild does not count toward
-        ``max_pool_rebuilds`` either: the pool did not crash, we shot
-        it.
-        """
-        now = time.monotonic()
-        expired = {
-            future: entry
-            for future, entry in in_flight.items()
-            if now - entry[1] >= self.run_timeout
-        }
-        if not expired:
-            return pool
-        for future, (index, started) in expired.items():
-            del in_flight[future]
-            elapsed = now - started
-            req_report = report.requests[index]
-            req_report.attempts.append(AttemptRecord(
-                attempt=attempts[index],
-                kind="timeout",
-                error="RunTimeoutError",
-                message=f"exceeded run_timeout={self.run_timeout:.3f}s",
-                elapsed=elapsed,
-            ))
-            STATS.timeouts += 1
-            report.timeouts += 1
-            if attempts[index] > retry.max_retries:
-                self._kill_pool(pool)
-                raise RunTimeoutError(
-                    f"request {req_report.target}/{req_report.policy} "
-                    f"timed out after {elapsed:.3f}s on attempt "
-                    f"{attempts[index]} "
-                    f"(run_timeout={self.run_timeout:.3f}s)"
-                )
-            STATS.retries += 1
-            ready_at[index] = time.monotonic() + retry.delay(
-                attempts[index], f"#{index}"
-            )
-            queue.append(index)
-        for index, started in in_flight.values():
-            req_report = report.requests[index]
-            req_report.attempts.append(AttemptRecord(
-                attempt=attempts[index],
-                kind="preempted",
-                elapsed=now - started,
-            ))
-            attempts[index] -= 1  # not this request's fault
-            queue.append(index)
-        in_flight.clear()
-        self._kill_pool(pool)
-        return make_pool()
-
-    @staticmethod
-    def _reap_stragglers(
-        procs: Dict[int, object], timeout: float = 5.0
-    ) -> None:
-        """SIGKILL any observed worker process still alive.
-
-        When a pool breaks, ``pool._processes`` may already be cleared,
-        so :meth:`_kill_pool` cannot reach the workers — and on a busy
-        machine a descheduled straggler can outlive the whole run,
-        still burning CPU on a request the parent has already requeued.
-        Killing (not terminating: SIGKILL acts even on a descheduled
-        process) every straggler and joining it means no worker
-        outlives :meth:`Executor.run`.
-        """
-        deadline = time.monotonic() + timeout
-        stragglers = []
-        for process in list(procs.values()):
-            try:
-                if not process.is_alive():
-                    continue
-                process.kill()
-                stragglers.append(process)
-            except Exception:  # pragma: no cover - racing process death
-                pass
-        for process in stragglers:
-            try:
-                process.join(timeout=max(0.0, deadline - time.monotonic()))
-            except Exception:  # pragma: no cover - racing process death
-                pass
-
-    @staticmethod
-    def _kill_pool(pool) -> None:
-        """Terminate a pool's workers without waiting on hung tasks.
-
-        After SIGTERM, each worker gets a short grace join so a dying
-        worker is gone before the pool is rebuilt or the call
-        returns.
-        """
-        processes = getattr(pool, "_processes", None) or {}
-        for process in list(processes.values()):
-            try:
-                process.terminate()
-            except Exception:  # pragma: no cover - racing process death
-                pass
-        for process in list(processes.values()):
-            try:
-                process.join(timeout=0.5)
-            except Exception:  # pragma: no cover - racing process death
-                pass
-        try:
-            pool.shutdown(wait=False, cancel_futures=True)
-        except Exception:  # pragma: no cover - pool already broken
-            pass
+        return True
 
     def _warn_serial(
         self, reason: str, cause: Optional[BaseException] = None

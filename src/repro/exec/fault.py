@@ -42,7 +42,8 @@ from .cache import RunCache
 #: Default number of retries after the first attempt fails.
 DEFAULT_MAX_RETRIES = 2
 
-#: Default number of pool rebuilds tolerated before degrading to serial.
+#: Default number of worker crash restarts tolerated in one
+#: ``Executor.run`` before the rest of it degrades to serial.
 DEFAULT_MAX_POOL_REBUILDS = 3
 
 
@@ -53,8 +54,8 @@ class RunTimeoutError(RuntimeError):
 class SerialFallbackWarning(UserWarning):
     """The executor degraded to in-process serial execution.
 
-    ``cause`` holds the exception that triggered the fallback (pool
-    creation failure, unserialisable request, repeated pool crashes) so
+    ``cause`` holds the exception that triggered the fallback (worker
+    start failure, unserialisable request, repeated worker crashes) so
     callers can inspect it instead of parsing the message.
     """
 
@@ -147,7 +148,7 @@ def resolve_run_timeout(timeout=None) -> Optional[float]:
 
 
 def resolve_max_pool_rebuilds(limit=None) -> int:
-    """Pool-rebuild budget: argument > ``REPRO_MAX_POOL_REBUILDS`` > default."""
+    """Crash restarts: argument > ``REPRO_MAX_POOL_REBUILDS`` > default."""
     if limit is not None:
         return max(0, int(limit))
     env = _env_int("REPRO_MAX_POOL_REBUILDS")
@@ -161,9 +162,8 @@ class AttemptRecord:
     """One execution attempt of one request."""
 
     attempt: int
-    #: "ok", "error", "timeout", "pool-crash", or "preempted" (the pool
-    #: was killed because of *another* request's timeout; does not count
-    #: against this request's retry budget).
+    #: "ok", "error", "timeout" or "pool-crash" (the worker process
+    #: died under this attempt).
     kind: str
     error: str = ""
     message: str = ""
@@ -194,7 +194,7 @@ class RequestReport:
 
     @property
     def retried(self) -> bool:
-        return sum(1 for a in self.attempts if a.kind != "preempted") > 1
+        return len(self.attempts) > 1
 
     @property
     def error_classes(self) -> List[str]:
@@ -210,6 +210,7 @@ class FailureReport:
     """Structured account of one :meth:`Executor.run` invocation."""
 
     requests: List[RequestReport] = field(default_factory=list)
+    #: Worker restarts after a crash.
     pool_rebuilds: int = 0
     serial_fallbacks: int = 0
     #: Human-readable cause of each serial fallback (mirrors
@@ -256,7 +257,7 @@ class FailureReport:
         if self.timeouts:
             parts.append(f"{self.timeouts} timeouts")
         if self.pool_rebuilds:
-            parts.append(f"{self.pool_rebuilds} pool rebuilds")
+            parts.append(f"{self.pool_rebuilds} worker restarts")
         if self.serial_fallbacks:
             note = f"{self.serial_fallbacks} serial fallbacks"
             if self.serial_fallback_causes:

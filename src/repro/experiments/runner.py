@@ -10,6 +10,7 @@ policies, with only the target's policy varying.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import (
     Callable,
     Dict,
@@ -79,16 +80,21 @@ def mixture_factory(
         state = pretrain_selector_state(bundle.experts, samples)
     else:
         state = None
+    # A partial over a module-level function pickles by reference plus
+    # its data, so its policy token does not depend on where this file
+    # lives or on which line the function starts.
+    return partial(_mixture_policy, bundle.experts, state)
 
-    def make() -> MixturePolicy:
-        selector = HyperplaneSelector(
-            num_experts=len(bundle.experts), dim=NUM_FEATURES,
-        )
-        if state is not None:
-            selector.load_state(state)
-        return MixturePolicy(bundle.experts, selector=selector)
 
-    return make
+def _mixture_policy(experts, state) -> MixturePolicy:
+    selector = HyperplaneSelector(num_experts=len(experts), dim=NUM_FEATURES)
+    if state is not None:
+        selector.load_state(state)
+    return MixturePolicy(experts, selector=selector)
+
+
+def _offline_policy(expert) -> OfflinePolicy:
+    return OfflinePolicy(expert.with_envelope_margin(0.5))
 
 
 def cgo13_config(config: TrainingConfig = TrainingConfig()) -> TrainingConfig:
@@ -126,9 +132,7 @@ def standard_policies(
     return {
         "default": DefaultPolicy,
         "online": OnlineHillClimbPolicy,
-        "offline": lambda: OfflinePolicy(
-            offline.experts[0].with_envelope_margin(0.5)
-        ),
+        "offline": partial(_offline_policy, offline.experts[0]),
         "analytic": AnalyticPolicy,
         "mixture": mixture_factory(bundle, config),
     }

@@ -113,10 +113,10 @@ _TIER_RANK = {"": 0, "default": 3, "expert": 2}
 def merge_serve_reports(
     reports: List["ServeReport"],
     *,
-    latency: Optional[Dict[str, float]] = None,
-    latency_histogram: Optional[Dict[str, list]] = None,
-    queue_depth: Optional[Dict[str, float]] = None,
-    batch_sizes: Optional[Dict[str, float]] = None,
+    latency: Dict[str, float],
+    latency_histogram: Dict[str, list],
+    queue_depth: Dict[str, float],
+    batch_sizes: Dict[str, float],
 ) -> "ServeReport":
     """Fold several :class:`ServeReport` objects into one.
 
@@ -125,16 +125,12 @@ def merge_serve_reports(
     shippable during resharding), but operators and the fleet aggregate
     still want *one* report per shard — this is the fold.  Counters and
     count dicts sum exactly; transitions concatenate in request order;
-    ``final_tier`` takes the most-degraded stream.  The latency and
-    gauge snapshots can't be merged exactly from summaries, so callers
-    that hold shard-level instruments (the shard worker's shared
-    latency ledger and flush-level gauges) pass them in; otherwise the
-    counts-weighted approximation is used.
+    ``final_tier`` takes the most-degraded stream.  Latency and gauge
+    snapshots cannot be merged exactly from summaries, so the caller
+    passes the shard-level instruments (the shard worker's shared
+    latency ledger and flush-level gauges).
     """
     merged = ServeReport()
-    histogram = FixedBucketHistogram()
-    fallback_latency = {"count": 0.0, "p50": 0.0, "p99": 0.0,
-                        "mean": 0.0, "max": 0.0}
     for report in reports:
         merged.total += report.total
         merged.answered += report.answered
@@ -155,21 +151,6 @@ def merge_serve_reports(
                 merged.final_tier, 0):
             if report.final_tier:
                 merged.final_tier = report.final_tier
-        if report.latency_histogram.get("counts"):
-            histogram.merge(report.latency_histogram)
-        count = float(report.latency.get("count", 0.0))
-        if count > 0:
-            fallback_latency["count"] += count
-            fallback_latency["mean"] += report.latency.get("mean", 0.0) * count
-            fallback_latency["max"] = max(
-                fallback_latency["max"], report.latency.get("max", 0.0)
-            )
-            fallback_latency["p50"] = max(
-                fallback_latency["p50"], report.latency.get("p50", 0.0)
-            )
-            fallback_latency["p99"] = max(
-                fallback_latency["p99"], report.latency.get("p99", 0.0)
-            )
         for key, count in report.journal.items():
             if key == "recovered_req":
                 merged.journal[key] = max(
@@ -178,17 +159,10 @@ def merge_serve_reports(
             else:
                 merged.journal[key] = merged.journal.get(key, 0) + count
     merged.transitions.sort(key=lambda t: t.request_index)
-    if fallback_latency["count"] > 0:
-        fallback_latency["mean"] /= fallback_latency["count"]
-    merged.latency = latency if latency is not None else fallback_latency
-    merged.latency_histogram = (
-        latency_histogram if latency_histogram is not None
-        else histogram.snapshot()
-    )
-    if queue_depth is not None:
-        merged.queue_depth = queue_depth
-    if batch_sizes is not None:
-        merged.batch_sizes = batch_sizes
+    merged.latency = latency
+    merged.latency_histogram = latency_histogram
+    merged.queue_depth = queue_depth
+    merged.batch_sizes = batch_sizes
     return merged
 
 

@@ -2,12 +2,13 @@
 
 Worker crashes are injected with ``REPRO_CHAOS_WORKER_CRASH_RATE`` (the
 worker hard-exits *before* deserialising its request, so retries replay
-identically); hangs are injected by monkeypatching the worker entry
-point before the fork-context pool is built.
+identically); hangs, and crashes of one chosen request, are injected by
+monkeypatching the worker entry point before the workers are forked.
 """
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import pickle
 import subprocess
@@ -103,6 +104,44 @@ def _hang_once_blob(blob: bytes):
 
 def _hang_forever_blob(blob: bytes):
     time.sleep(60.0)
+
+
+#: The request (by seed) that the fault-isolation entry points below
+#: crash or hang on its first attempt; every other request sleeps
+#: ``_BUSY_S`` first, so it is still running when the fault hits.
+_FAULTY_SEED = 0
+_BUSY_S = 0.4
+
+
+def _fault_once(blob: bytes, fault):
+    """Run ``blob``, calling ``fault()`` first on the first attempt at
+    the ``_FAULTY_SEED`` request (marker file)."""
+    import cloudpickle
+
+    from repro.exec.request import execute_request
+
+    request = cloudpickle.loads(blob)
+    if request.seed != _FAULTY_SEED:
+        time.sleep(_BUSY_S)
+        return execute_request(request)
+    marker = os.path.join(os.environ[_MARKER_ENV], "faulted")
+    try:
+        open(marker, "x").close()
+    except FileExistsError:
+        return execute_request(request)
+    fault()
+
+
+def _crash_once_blob(blob: bytes):
+    def crash():
+        time.sleep(0.1)  # the other worker's run is under way
+        os._exit(1)
+
+    return _fault_once(blob, crash)
+
+
+def _hang_once_on_faulty_blob(blob: bytes):
+    return _fault_once(blob, lambda: time.sleep(60.0))
 
 
 class TestRetryPolicy:
@@ -212,15 +251,6 @@ class TestFailureReport:
         assert not report.clean
         assert "1 retried" in report.summary()
         assert "1 FAILED" in report.summary()
-
-    def test_preempted_attempts_do_not_count_as_retries(self):
-        victim = RequestReport(index=0, target="cg", policy="fixed-8")
-        victim.attempts = [
-            AttemptRecord(attempt=1, kind="preempted"),
-            AttemptRecord(attempt=1, kind="ok"),
-        ]
-        assert victim.ok
-        assert not victim.retried
 
     def test_serial_fallback_cause_is_rendered(self):
         report = FailureReport(
@@ -399,7 +429,7 @@ class TestWorkerCrashRecovery:
             jobs=2, cache=None, checkpoint=None, max_pool_rebuilds=1000,
             retry=RetryPolicy(max_retries=1, base_delay=0.0),
         )
-        with pytest.raises(RuntimeError, match="crashed the worker pool"):
+        with pytest.raises(RuntimeError, match="crashed its worker"):
             executor.run([tiny_request(seed=s) for s in (0, 1)])
         assert executor.last_report.pool_rebuilds >= 1
 
@@ -449,6 +479,7 @@ class TestRunTimeout:
         )
         with pytest.raises(RunTimeoutError, match="timed out"):
             executor.run([tiny_request(seed=s) for s in (0, 1)])
+        assert multiprocessing.active_children() == []
 
     def test_timeouts_recorded_in_report(self, monkeypatch):
         monkeypatch.setattr(
@@ -466,6 +497,80 @@ class TestRunTimeout:
             a.kind for r in report.requests for a in r.attempts
         }
         assert "timeout" in kinds
+
+
+class TestFaultIsolation:
+    """A crash or a timeout costs only the run it happened to."""
+
+    def run_isolated(self, entry_point, tmp_path, monkeypatch, **kwargs):
+        monkeypatch.setenv(_MARKER_ENV, str(tmp_path))
+        monkeypatch.setattr("repro.exec.executor._execute_blob", entry_point)
+        executor = Executor(
+            jobs=2, cache=None, checkpoint=None,
+            retry=RetryPolicy(max_retries=2, base_delay=0.01), **kwargs,
+        )
+        requests = [tiny_request(seed=s) for s in range(4)]
+        summaries = executor.run(requests)
+        assert multiprocessing.active_children() == []
+        monkeypatch.undo()
+        assert summaries == Executor(
+            jobs=1, cache=None, checkpoint=None
+        ).run(requests)
+        kinds = [[a.kind for a in r.attempts]
+                 for r in executor.last_report.requests]
+        assert kinds[1:] == [["ok"]] * 3
+        return executor.last_report, kinds[0]
+
+    def test_crash_costs_only_the_crashed_run(self, tmp_path, monkeypatch):
+        report, kinds = self.run_isolated(
+            _crash_once_blob, tmp_path, monkeypatch
+        )
+        assert kinds == ["pool-crash", "ok"]
+        assert report.pool_rebuilds == 1
+
+    def test_timeout_costs_only_the_hung_run(self, tmp_path, monkeypatch):
+        report, kinds = self.run_isolated(
+            _hang_once_on_faulty_blob, tmp_path, monkeypatch,
+            run_timeout=1.0,
+        )
+        assert kinds == ["timeout", "ok"]
+        assert report.timeouts == 1
+
+
+class TestWorkerErrors:
+    """A run that raises in a worker fails like it does in-process."""
+
+    @pytest.fixture(autouse=True)
+    def no_chaos(self, monkeypatch):
+        monkeypatch.delenv("REPRO_CHAOS_WORKER_CRASH_RATE", raising=False)
+
+    @staticmethod
+    def failing_grid(error: Exception):
+        def broken():
+            raise error
+
+        return [tiny_request(seed=0),
+                tiny_request(seed=1, policy=PolicySpec.of(broken, "broken"))]
+
+    def run(self, requests):
+        executor = Executor(
+            jobs=2, cache=None, checkpoint=None,
+            retry=RetryPolicy(max_retries=1, base_delay=0.0),
+        )
+        try:
+            executor.run(requests)
+        finally:
+            assert multiprocessing.active_children() == []
+            kinds = [a.kind for a in executor.last_report.requests[1].attempts]
+            assert kinds == ["error", "error"]
+
+    def test_budget_exhaustion_raises_the_runs_own_error(self):
+        with pytest.raises(ValueError, match="no such policy"):
+            self.run(self.failing_grid(ValueError("no such policy")))
+
+    def test_unpicklable_error_is_reported_not_a_crash(self):
+        with pytest.raises(RuntimeError, match="could not be pickled"):
+            self.run(self.failing_grid(RuntimeError(lambda: None)))
 
 
 class TestCheckpointResume:

@@ -1,6 +1,18 @@
 """Experiment runner infrastructure (miniature end-to-end runs)."""
 
+import dataclasses
+import json
+import os
+import shutil
+import subprocess
+import sys
+import textwrap
+from functools import partial
+from pathlib import Path
+
 import pytest
+
+from repro.exec import PolicySpec
 
 from repro.core.policies import DefaultPolicy, FixedPolicy, MixturePolicy
 from repro.experiments.runner import (
@@ -136,3 +148,59 @@ class TestFactories:
         for factory in policies.values():
             policy = factory()
             assert hasattr(policy, "select")
+
+
+class TestPolicyTokens:
+    """``offline`` and ``mixture`` tokens depend on the bundle, not on
+    where the source lives."""
+
+    SCRIPT = textwrap.dedent("""
+        import json, sys
+        from repro.core.training import TrainingConfig
+        from repro.exec import PolicySpec
+        from repro.experiments.runner import standard_policies
+
+        def tuples(value):
+            if isinstance(value, list):
+                return tuple(tuples(item) for item in value)
+            return value
+
+        fields = json.loads(sys.argv[1])
+        config = TrainingConfig(**{k: tuples(v) for k, v in fields.items()})
+        policies = standard_policies(config)
+        print(json.dumps({name: PolicySpec.of(policies[name]).token
+                          for name in ("offline", "mixture")}))
+    """)
+
+    def tokens_from(self, src: Path, config) -> dict:
+        fields = json.dumps(dataclasses.asdict(config))
+        done = subprocess.run(
+            [sys.executable, "-c", self.SCRIPT, fields],
+            env=dict(os.environ, PYTHONPATH=str(src)),
+            capture_output=True, text=True, timeout=300, check=True,
+        )
+        return json.loads(done.stdout)
+
+    def test_tokens_do_not_depend_on_the_checkout_path(self, tmp_path,
+                                                       tiny_config):
+        standard_policies(tiny_config)  # train once into the disk cache
+        src = Path(__file__).resolve().parents[2] / "src"
+        copies = [tmp_path / name / "src" for name in ("a", "elsewhere")]
+        for copy in copies:
+            shutil.copytree(src, copy, ignore=shutil.ignore_patterns(
+                "__pycache__"))
+        first, second = (self.tokens_from(c, tiny_config) for c in copies)
+        assert first == second
+        assert None not in first.values()
+
+    def test_a_different_bundle_changes_the_tokens(self, tiny_bundle,
+                                                   tiny_mono, tiny_config):
+        policies = standard_policies(tiny_config)
+        offline = policies["offline"]
+        other_offline = partial(offline.func, tiny_mono.experts[0])
+        assert (PolicySpec.of(offline).token
+                != PolicySpec.of(other_offline).token)
+        mixtures = [mixture_factory(bundle, tiny_config)
+                    for bundle in (tiny_bundle, tiny_mono)]
+        assert (PolicySpec.of(mixtures[0]).token
+                != PolicySpec.of(mixtures[1]).token)

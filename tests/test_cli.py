@@ -93,7 +93,7 @@ class TestExecFooter:
             "pool creation failed: PermissionError"
         )
         assert _exec_footer(before) == (
-            "[exec: 2 pool rebuilds; 1 serial fallbacks "
+            "[exec: 2 worker restarts; 1 serial fallbacks "
             "(cause: pool creation failed: PermissionError)]"
         )
 
@@ -101,7 +101,7 @@ class TestExecFooter:
         stats.pool_rebuilds += 5  # damage from an earlier experiment
         before = stats.snapshot()
         stats.pool_rebuilds += 1
-        assert _exec_footer(before) == "[exec: 1 pool rebuilds]"
+        assert _exec_footer(before) == "[exec: 1 worker restarts]"
 
     def test_renders_pickled_request_traffic(self, stats):
         before = stats.snapshot()
