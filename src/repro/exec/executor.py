@@ -645,7 +645,9 @@ class Executor:
                     f"{reason}",
                     cause,
                 ),
-                stacklevel=3,
+                # _warn_serial <- _fall_back_serial <- _run_parallel
+                # <- run <- the caller of run.
+                stacklevel=5,
             )
 
 

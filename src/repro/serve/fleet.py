@@ -36,6 +36,14 @@ decision but routing, batching and bookkeeping.
   :class:`~repro.exec.shm.ShmLedger`-tracked names; the
   worker creates, the parent attaches and is the only side that
   unlinks — so a SIGKILLed shard can never leak a segment.
+* **Receiving** — each process shard's control pipe has one reader,
+  :meth:`_ProcessShard._recv`.  :meth:`PolicyFleet.poll` waits on
+  every shard's pipe in one ``multiprocessing.connection.wait`` call,
+  idle shards included, and :meth:`PolicyFleet.drain` waits on every
+  shard with batches in flight at once.  A blocking receive waits
+  until one deadline: the supervisor's liveness timeout when a
+  :class:`~repro.serve.supervisor.FleetSupervisor` is attached, else
+  :attr:`FleetConfig.doorbell_timeout_s`.
 * **Failover** — a dead shard is detected at the pipe (``EOFError`` /
   ``BrokenPipeError``), each of its stream homes is *shipped* (copied
   into a ``*.stage`` directory, torn tails tolerated, then renamed
@@ -60,10 +68,9 @@ from __future__ import annotations
 import bisect
 import errno
 import hashlib
-import os
-import signal
 import time
 from dataclasses import dataclass, field
+from multiprocessing.connection import wait
 from pathlib import Path
 from typing import (Any, Callable, Dict, Iterator, List, Optional,
                     Sequence, Tuple, Union)
@@ -95,11 +102,12 @@ StreamRequest = Tuple[str, ServeRequest]
 
 
 class ShardLostError(ConnectionError):
-    """A shard process died or went silent past its liveness deadline.
+    """A shard process failed or went silent past its deadline.
 
-    Raised instead of blocking forever when a worker dies between
-    claiming a ring slot and posting its doorbell.  Subclasses
-    ``ConnectionError`` (hence ``OSError``) so every existing
+    Raised by the shard's one pipe reader: ``"unresponsive"`` when no
+    message came before the fleet's deadline, ``"journal-write:<ERRNO>"``
+    when the worker's last words were a failed journal write.
+    Subclasses ``ConnectionError`` (hence ``OSError``) so every
     pipe-error failover path catches it without special-casing.
     ``cause`` is the loss's key in :attr:`FleetReport.failover_causes`.
     """
@@ -210,9 +218,9 @@ class FleetConfig:
     #: Virtual nodes per shard on the consistent-hash ring.
     replicas: int = 64
     #: Longest the parent waits on a shard's control pipe before
-    #: declaring it lost (:class:`ShardLostError`) — covers the worker
-    #: dying between claiming a ring slot and posting its doorbell.
-    #: The supervisor tightens this per shard to its liveness deadline.
+    #: declaring it lost (:class:`ShardLostError`), e.g. a worker that
+    #: wedged with a batch in flight.  A supervised fleet waits the
+    #: supervisor's ``liveness_timeout_s`` instead.
     doorbell_timeout_s: float = 30.0
     serve: ServeConfig = field(default_factory=ServeConfig)
 
@@ -573,11 +581,15 @@ class ShardWorker:
             server.close()
 
 
-def _shard_worker_main(conn, policy_factory, state_dir, serve_config,
-                       request_name, decision_name, ring_slots,
-                       slot_bytes) -> None:
+def _shard_worker_main(conn, inherited, policy_factory, state_dir,
+                       serve_config, request_name, decision_name,
+                       ring_slots, slot_bytes) -> None:
     """Shard process body: recover, announce readiness, serve doorbells.
 
+    ``inherited`` holds this process's copies of the parent's pipe
+    ends (its own shard's and those of every shard forked before it),
+    closed first so that the worker reads EOF, and exits, once the
+    parent's ends are gone, even when the parent was SIGKILLed.
     The worker *creates* both ring segments (under the parent-assigned
     names), so a worker killed mid-creation leaves at most a torn
     segment the parent's raw-unlink sweep handles.  Request blocks
@@ -590,6 +602,8 @@ def _shard_worker_main(conn, policy_factory, state_dir, serve_config,
     ``("failed", "journal-write", errno, stream)`` message, so the
     parent's failover knows why the shard died.
     """
+    for end in inherited:
+        end.close()
     request_ring = shm.ShmRing(request_name, ring_slots, slot_bytes,
                                create=True)
     decision_ring = shm.ShmRing(decision_name, ring_slots, slot_bytes,
@@ -662,6 +676,8 @@ class _InlineShard:
                                   state_dir)
         self.pending: List[StreamRequest] = []
         self.deadline: Optional[float] = None
+        #: Always empty: an inline batch is answered as it is dispatched.
+        self.inflight: Dict[int, Tuple[int, List[StreamRequest]]] = {}
         self.killed = False
 
     def _live_worker(self) -> ShardWorker:
@@ -676,9 +692,6 @@ class _InlineShard:
         decisions, deduped = self._live_worker().serve_batch(0, batch)
         sink(self.index, decisions, deduped)
 
-    def collect_one(self, sink, blocking: bool = False) -> bool:
-        return False  # nothing is ever in flight inline
-
     def drain_streams(self, streams: Sequence[str]) -> Dict[str, int]:
         return self._live_worker().drain_streams(streams)
 
@@ -690,22 +703,24 @@ class _InlineShard:
     def kill(self) -> None:
         self.killed = True
 
-    def last_words(self) -> Optional[str]:
-        return None  # an inline shard's error reaches the fleet itself
-
     def teardown(self, ledger: ShmLedger
                  ) -> List[Tuple[int, List[StreamRequest]]]:
         return []  # nothing is ever in flight inline
 
 
 class _ProcessShard:
-    """One shard process plus its rings, pipe and in-flight window."""
+    """One shard process plus its rings, pipe and in-flight window.
+
+    :meth:`_recv` is the only parent code that reads the control pipe.
+    """
 
     def __init__(self, index: int, generation: int, policy_factory,
                  serve_config, state_dir, fleet_config: FleetConfig,
                  ledger: ShmLedger, mp_context,
+                 receive_by: Callable[[], float],
                  clock: Callable[[], float] = time.monotonic,
-                 events: Optional[Counter] = None):
+                 events: Optional[Counter] = None,
+                 inherited: Sequence = ()):
         self.index = index
         self.generation = generation
         self.state_dir = state_dir
@@ -714,10 +729,9 @@ class _ProcessShard:
         #: slot -> (position, batch), oldest first (dict is ordered).
         self.inflight: Dict[int, Tuple[int, List[StreamRequest]]] = {}
         self.free_slots = list(range(fleet_config.ring_slots))
-        #: Control-pipe deadline; the supervisor tightens this to its
-        #: liveness timeout so a hung worker turns into a verdict, not
-        #: a hang.
-        self.recv_timeout_s = fleet_config.doorbell_timeout_s
+        #: The fleet's deadline rule: the clock time by which a
+        #: blocking receive begun now must be answered.
+        self._receive_by = receive_by
         self._clock = clock
         self._events = events
         self.last_activity = clock()
@@ -731,17 +745,23 @@ class _ProcessShard:
             self.conn, child_conn = mp_context.Pipe()
             self.process = mp_context.Process(
                 target=_shard_worker_main,
-                args=(child_conn, policy_factory, state_dir, serve_config,
-                      self.request_name, self.decision_name,
-                      fleet_config.ring_slots, fleet_config.slot_bytes),
+                args=(child_conn, [self.conn, *inherited], policy_factory,
+                      state_dir, serve_config, self.request_name,
+                      self.decision_name, fleet_config.ring_slots,
+                      fleet_config.slot_bytes),
                 daemon=True,
             )
-            self.process.start()
-            child_conn.close()
+            try:
+                self.process.start()
+            finally:
+                # The worker's end must live in the worker alone: only
+                # then does its death (or exit) show up as EOF at our
+                # end, which is how every reader notices a dead shard.
+                child_conn.close()
             # Waits until the worker has created both rings and
             # finished recovery; a death here surfaces as
             # ShardLostError/EOFError for the spawn-retry loop.
-            message = self._recv()
+            message = self._recv(self._receive_by())
             if message[0] != "ready":  # pragma: no cover - protocol error
                 raise RuntimeError(
                     f"shard sent {message[0]!r} before ready"
@@ -761,67 +781,68 @@ class _ProcessShard:
             raise
 
     def _abort_partial(self, ledger: ShmLedger) -> None:
-        if self.process is not None and self.process.is_alive():
+        if self.process is not None:
             self.kill()
         for ring in (self.request_ring, self.decision_ring):
             if ring is not None:
                 ring.close()
         if self.conn is not None:
-            try:
-                self.conn.close()
-            except OSError:
-                pass
+            self.conn.close()
         ledger.release(self.request_name)
         ledger.release(self.decision_name)
 
     # -- transport ---------------------------------------------------------
 
-    def _recv(self, timeout_s: Optional[float] = None):
-        """Receive one control message, skimming heartbeat replies.
+    def _recv(self, deadline: Optional[float] = None):
+        """Read the control pipe: the next message that is not a pong.
 
-        Bounded poll loop instead of a bare ``conn.recv()``: a worker
-        that dies (or wedges) between claiming a ring slot and posting
-        its doorbell used to hang the parent forever — now it raises a
-        typed :class:`ShardLostError` the failover path catches.
+        With a ``deadline`` (a clock time) this waits until then, and
+        raises :class:`ShardLostError` ``"unresponsive"`` if nothing
+        but pongs came.  Without one, the pipe is known to be ready and
+        exactly one message is read; a pong then returns ``None``.  A
+        ``("failed", ...)`` message raises the typed loss it names, and
+        a dead worker raises ``EOFError`` (see ``__init__``).
         """
-        limit = timeout_s if timeout_s is not None else self.recv_timeout_s
-        deadline = self._clock() + limit
-        while True:
-            if self.conn.poll(0.05):
-                message = self.conn.recv()
-                self.last_activity = self._clock()
-                if message[0] == "pong":
-                    continue
-                self._raise_if_failed(message)
+        while deadline is None or wait(
+                [self.conn], max(0.0, deadline - self._clock())):
+            message = self.conn.recv()
+            self.last_activity = self._clock()
+            if message[0] == "failed":
+                _, kind, code, stream = message
+                raise ShardLostError(
+                    f"shard {self.index} (gen {self.generation}) exited "
+                    f"after a failed {kind} (errno {code}) on stream "
+                    f"{stream!r}",
+                    cause=_journal_cause(code),
+                )
+            if message[0] != "pong":
                 return message
-            if not self.process.is_alive():
-                raise ShardLostError(
-                    f"shard {self.index} (gen {self.generation}) died "
-                    "with messages outstanding"
-                )
-            if self._clock() >= deadline:
-                if self._events is not None:
-                    self._events.bump("heartbeat_timeouts")
-                raise ShardLostError(
-                    f"shard {self.index} (gen {self.generation}) "
-                    f"unresponsive for {limit:.1f}s",
-                    cause="unresponsive",
-                )
+            if deadline is None:
+                return None
+        if self._events is not None:
+            self._events.bump("heartbeat_timeouts")
+        raise ShardLostError(
+            f"shard {self.index} (gen {self.generation}) unresponsive "
+            "past its deadline",
+            cause="unresponsive",
+        )
 
-    def _raise_if_failed(self, message) -> None:
-        """Turn the worker's last words into a typed loss."""
-        if message[0] == "failed":
-            _, kind, code, stream = message
-            raise ShardLostError(
-                f"shard {self.index} (gen {self.generation}) exited "
-                f"after a failed {kind} (errno {code}) on stream "
-                f"{stream!r}",
-                cause=_journal_cause(code),
-            )
+    def _send(self, message) -> None:
+        """Send one control message.
+
+        A torn pipe means the worker is gone, but its last words (a
+        failed journal write, say) may still wait unread: the pipe is
+        read to EOF, so the error raised names the loss's cause.
+        """
+        try:
+            self.conn.send(message)
+        except OSError:
+            while True:
+                self._recv(self._receive_by())
 
     def ping(self, seq: int) -> None:
-        """Send one heartbeat; the reply is skimmed by any receive."""
-        self.conn.send(("ping", seq))
+        """Send one heartbeat; the fleet's next receive reads the pong."""
+        self._send(("ping", seq))
 
     def dispatch(self, batch: List[StreamRequest], sink) -> None:
         """Ship one micro-batch; blocks for a free slot when the
@@ -835,109 +856,66 @@ class _ProcessShard:
         has exactly one owner, so none is lost or served twice.
         """
         while not self.free_slots:
-            self.collect_one(sink, blocking=True)
+            self.collect(sink, self._receive_by())
         slot = self.free_slots.pop()
         meta, arrays = encode_requests(batch, start_position=0)
         nbytes = self.request_ring.write(slot, meta, arrays)
-        self.conn.send(("req", slot, nbytes))
+        self._send(("req", slot, nbytes))
         self.inflight[slot] = (0, batch)
 
-    def collect_one(self, sink, blocking: bool = False) -> bool:
-        """Receive one decision doorbell; False when none is pending."""
-        if not self.inflight:
-            return False
-        if blocking:
-            message = self._recv()
-        else:
-            message = None
-            while self.conn.poll():
-                candidate = self.conn.recv()
-                self.last_activity = self._clock()
-                if candidate[0] == "pong":
-                    continue
-                self._raise_if_failed(candidate)
-                message = candidate
-                break
-            if message is None:
-                return False
-        if message[0] == "dec":
-            _, slot, nbytes = message
-            meta, arrays = self.decision_ring.read(slot, nbytes)
-            deduped, decisions = decode_decisions(meta, arrays)
-            self.inflight.pop(slot, None)
-            self.free_slots.append(slot)
-            sink(self.index, decisions, deduped)
-            return True
-        raise RuntimeError(  # pragma: no cover - protocol error
-            f"unexpected fleet message {message[0]!r}"
-        )
+    def collect(self, sink, deadline: Optional[float] = None) -> None:
+        """Hand the next decision block to ``sink`` and free its slot;
+        ``deadline`` is :meth:`_recv`'s (a pong read alone is a no-op)."""
+        message = self._recv(deadline)
+        if message is None:
+            return
+        if message[0] != "dec":  # pragma: no cover - protocol error
+            raise RuntimeError(f"unexpected fleet message {message[0]!r}")
+        _, slot, nbytes = message
+        meta, arrays = self.decision_ring.read(slot, nbytes)
+        deduped, decisions = decode_decisions(meta, arrays)
+        self.inflight.pop(slot, None)
+        self.free_slots.append(slot)
+        sink(self.index, decisions, deduped)
+
+    def _ask(self, message, reply: str):
+        """Send a request the worker answers with ``reply``; its body."""
+        self._send(message)
+        answer = self._recv(self._receive_by())
+        if answer[0] != reply:  # pragma: no cover - protocol error
+            raise RuntimeError(f"expected {reply} reply, got {answer[0]!r}")
+        return answer[1:]
 
     def drain_streams(self, streams: Sequence[str]) -> Dict[str, int]:
         """Send the migration drain barrier (caller quiesced first)."""
-        self.conn.send(("drain", list(streams)))
-        message = self._recv()
-        if message[0] != "drained":  # pragma: no cover - protocol error
-            raise RuntimeError(
-                f"expected drained reply, got {message[0]!r}"
-            )
-        return dict(message[1])
+        (resumed,) = self._ask(("drain", list(streams)), "drained")
+        return dict(resumed)
 
     def stop(self, sink) -> Tuple[ServeReport, Dict[str, dict]]:
         while self.inflight:
-            self.collect_one(sink, blocking=True)
-        self.conn.send(("stop",))
-        message = self._recv()
-        if message[0] != "stopped":  # pragma: no cover - protocol error
-            raise RuntimeError(
-                f"expected stopped reply, got {message[0]!r}"
-            )
-        report, states = message[1], message[2]
+            self.collect(sink, self._receive_by())
+        report, states = self._ask(("stop",), "stopped")
         self.process.join(timeout=30)
         return report, states
 
     # -- failover ----------------------------------------------------------
 
-    def last_words(self) -> Optional[str]:
-        """The cause a lost worker sent before it exited, if any.
-
-        A worker whose journal refused a write sends ``("failed", ...)``
-        and exits; the parent may first notice the exit as a torn pipe
-        on its next send, with the message still unread in the pipe.
-        """
-        try:
-            while self.conn.poll():
-                message = self.conn.recv()
-                if message[0] == "failed":
-                    return _journal_cause(message[2])
-        except (EOFError, OSError):
-            pass
-        return None
-
     def kill(self) -> None:
-        """SIGKILL the shard process (chaos injection for tests/CI)."""
+        """SIGKILL the shard process (chaos injection for tests/CI) and
+        reap it; a no-op on a process that never started."""
         if self.process.pid is not None:
-            try:
-                os.kill(self.process.pid, signal.SIGKILL)
-            except ProcessLookupError:
-                pass
-        self.process.join(timeout=30)
+            self.process.kill()
+            self.process.join(timeout=30)
 
     def teardown(self, ledger: ShmLedger) -> List[Tuple[int, List[StreamRequest]]]:
-        """Release a dead shard's resources; returns unacked batches."""
-        if self.process.is_alive():  # pragma: no cover - defensive
-            self.kill()
-        try:
-            self.conn.close()
-        except OSError:
-            pass
+        """Release a lost shard's resources; returns unacked batches."""
+        self.kill()
+        self.conn.close()
         self.request_ring.close()
         self.decision_ring.close()
         ledger.release(self.request_name)
         ledger.release(self.decision_name)
-        return [
-            (position, batch)
-            for position, batch in self.inflight.values()
-        ]
+        return list(self.inflight.values())
 
 
 class PolicyFleet:
@@ -1106,8 +1084,10 @@ class PolicyFleet:
                 return _ProcessShard(
                     index, generation, self._policy_factory,
                     self.config.serve, state_dir, self.config,
-                    self.ledger, self._mp, clock=self._clock,
-                    events=self.events,
+                    self.ledger, self._mp, self._receive_by,
+                    clock=self._clock, events=self.events,
+                    inherited=[shard.conn
+                               for shard in self._shards.values()],
                 )
             except self._SPAWN_ERRORS:
                 attempt += 1
@@ -1115,6 +1095,14 @@ class PolicyFleet:
                     raise
                 self.events.bump("spawn_retries")
                 self._sleep(self._spawn_retry.delay(attempt, key))
+
+    def _receive_by(self) -> float:
+        """The clock time by which a shard must answer a blocking
+        receive begun now: the supervisor's liveness timeout when one
+        is attached, else the config's doorbell timeout."""
+        if self._supervisor is not None:
+            return self._clock() + self._supervisor.config.liveness_timeout_s
+        return self._clock() + self.config.doorbell_timeout_s
 
     @staticmethod
     def _ship_homes(source: Path, targets: Dict[str, Path]) -> None:
@@ -1215,14 +1203,12 @@ class PolicyFleet:
 
     _PIPE_ERRORS = (EOFError, BrokenPipeError, OSError)
 
-    def _loss_cause(self, index: int, exc: BaseException) -> str:
-        """Why member ``index`` was lost, given the error that showed it:
+    @staticmethod
+    def _loss_cause(exc: BaseException) -> str:
+        """Why a shard was lost, given the error that showed it:
         ``"journal-write:<ERRNO>"`` (its journal refused a write),
-        ``"unresponsive"`` (past its liveness deadline), else ``"died"``
-        (it went away without saying why)."""
-        words = self._shards[index].last_words()
-        if words is not None:
-            return words
+        ``"unresponsive"`` (past its deadline), else ``"died"`` (it went
+        away without saying why)."""
         if isinstance(exc, JournalWriteError):
             return _journal_cause(exc.errno)
         return getattr(exc, "cause", "died")
@@ -1275,20 +1261,38 @@ class PolicyFleet:
         try:
             shard.dispatch(batch, self._sink)
         except self._PIPE_ERRORS as exc:
-            orphans = self._handle_loss(index, self._loss_cause(index, exc))
+            orphans = self._handle_loss(index, self._loss_cause(exc))
             self._redeliver(orphans + [batch], deaths + 1)
 
-    def _collect(self, index: int, blocking: bool = False) -> bool:
-        shard = self._shards.get(index)
-        if shard is None:
-            return False
-        try:
-            return shard.collect_one(self._sink, blocking)
-        except self._PIPE_ERRORS as exc:
-            self._redeliver(
-                self._handle_loss(index, self._loss_cause(index, exc)),
-                deaths=1)
-            return True
+    def _collect(self, shards: List[Any],
+                 deadline: Optional[float] = None) -> None:
+        """Read one message from each pipe among ``shards`` that is
+        ready, waiting on all of them in one call until ``deadline``
+        (``None``: do not wait).  If none is ready by the deadline,
+        each shard's reader is asked once more and judges it
+        unresponsive if it is still silent.
+
+        Losses are handled as they are read, so a shard may be replaced
+        (failed over, or evacuated) while ``ready`` is still being
+        walked: a pipe whose shard no longer holds its member is stale
+        and is never read.
+        """
+        if not self._processes or not shards:
+            return
+        pipes = {shard.conn: shard for shard in shards}
+        ready = wait(list(pipes), 0.0 if deadline is None
+                     else max(0.0, deadline - self._clock()))
+        expired = not ready and deadline is not None
+        for conn in list(pipes) if expired else ready:
+            shard = pipes[conn]
+            if self._shards.get(shard.index) is not shard:
+                continue
+            try:
+                shard.collect(self._sink, deadline if expired else None)
+            except self._PIPE_ERRORS as exc:
+                self._redeliver(
+                    self._handle_loss(shard.index, self._loss_cause(exc)),
+                    deaths=1)
 
     # -- decision collection -----------------------------------------------
 
@@ -1373,8 +1377,7 @@ class PolicyFleet:
                     and shard.deadline is not None \
                     and now >= shard.deadline:
                 self._flush(index)
-        for index in list(self._shards):
-            self._collect(index)
+        self._collect(list(self._shards.values()))
         if self._supervisor is not None:
             self._supervisor.tick()
 
@@ -1383,13 +1386,11 @@ class PolicyFleet:
         while True:
             for index in list(self._shards):
                 self._flush(index)
-            for index in list(self._shards):
-                while getattr(self._shards.get(index), "inflight", None):
-                    self._collect(index, blocking=True)
-            if not any(
-                shard.pending or getattr(shard, "inflight", None)
-                for shard in self._shards.values()
-            ):
+            busy = [shard for shard in self._shards.values()
+                    if shard.inflight]
+            if busy:
+                self._collect(busy, self._receive_by())
+            elif not any(shard.pending for shard in self._shards.values()):
                 return self.decisions
 
     def resize(self, shards: Optional[int] = None, *,
@@ -1455,7 +1456,6 @@ class PolicyFleet:
             return
         for shard in self._shards.values():
             if isinstance(shard, _ProcessShard):
-                shard.kill()
                 shard.teardown(self.ledger)
         self._shards = {}
         self.ledger.sweep()
@@ -1479,7 +1479,7 @@ class PolicyFleet:
                     # restart (never evacuate) — the shard must yield
                     # its report and per-stream states.
                     self._redeliver(
-                        self._failover(index, self._loss_cause(index, exc)),
+                        self._failover(index, self._loss_cause(exc)),
                         deaths=1)
             reports.append((index, self._delivered_row(index, report)))
             self._merge_states(states)

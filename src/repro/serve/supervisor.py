@@ -9,13 +9,14 @@ gaps from the parent's event loop (:meth:`tick` rides on
 * **Heartbeats** — periodic ``("ping", seq)`` over each shard's
   control pipe; the worker echoes ``("pong", seq)`` from its message
   loop, so a pong also proves the serving loop is draining, not just
-  that the process exists.  Replies are skimmed by whichever receive
-  path runs next and refresh the shard's ``last_activity``.
+  that the process exists.  The supervisor never reads a pipe: the
+  fleet's own receive pass reads each pong, and every message read
+  refreshes the shard's ``last_activity``.
 * **Liveness verdicts** — a shard silent past ``liveness_timeout_s``
-  is declared lost (the same deadline bounds every blocking control
-  receive, so a worker dying between claiming a ring slot and posting
-  its doorbell raises :class:`~repro.serve.fleet.ShardLostError`
-  instead of hanging the parent).
+  is declared lost.  The same deadline bounds every blocking control
+  receive of a supervised fleet, so a worker that wedges with a batch
+  in flight raises :class:`~repro.serve.fleet.ShardLostError` instead
+  of hanging the parent.
 * **Restart budgets** — each loss spends one restart from the
   member's budget, with exponential backoff and deterministic jitter
   (the executor's :class:`~repro.exec.fault.RetryPolicy`).  An
@@ -92,53 +93,30 @@ class FleetSupervisor:
         #: Members currently evacuated (budget exhausted).
         self.evacuated: List[int] = []
         fleet._supervisor = self
-        for shard in fleet._shards.values():
-            self._adopt(shard)
-
-    def _adopt(self, shard) -> None:
-        """Tie the shard's control-pipe deadline to the liveness
-        verdict — a hang and a heartbeat miss become the same event."""
-        if isinstance(shard, _ProcessShard):
-            shard.recv_timeout_s = self.config.liveness_timeout_s
 
     # -- the event-loop hook -----------------------------------------------
 
     def tick(self) -> None:
-        """One supervision pass: ping, skim replies, judge deadlines.
+        """One supervision pass: ping, judge deadlines.
 
-        Called from ``PolicyFleet.poll()`` so supervision advances
-        exactly as often as serving does.
+        Called from ``PolicyFleet.poll()``, after its receive pass, so
+        supervision advances exactly as often as serving does.
         """
         for index in list(self.fleet._shards):
             shard = self.fleet._shards.get(index)
             if not isinstance(shard, _ProcessShard):
                 continue
-            self._adopt(shard)  # covers failover replacements
             now = self._clock()
-            try:
-                if (now - self._last_ping.get(index, 0.0)
-                        >= self.config.heartbeat_interval_s):
-                    self._seq += 1
+            if (now - self._last_ping.get(index, 0.0)
+                    >= self.config.heartbeat_interval_s):
+                self._seq += 1
+                try:
                     shard.ping(self._seq)
-                    self._last_ping[index] = now
-                # Skim pongs only while nothing is in flight — when
-                # decisions are outstanding the collect path reads the
-                # pipe (and refreshes last_activity) itself, and tick
-                # must not steal a decision doorbell.
-                if not shard.inflight:
-                    while shard.conn.poll():
-                        message = shard.conn.recv()
-                        shard.last_activity = self._clock()
-                        if message[0] != "pong":  # pragma: no cover
-                            raise RuntimeError(
-                                f"unexpected idle message {message[0]!r}"
-                            )
-            except self.fleet._PIPE_ERRORS as exc:
-                self._declare_lost(index,
-                                   self.fleet._loss_cause(index, exc))
-                continue
-            if (self._clock() - shard.last_activity
-                    > self.config.liveness_timeout_s):
+                except self.fleet._PIPE_ERRORS as exc:
+                    self._declare_lost(index, self.fleet._loss_cause(exc))
+                    continue
+                self._last_ping[index] = now
+            if now - shard.last_activity > self.config.liveness_timeout_s:
                 self.fleet.events.bump("heartbeat_timeouts")
                 self._declare_lost(index, "unresponsive")
 

@@ -36,6 +36,7 @@ from repro.exec import (
     resolve_run_timeout,
 )
 from repro.core.persistence import DEFAULT_QUARANTINE_KEEP
+from repro.core.policies import DefaultPolicy
 from repro.exec.fault import DEFAULT_MAX_POOL_REBUILDS
 
 SCALE = 0.05
@@ -396,6 +397,31 @@ class TestSerialRetry:
         with pytest.raises(RuntimeError):
             executor.run([tiny_request(policy=spec)])
         assert len(executor.last_report.requests[0].attempts) == 1
+
+
+class _Unpicklable:
+    """A policy factory that refuses to pickle: a grid built on it
+    cannot reach a worker and runs serially."""
+
+    def __reduce__(self):
+        raise TypeError("unpicklable on purpose")
+
+    def __call__(self):
+        return DefaultPolicy()
+
+
+class TestSerialFallbackWarning:
+    def test_points_at_the_caller_of_run(self):
+        with pytest.warns(UserWarning, match="cannot be pickled"):
+            spec = PolicySpec.of(_Unpicklable(), label="unpicklable")
+        executor = Executor(jobs=2, cache=None, checkpoint=None)
+        requests = [tiny_request(seed=s, policy=spec) for s in (0, 1)]
+        with pytest.warns(SerialFallbackWarning) as caught:
+            executor.run(requests)
+        fallback, = [w for w in caught
+                     if issubclass(w.category, SerialFallbackWarning)]
+        assert "not serialisable" in str(fallback.message)
+        assert fallback.filename == __file__
 
 
 class TestWorkerCrashRecovery:

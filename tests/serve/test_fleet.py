@@ -2,6 +2,15 @@
 
 from __future__ import annotations
 
+import multiprocessing
+import os
+import signal
+import subprocess
+import sys
+import textwrap
+import time
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -37,6 +46,34 @@ needs_shm = pytest.mark.skipif(
 )
 
 SPEC = SoakSpec(requests=240, seed=3)
+
+SRC = str(Path(__file__).resolve().parents[2] / "src")
+
+#: A process that owns a 2-shard fleet, prints its shard pids and ring
+#: names, then idles until it is killed.  No request is ever served,
+#: so the policy factory is never called.
+_FLEET_OWNER = textwrap.dedent("""
+    import sys, time
+    from repro.serve.fleet import FleetConfig, PolicyFleet
+    fleet = PolicyFleet(lambda: None, FleetConfig(shards=2),
+                        state_root=sys.argv[1], processes=True)
+    shards = list(fleet._shards.values())
+    print(*(shard.process.pid for shard in shards))
+    print(*(name for shard in shards
+            for name in (shard.request_name, shard.decision_name)),
+          flush=True)
+    time.sleep(120)
+""")
+
+
+def _exited(pid: int) -> bool:
+    """True once ``pid`` is gone or a zombie (an orphan whose new
+    parent has not reaped it yet)."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except FileNotFoundError:
+        return True
+    return stat.rsplit(")", 1)[1].split()[0] in ("Z", "X")
 
 
 def stream_requests(spec=SPEC):
@@ -407,6 +444,70 @@ class TestProcessFleet:
             n for n in os.listdir("/dev/shm") if n.startswith("repro-")
         }
         assert after <= before
+
+
+    @pytest.mark.skipif(not Path("/proc").is_dir(),
+                        reason="needs /proc to see an orphan's state")
+    def test_shards_exit_when_their_owner_is_killed(self, tmp_path):
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+        owner = subprocess.Popen(
+            [sys.executable, "-c", _FLEET_OWNER, str(tmp_path)],
+            stdout=subprocess.PIPE, text=True, env=env,
+        )
+        pids, names = [], []
+        try:
+            pids = [int(pid) for pid in owner.stdout.readline().split()]
+            names = owner.stdout.readline().split()
+            assert len(pids) == 2
+            owner.kill()
+            owner.wait()
+            deadline = time.monotonic() + 10.0
+            while (not all(map(_exited, pids))
+                   and time.monotonic() < deadline):
+                time.sleep(0.05)
+            assert [pid for pid in pids if not _exited(pid)] == []
+        finally:
+            owner.kill()
+            owner.wait()
+            owner.stdout.close()
+            for pid in pids:
+                if not _exited(pid):
+                    os.kill(pid, signal.SIGKILL)
+            for name in names:
+                shm.unlink(name)
+
+    def _fleet(self, tiny_bundle, tmp_path):
+        return PolicyFleet(
+            lambda: build_policy(tiny_bundle),
+            FleetConfig(shards=2, batch_max=16, ring_slots=2),
+            state_root=tmp_path, processes=True,
+        )
+
+    def test_no_child_outlives_close(self, tiny_bundle, tmp_path):
+        fleet = self._fleet(tiny_bundle, tmp_path)
+        for index in range(60):
+            fleet.submit(make_request(SPEC, index))
+        fleet.close()
+        assert multiprocessing.active_children() == []
+
+    def test_no_child_outlives_abort(self, tiny_bundle, tmp_path):
+        fleet = self._fleet(tiny_bundle, tmp_path)
+        for index in range(60):
+            fleet.submit(make_request(SPEC, index))
+        fleet.abort()
+        assert multiprocessing.active_children() == []
+
+    def test_no_child_outlives_close_after_failover(self, tiny_bundle,
+                                                    tmp_path):
+        fleet = self._fleet(tiny_bundle, tmp_path)
+        for index in range(120):
+            if index == 60:
+                fleet.kill_shard(fleet.members[0])
+            fleet.submit(make_request(SPEC, index))
+        report = fleet.close()
+        assert report.failovers == 1
+        assert multiprocessing.active_children() == []
 
 
 class TestFailover:

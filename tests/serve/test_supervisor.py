@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import signal
 
@@ -15,7 +16,15 @@ from repro.serve.fleet import (
     ShardLostError,
     _ProcessShard,
 )
-from repro.serve.soak import SoakSpec, build_policy, make_request
+from repro.serve.soak import (
+    SoakSpec,
+    _check_fleet_decisions,
+    _compare_decisions,
+    _compare_stream_states,
+    build_policy,
+    make_request,
+    run_fleet_soak,
+)
 from repro.serve.supervisor import FleetSupervisor, SupervisorConfig
 
 needs_shm = pytest.mark.skipif(
@@ -49,18 +58,21 @@ class TestSupervisorConfig:
 class TestLiveness:
     def test_doorbell_timeout_raises_instead_of_hanging(
             self, tiny_bundle, tmp_path):
-        # Satellite 1: a wedged shard must surface as ShardLostError on
-        # the bounded control-pipe receive, never as a parent hang.
+        # A wedged shard must surface as ShardLostError at the fleet's
+        # deadline (the doorbell timeout when unsupervised), never as
+        # a parent hang.
         fleet = PolicyFleet(
             lambda: build_policy(tiny_bundle),
-            FleetConfig(shards=1, batch_max=16, ring_slots=2),
+            FleetConfig(shards=1, batch_max=16, ring_slots=2,
+                        doorbell_timeout_s=0.3),
             state_root=tmp_path, processes=True,
         )
         try:
             shard = fleet._shards[0]
             os.kill(shard.process.pid, signal.SIGSTOP)
-            with pytest.raises(ShardLostError, match="unresponsive"):
-                shard._recv(timeout_s=0.3)
+            with pytest.raises(ShardLostError, match="unresponsive") as lost:
+                shard.drain_streams([])
+            assert lost.value.cause == "unresponsive"
             assert fleet.events.get("heartbeat_timeouts") == 1
         finally:
             os.kill(fleet._shards[0].process.pid, signal.SIGCONT)
@@ -217,3 +229,96 @@ class TestSpawnRetry:
                                         max_delay=0.05),
                 sleep=lambda seconds: None,
             )
+
+
+@needs_shm
+class TestOneReader:
+    """Every message on a shard's pipe is read once, by its one reader."""
+
+    def test_pongs_interleave_with_doorbells_through_a_kill(
+            self, tiny_bundle, tmp_path):
+        # One ring slot and no linger put every request in its own
+        # doorbell, and a 1 ms heartbeat pings on nearly every poll, so
+        # pongs sit between decision doorbells on both pipes.  A shard
+        # killed mid-run must still leave every index answered exactly
+        # once and every decision and state equal to the inline twin.
+        spec = SoakSpec(requests=400, seed=5)
+        config = FleetConfig(shards=2, batch_max=16, ring_slots=1,
+                             batch_linger_s=0.0)
+        _, twin_decisions, twin_states = run_fleet_soak(
+            spec, tiny_bundle, config=config,
+            state_root=tmp_path / "twin",
+        )
+        fleet = PolicyFleet(
+            lambda: build_policy(tiny_bundle), config,
+            state_root=tmp_path / "run", processes=True,
+        )
+        FleetSupervisor(
+            fleet,
+            SupervisorConfig(heartbeat_interval_s=0.001,
+                             liveness_timeout_s=10.0),
+            sleep=lambda seconds: None,
+        )
+        for index in range(spec.requests):
+            request = make_request(spec, index)
+            if index == 200:
+                fleet.kill_shard(fleet.owner(request.ctx.loop_name))
+            fleet.submit(request)
+        report = fleet.close()
+        _check_fleet_decisions(spec, fleet.decisions)
+        assert report.failovers == 1
+        assert report.failover_causes == {"died": 1}
+        assert report.heartbeat_timeouts == 0
+        _compare_stream_states(twin_states, fleet.stream_states, "a kill")
+        _compare_decisions(twin_decisions, fleet.decisions, "a kill")
+        assert multiprocessing.active_children() == []
+
+    def test_stale_pipe_in_a_ready_list_is_never_read(
+            self, tiny_bundle, tmp_path, monkeypatch):
+        # Both shards die with batches in flight, so one poll sees both
+        # pipes ready.  Handling the first loss evacuates that member,
+        # and re-delivering its batches to the other shard finds that
+        # one dead too: it is replaced while the poll still holds its
+        # old pipe in the ready list.  That pipe must be skipped, not
+        # read (a read would charge the member a second loss).
+        reads = []
+        real_recv = _ProcessShard._recv
+
+        def recording_recv(shard, deadline=None):
+            reads.append(shard.conn.closed)
+            return real_recv(shard, deadline)
+
+        monkeypatch.setattr(_ProcessShard, "_recv", recording_recv)
+        fleet = PolicyFleet(
+            lambda: build_policy(tiny_bundle),
+            FleetConfig(shards=2, batch_max=1, ring_slots=2),
+            state_root=tmp_path, processes=True,
+        )
+        supervisor = FleetSupervisor(
+            fleet,
+            SupervisorConfig(heartbeat_interval_s=60.0,
+                             liveness_timeout_s=120.0, max_restarts=0),
+            sleep=lambda seconds: None,
+        )
+        for shard in fleet._shards.values():
+            os.kill(shard.process.pid, signal.SIGSTOP)
+        # The four soak loops are four streams, two per shard, so the
+        # first four requests fill both two-slot windows.
+        drive(fleet, stop=4)
+        assert [len(shard.inflight)
+                for shard in fleet._shards.values()] == [2, 2]
+        for member in list(fleet.members):
+            fleet.kill_shard(member)
+        fleet.poll()
+        (evacuated,) = supervisor.evacuated
+        (survivor,) = fleet.members
+        assert supervisor.restarts == {survivor: 1}
+        drive(fleet, start=4, stop=40)
+        report = fleet.close()
+        assert not any(reads)
+        assert sorted(d.index for d in fleet.decisions) == list(range(40))
+        assert report.evacuations == 1
+        assert report.failovers == 1
+        assert report.failover_causes == {"died": 1}
+        assert report.heartbeat_timeouts == 0
+        assert multiprocessing.active_children() == []
