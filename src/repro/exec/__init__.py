@@ -18,11 +18,11 @@ for in a structured :class:`FailureReport`.  See
 
 Every request runs on its own, event-stepped, in a worker process or
 in this process, and a worker returns its summary pickled on its own
-pipe.  :mod:`repro.exec.shm` holds the
-shared-memory rings (:class:`~repro.exec.shm.ShmRing`) that the serving
-fleet moves request and decision blocks through, and the ledger
-(:class:`ShmLedger`) that tracks their segment names.  See
-``docs/performance.md``.
+pipe.  :mod:`repro.exec.child` forks the executor's workers and the
+serving fleet's shards; :mod:`repro.exec.shm` holds the shared-memory
+rings (:class:`~repro.exec.shm.ShmRing`) the fleet moves request and
+decision blocks through, and their segment ledger
+(:class:`ShmLedger`).  See ``docs/performance.md``.
 """
 
 from .cache import RunCache, cache_enabled, default_cache_root

@@ -13,8 +13,10 @@ execution return identical summaries.
 Each worker has one duplex pipe to the parent and one run in flight:
 the parent sends a pickled request, the worker answers with the
 summary or the exception the run raised, and the parent waits on every
-pipe at once (``multiprocessing.connection.wait``).  Requests are
-memoised through :class:`~repro.exec.cache.RunCache` keyed on
+pipe at once (``multiprocessing.connection.wait``).  A worker is a
+:class:`~repro.exec.child.Child`, as a serving shard is (that module
+says why a dead worker shows as EOF).  Requests are memoised through
+:class:`~repro.exec.cache.RunCache` keyed on
 :meth:`RunRequest.fingerprint`; cache hits never reach a worker.
 
 A grid survives partial failure instead of dying wholesale, and a
@@ -60,6 +62,7 @@ from dataclasses import InitVar, dataclass, field
 from typing import Dict, List, Optional, Sequence, Union
 
 from .cache import RunCache, cache_enabled
+from .child import Child
 from .fault import (
     AttemptRecord,
     FailureReport,
@@ -165,18 +168,13 @@ def _execute_blob(blob: bytes) -> RunSummary:
     return execute_request(request)
 
 
-def _worker_main(conn, inherited) -> None:
+def _worker_main(conn) -> None:
     """Worker process: run each request blob the parent sends.
 
-    ``inherited`` holds this process's copies of the parent's pipe
-    ends, closed first so that the worker reads EOF, and exits, once
-    the parent's end is gone.  Each reply is ``(True, summary)`` or
-    ``(False, exception)``.  :func:`_execute_blob` is looked up as a
-    module global on every request, so a patched entry point is the
-    one that runs.
+    Each reply is ``(True, summary)`` or ``(False, exception)``.
+    :func:`_execute_blob` is looked up as a module global on every
+    request, so a patched entry point is the one that runs.
     """
-    for end in inherited:
-        end.close()
     while True:
         try:
             blob = conn.recv_bytes()
@@ -194,26 +192,17 @@ def _worker_main(conn, inherited) -> None:
             )))
 
 
-class _Worker:
-    """A forked worker process and the parent's end of its duplex pipe.
+class _Worker(Child):
+    """A forked worker process (see :class:`~repro.exec.child.Child`).
 
     One request is in flight at a time: ``index`` is its position in
     the request list (``None`` when idle) and ``started`` the monotonic
-    instant it was dispatched.
+    instant it was dispatched.  Not daemonic: a run that trains experts
+    on a cold cache forks an :class:`Executor`'s workers of its own.
     """
 
-    def __init__(self, context, inherited: list):
-        self.conn, child = context.Pipe()
-        self.process = context.Process(
-            target=_worker_main, args=(child, [self.conn, *inherited])
-        )
-        try:
-            self.process.start()
-        except BaseException:
-            self.conn.close()
-            raise
-        finally:
-            child.close()
+    def __init__(self):
+        super().__init__(_worker_main, daemon=False)
         self.index: Optional[int] = None
         self.started = 0.0
 
@@ -223,19 +212,6 @@ class _Worker:
             self.conn.send_bytes(blob)
         except OSError:
             pass  # the worker is dead; wait() reports its EOF
-
-    def kill(self) -> Optional[int]:
-        """SIGKILL the worker, reap it and return its exit code.
-
-        SIGKILL acts even on a hung or descheduled process, so no
-        worker outlives the :meth:`Executor.run` that started it.
-        """
-        self.conn.close()
-        self.process.kill()
-        self.process.join()
-        code = self.process.exitcode
-        self.process.close()
-        return code
 
 
 def _pop_ready(queue: deque, ready_at: Dict[int, float], now: float):
@@ -480,13 +456,8 @@ class Executor:
         into the caller's ``workers`` slots, so the caller kills what is
         left however this returns.
         """
-        import multiprocessing
         from multiprocessing.connection import wait
 
-        try:
-            context = multiprocessing.get_context("fork")
-        except ValueError as error:  # pragma: no cover - non-POSIX
-            return f"fork start method unavailable ({error!r})", error
         queue = deque(pending)
         #: monotonic instant before which an index must not be
         #: dispatched again (retry backoff); absent means ready now.
@@ -503,9 +474,10 @@ class Executor:
                     break
                 if worker is None:
                     try:
-                        worker = workers[slot] = _Worker(context, [
-                            w.conn for w in workers if w is not None
-                        ])
+                        worker = workers[slot] = _Worker()
+                    except ValueError as error:  # pragma: no cover - no fork
+                        return (f"fork start method unavailable "
+                                f"({error!r})", error)
                     except OSError as error:
                         return (
                             f"cannot start a worker process ({error!r})",

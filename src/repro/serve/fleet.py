@@ -45,9 +45,11 @@ decision but routing, batching and bookkeeping.
   :class:`~repro.serve.supervisor.FleetSupervisor` is attached, else
   :attr:`FleetConfig.doorbell_timeout_s`.
 * **Failover** — a dead shard is detected at the pipe (``EOFError`` /
-  ``BrokenPipeError``), each of its stream homes is *shipped* (copied
-  into a ``*.stage`` directory, torn tails tolerated, then renamed
-  into place) to a fresh generation directory, and a replacement
+  ``BrokenPipeError``; each shard is a
+  :class:`~repro.exec.child.Child`, as an executor worker is, and that
+  module says why), each of its stream homes is *shipped* (copied into
+  a ``*.stage`` directory, torn tails tolerated, then renamed into
+  place) to a fresh generation directory, and a replacement
   worker recovers from the copy: newest snapshot + journal replay,
   bit-identical state.  In-flight batches are re-dispatched; the
   replacement recognises already-journaled requests by index and
@@ -81,6 +83,7 @@ from ..compiler.features import CodeFeatures
 from ..core.persistence import move_aside
 from ..core.policies.base import PolicyContext, ThreadPolicy
 from ..exec import shm
+from ..exec.child import Child
 from ..exec.fault import RetryPolicy
 from ..exec.shm import ShmLedger
 from ..runtime.metrics import (Counter, FixedBucketHistogram, Gauge,
@@ -257,6 +260,20 @@ _ENV_FIELDS = (
 )
 
 
+def _interner(vocab: List[str]) -> Callable[[str], int]:
+    """``intern(text)``: its index in ``vocab``, appended on first sight."""
+    slots: Dict[str, int] = {}
+
+    def intern(text: str) -> int:
+        slot = slots.get(text)
+        if slot is None:
+            slot = slots[text] = len(vocab)
+            vocab.append(text)
+        return slot
+
+    return intern
+
+
 def encode_requests(
     batch: Sequence[StreamRequest], start_position: int = 0
 ) -> Tuple[dict, dict]:
@@ -270,16 +287,7 @@ def encode_requests(
     stream migratable during live resharding.
     """
     vocab: List[str] = []
-    vocab_index: Dict[str, int] = {}
-
-    def intern(text: str) -> int:
-        slot = vocab_index.get(text)
-        if slot is None:
-            slot = len(vocab)
-            vocab_index[text] = slot
-            vocab.append(text)
-        return slot
-
+    intern = _interner(vocab)
     n = len(batch)
     idx = np.empty(n, dtype=np.int64)
     times = np.empty(n, dtype=np.float64)
@@ -347,16 +355,7 @@ def encode_decisions(
 ) -> Tuple[dict, dict]:
     """Flatten decisions into SoA columns for the return ring."""
     vocab: List[str] = []
-    vocab_index: Dict[str, int] = {}
-
-    def intern(text: str) -> int:
-        slot = vocab_index.get(text)
-        if slot is None:
-            slot = len(vocab)
-            vocab_index[text] = slot
-            vocab.append(text)
-        return slot
-
+    intern = _interner(vocab)
     n = len(decisions)
     idx = np.empty(n, dtype=np.int64)
     threads = np.empty(n, dtype=np.int64)
@@ -383,24 +382,21 @@ def encode_decisions(
 
 
 def decode_decisions(meta: dict, arrays: dict) -> Tuple[int, List[ServeDecision]]:
-    """Inverse of :func:`encode_decisions`: ``(recovered, decisions)``."""
+    """Inverse of :func:`encode_decisions`: ``(recovered, decisions)``,
+    decoded column by column like :func:`decode_requests`."""
     if meta.get("kind") != "decisions":
         raise ValueError(f"expected a decision block, got {meta.get('kind')!r}")
     vocab = meta["vocab"]
-    decisions: List[ServeDecision] = []
-    for i in range(int(meta["n"])):
-        threads = int(arrays["threads"][i])
-        failure = int(arrays["failure"][i])
-        flags = int(arrays["flags"][i])
-        decisions.append(ServeDecision(
-            index=int(arrays["idx"][i]),
-            threads=None if threads < 0 else threads,
-            tier=vocab[int(arrays["tier"][i])],
-            latency_s=float(arrays["latency"][i]),
-            shed=bool(flags & 1),
+    columns = [arrays[key].tolist() for key in
+               ("idx", "threads", "tier", "latency", "flags", "failure")]
+    decisions = [
+        ServeDecision(
+            index=index, threads=None if threads < 0 else threads,
+            tier=vocab[tier], latency_s=latency, shed=bool(flags & 1),
             deadline_missed=bool(flags & 2),
-            failure=None if failure < 0 else vocab[failure],
-        ))
+            failure=None if failure < 0 else vocab[failure])
+        for index, threads, tier, latency, flags, failure in zip(*columns)
+    ]
     return int(meta.get("recovered", 0)), decisions
 
 
@@ -581,15 +577,11 @@ class ShardWorker:
             server.close()
 
 
-def _shard_worker_main(conn, inherited, policy_factory, state_dir,
-                       serve_config, request_name, decision_name,
-                       ring_slots, slot_bytes) -> None:
+def _shard_worker_main(conn, policy_factory, state_dir, serve_config,
+                       request_name, decision_name, ring_slots,
+                       slot_bytes) -> None:
     """Shard process body: recover, announce readiness, serve doorbells.
 
-    ``inherited`` holds this process's copies of the parent's pipe
-    ends (its own shard's and those of every shard forked before it),
-    closed first so that the worker reads EOF, and exits, once the
-    parent's ends are gone, even when the parent was SIGKILLed.
     The worker *creates* both ring segments (under the parent-assigned
     names), so a worker killed mid-creation leaves at most a torn
     segment the parent's raw-unlink sweep handles.  Request blocks
@@ -602,8 +594,6 @@ def _shard_worker_main(conn, inherited, policy_factory, state_dir,
     ``("failed", "journal-write", errno, stream)`` message, so the
     parent's failover knows why the shard died.
     """
-    for end in inherited:
-        end.close()
     request_ring = shm.ShmRing(request_name, ring_slots, slot_bytes,
                                create=True)
     decision_ring = shm.ShmRing(decision_name, ring_slots, slot_bytes,
@@ -661,8 +651,8 @@ class _InlineShard:
     are bit-identical to the process mode's because both run the same
     :class:`ShardWorker` over the same per-stream substreams.
 
-    :meth:`kill` abandons the worker without closing it, like a process
-    that just died: its journals hold exactly what was flushed, and
+    :meth:`PolicyFleet.kill_shard` abandons the worker without closing
+    it, like a process that just died: its journals hold exactly what was flushed, and
     every later call raises the pipe error a dead process raises, so
     the fleet's failover path runs unchanged.
     """
@@ -700,27 +690,24 @@ class _InlineShard:
         worker.close()
         return worker.report(), worker.states()
 
-    def kill(self) -> None:
-        self.killed = True
-
     def teardown(self, ledger: ShmLedger
                  ) -> List[Tuple[int, List[StreamRequest]]]:
         return []  # nothing is ever in flight inline
 
 
-class _ProcessShard:
+class _ProcessShard(Child):
     """One shard process plus its rings, pipe and in-flight window.
 
-    :meth:`_recv` is the only parent code that reads the control pipe.
+    :meth:`_recv` is the only parent code that reads the control pipe,
+    and :meth:`~repro.exec.child.Child.kill` ends the process.  Shards
+    are daemonic, so a fleet left unclosed cannot hang interpreter exit.
     """
 
     def __init__(self, index: int, generation: int, policy_factory,
                  serve_config, state_dir, fleet_config: FleetConfig,
-                 ledger: ShmLedger, mp_context,
+                 ledger: ShmLedger,
                  receive_by: Callable[[], float],
-                 clock: Callable[[], float] = time.monotonic,
-                 events: Optional[Counter] = None,
-                 inherited: Sequence = ()):
+                 clock: Callable[[], float], events: Counter):
         self.index = index
         self.generation = generation
         self.state_dir = state_dir
@@ -734,30 +721,19 @@ class _ProcessShard:
         self._receive_by = receive_by
         self._clock = clock
         self._events = events
-        self.last_activity = clock()
+        #: Clock time of the first ping sent since the worker's last
+        #: message; ``None`` while it owes no pong.
+        self.owes_since: Optional[float] = None
         self.request_name = ledger.issue(shm.segment_name())
         self.decision_name = ledger.issue(shm.segment_name())
-        self.process = None
-        self.conn = None
         self.request_ring = None
         self.decision_ring = None
         try:
-            self.conn, child_conn = mp_context.Pipe()
-            self.process = mp_context.Process(
-                target=_shard_worker_main,
-                args=(child_conn, [self.conn, *inherited], policy_factory,
-                      state_dir, serve_config, self.request_name,
-                      self.decision_name, fleet_config.ring_slots,
-                      fleet_config.slot_bytes),
-                daemon=True,
-            )
-            try:
-                self.process.start()
-            finally:
-                # The worker's end must live in the worker alone: only
-                # then does its death (or exit) show up as EOF at our
-                # end, which is how every reader notices a dead shard.
-                child_conn.close()
+            super().__init__(_shard_worker_main, (
+                policy_factory, state_dir, serve_config,
+                self.request_name, self.decision_name,
+                fleet_config.ring_slots, fleet_config.slot_bytes,
+            ), daemon=True)
             # Waits until the worker has created both rings and
             # finished recovery; a death here surfaces as
             # ShardLostError/EOFError for the spawn-retry loop.
@@ -766,30 +742,15 @@ class _ProcessShard:
                 raise RuntimeError(
                     f"shard sent {message[0]!r} before ready"
                 )
-            self.request_ring = shm.ShmRing(
-                self.request_name, fleet_config.ring_slots,
-                fleet_config.slot_bytes,
-            )
-            self.decision_ring = shm.ShmRing(
-                self.decision_name, fleet_config.ring_slots,
-                fleet_config.slot_bytes,
-            )
+            self.request_ring, self.decision_ring = (
+                shm.ShmRing(name, fleet_config.ring_slots,
+                            fleet_config.slot_bytes)
+                for name in (self.request_name, self.decision_name))
         except BaseException:
             # Transient fork/shm failures are retried by the fleet's
             # spawn loop; leave nothing behind for the next attempt.
-            self._abort_partial(ledger)
+            self.teardown(ledger)
             raise
-
-    def _abort_partial(self, ledger: ShmLedger) -> None:
-        if self.process is not None:
-            self.kill()
-        for ring in (self.request_ring, self.decision_ring):
-            if ring is not None:
-                ring.close()
-        if self.conn is not None:
-            self.conn.close()
-        ledger.release(self.request_name)
-        ledger.release(self.decision_name)
 
     # -- transport ---------------------------------------------------------
 
@@ -801,12 +762,12 @@ class _ProcessShard:
         but pongs came.  Without one, the pipe is known to be ready and
         exactly one message is read; a pong then returns ``None``.  A
         ``("failed", ...)`` message raises the typed loss it names, and
-        a dead worker raises ``EOFError`` (see ``__init__``).
+        a dead worker raises ``EOFError`` (see :mod:`repro.exec.child`).
         """
         while deadline is None or wait(
                 [self.conn], max(0.0, deadline - self._clock())):
             message = self.conn.recv()
-            self.last_activity = self._clock()
+            self.owes_since = None
             if message[0] == "failed":
                 _, kind, code, stream = message
                 raise ShardLostError(
@@ -819,8 +780,7 @@ class _ProcessShard:
                 return message
             if deadline is None:
                 return None
-        if self._events is not None:
-            self._events.bump("heartbeat_timeouts")
+        self._events.bump("heartbeat_timeouts")
         raise ShardLostError(
             f"shard {self.index} (gen {self.generation}) unresponsive "
             "past its deadline",
@@ -843,6 +803,8 @@ class _ProcessShard:
     def ping(self, seq: int) -> None:
         """Send one heartbeat; the fleet's next receive reads the pong."""
         self._send(("ping", seq))
+        if self.owes_since is None:
+            self.owes_since = self._clock()
 
     def dispatch(self, batch: List[StreamRequest], sink) -> None:
         """Ship one micro-batch; blocks for a free slot when the
@@ -895,24 +857,18 @@ class _ProcessShard:
         while self.inflight:
             self.collect(sink, self._receive_by())
         report, states = self._ask(("stop",), "stopped")
-        self.process.join(timeout=30)
+        # The worker closed every journal before it replied.
+        self.kill()
         return report, states
 
     # -- failover ----------------------------------------------------------
 
-    def kill(self) -> None:
-        """SIGKILL the shard process (chaos injection for tests/CI) and
-        reap it; a no-op on a process that never started."""
-        if self.process.pid is not None:
-            self.process.kill()
-            self.process.join(timeout=30)
-
     def teardown(self, ledger: ShmLedger) -> List[Tuple[int, List[StreamRequest]]]:
-        """Release a lost shard's resources; returns unacked batches."""
+        """Release a lost or half-started shard; returns unacked batches."""
         self.kill()
-        self.conn.close()
-        self.request_ring.close()
-        self.decision_ring.close()
+        for ring in (self.request_ring, self.decision_ring):
+            if ring is not None:
+                ring.close()
         ledger.release(self.request_name)
         ledger.release(self.decision_name)
         return list(self.inflight.values())
@@ -989,9 +945,6 @@ class PolicyFleet:
                     "shared memory is unavailable; run the fleet "
                     "inline (processes=False)"
                 )
-            import multiprocessing
-
-            self._mp = multiprocessing.get_context("fork")
         self.epoch = 0
         self.generations: Dict[int, int] = {}
         members = list(range(self.config.shards))
@@ -1084,10 +1037,8 @@ class PolicyFleet:
                 return _ProcessShard(
                     index, generation, self._policy_factory,
                     self.config.serve, state_dir, self.config,
-                    self.ledger, self._mp, self._receive_by,
+                    self.ledger, self._receive_by,
                     clock=self._clock, events=self.events,
-                    inherited=[shard.conn
-                               for shard in self._shards.values()],
                 )
             except self._SPAWN_ERRORS:
                 attempt += 1
@@ -1429,7 +1380,12 @@ class PolicyFleet:
         """Kill one shard (chaos hook): SIGKILL a shard process, or
         abandon an inline shard's worker unclosed.  The next call that
         reaches the shard fails over."""
-        self._shards[index].kill()
+        shard = self._shards[index]
+        if isinstance(shard, _InlineShard):
+            shard.killed = True
+        else:  # pipe left open: the fleet finds this death like any other
+            shard.process.kill()
+            shard.process.join()
 
     def owner(self, stream: str) -> int:
         """The member serving ``stream``, placing it on first sight.
@@ -1455,8 +1411,7 @@ class PolicyFleet:
         if self._closed:
             return
         for shard in self._shards.values():
-            if isinstance(shard, _ProcessShard):
-                shard.teardown(self.ledger)
+            shard.teardown(self.ledger)
         self._shards = {}
         self.ledger.sweep()
         self._closed = True

@@ -10,13 +10,15 @@ gaps from the parent's event loop (:meth:`tick` rides on
   control pipe; the worker echoes ``("pong", seq)`` from its message
   loop, so a pong also proves the serving loop is draining, not just
   that the process exists.  The supervisor never reads a pipe: the
-  fleet's own receive pass reads each pong, and every message read
-  refreshes the shard's ``last_activity``.
-* **Liveness verdicts** — a shard silent past ``liveness_timeout_s``
-  is declared lost.  The same deadline bounds every blocking control
-  receive of a supervised fleet, so a worker that wedges with a batch
-  in flight raises :class:`~repro.serve.fleet.ShardLostError` instead
-  of hanging the parent.
+  fleet's own receive pass reads each pong, and any message read
+  settles every ping sent before it.
+* **Liveness verdicts** — a shard is declared lost once it has owed a
+  pong for ``liveness_timeout_s``, counted from the first ping sent
+  after its last message; a fleet whose caller is idle sends no ping,
+  so its shards owe none.  The same deadline bounds every blocking
+  control receive of a supervised fleet, so a worker that wedges with
+  a batch in flight raises :class:`~repro.serve.fleet.ShardLostError`
+  instead of hanging the parent.
 * **Restart budgets** — each loss spends one restart from the
   member's budget, with exponential backoff and deterministic jitter
   (the executor's :class:`~repro.exec.fault.RetryPolicy`).  An
@@ -45,7 +47,7 @@ class SupervisorConfig:
 
     #: Seconds between heartbeats to each shard.
     heartbeat_interval_s: float = 1.0
-    #: Silence (no message of any kind) after which a shard is lost.
+    #: How long a shard may owe a pong before it is lost.
     liveness_timeout_s: float = 10.0
     #: Crash-failover restarts granted per member before evacuation.
     max_restarts: int = 3
@@ -116,7 +118,8 @@ class FleetSupervisor:
                     self._declare_lost(index, self.fleet._loss_cause(exc))
                     continue
                 self._last_ping[index] = now
-            if now - shard.last_activity > self.config.liveness_timeout_s:
+            if (shard.owes_since is not None and now - shard.owes_since
+                    > self.config.liveness_timeout_s):
                 self.fleet.events.bump("heartbeat_timeouts")
                 self._declare_lost(index, "unresponsive")
 

@@ -15,6 +15,7 @@ Two layers of evidence:
 from __future__ import annotations
 
 import errno
+import os
 
 import numpy as np
 import pytest
@@ -337,10 +338,17 @@ class TestFailedJournalWrite:
                 self.real = real
 
             def write(self, data):
-                with open(counter, "a") as fh:
-                    fh.write(".")
-                if (counter.stat().st_size == fail_at
-                        and not failed.exists()):
+                # An O_APPEND write's end offset is this write's own
+                # ordinal even while both shards append at once; the
+                # file's size read after the write may already count
+                # the other shard's next write, and then skip fail_at.
+                fd = os.open(counter, os.O_WRONLY | os.O_APPEND | os.O_CREAT)
+                try:
+                    os.write(fd, b".")
+                    ordinal = os.lseek(fd, 0, os.SEEK_CUR)
+                finally:
+                    os.close(fd)
+                if ordinal == fail_at and not failed.exists():
                     failed.touch()
                     self.real.write(data[:int(len(data) * keep)])
                     raise OSError(errno.ENOSPC, "injected: disk full")

@@ -5,6 +5,7 @@ from __future__ import annotations
 import multiprocessing
 import os
 import signal
+import time
 
 import pytest
 
@@ -98,15 +99,49 @@ class TestLiveness:
         fleet.drain()
         victim = fleet._shards[0]
         os.kill(victim.process.pid, signal.SIGSTOP)
-        victim.last_activity -= 10.0  # silence predates the deadline
-        supervisor.tick()
-        assert fleet._failovers >= 1
+        # The stopped shard owes the pong of the next ping; the
+        # deadline counts from that ping, so keep polling past it.
+        deadline = time.monotonic() + 10.0
+        while not fleet._failovers and time.monotonic() < deadline:
+            fleet.poll()
+            time.sleep(0.01)
+        assert fleet._failovers == 1
         assert supervisor.restarts.get(0, 0) == 1
         drive(fleet, start=120)
         report = fleet.close()
         assert report.answered + report.recovered == SPEC.requests
         assert report.restarts == 1
         assert report.failover_causes.get("unresponsive") == 1
+
+    def test_an_idle_caller_fails_no_healthy_shard_over(
+            self, tiny_bundle, tmp_path):
+        # Pings go out only from poll(), so a caller that stays idle
+        # past the liveness timeout leaves its shards owing no pong:
+        # that silence must not fail a healthy shard over.
+        config = FleetConfig(shards=2, batch_max=16, ring_slots=2)
+        _, twin_decisions, twin_states = run_fleet_soak(
+            SPEC, tiny_bundle, config=config, state_root=tmp_path / "twin",
+        )
+        fleet = PolicyFleet(
+            lambda: build_policy(tiny_bundle), config,
+            state_root=tmp_path / "run", processes=True,
+        )
+        FleetSupervisor(
+            fleet,
+            SupervisorConfig(heartbeat_interval_s=0.1,
+                             liveness_timeout_s=0.5),
+            sleep=lambda seconds: None,
+        )
+        drive(fleet, stop=SPEC.requests - 40)
+        fleet.drain()
+        time.sleep(1.0)
+        drive(fleet, start=SPEC.requests - 40)
+        report = fleet.close()
+        assert (report.failovers, report.failover_causes) == (0, {})
+        assert report.heartbeat_timeouts == 0
+        _check_fleet_decisions(SPEC, fleet.decisions)
+        _compare_stream_states(twin_states, fleet.stream_states, "idling")
+        _compare_decisions(twin_decisions, fleet.decisions, "idling")
 
 
 @needs_shm
