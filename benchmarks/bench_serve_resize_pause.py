@@ -16,21 +16,15 @@ import json
 import tempfile
 from pathlib import Path
 
-import pytest
 from conftest import RESULTS_DIR, emit, run_once
 
 from repro.core.training import default_experts
-from repro.exec import shm
 from repro.serve import (
     FleetConfig,
     ServeConfig,
     SoakSpec,
     run_fleet_soak,
     tiny_training_config,
-)
-
-pytestmark = pytest.mark.skipif(
-    not shm.shm_available(), reason="POSIX shared memory unavailable"
 )
 
 REQUESTS = 2_000

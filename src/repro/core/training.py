@@ -456,29 +456,46 @@ _DATA_CACHE: Dict[TrainingConfig, tuple] = {}
 _PIPELINE_VERSION = 4
 
 
+#: Calibration constants -> their fingerprint.
+_FINGERPRINTS: Dict[tuple, str] = {}
+
+
 def _simulator_fingerprint() -> str:
     """Hash of the calibration constants baked into training data.
 
     Cached training artefacts are invalid whenever the simulator's
-    physics change, so those constants are part of the cache key.
+    physics change, so those constants are part of the cache key.  The
+    hash is memoised on the constants themselves; the scheduler's
+    follow from its field defaults and the (frozen) topology.
     """
     from ..runtime import engine as engine_mod
     from ..sched.scheduler import ProportionalShareScheduler
 
-    from .expert import DEFAULT_RIDGE
+    from . import expert
 
-    sched = ProportionalShareScheduler(XEON_L7555)
-    parts = (
+    calibration = (
         _PIPELINE_VERSION,
-        DEFAULT_RIDGE,
+        expert.DEFAULT_RIDGE,
         engine_mod.SPIN_WASTE_COEFF,
         engine_mod.MAX_SPIN_WASTE,
         engine_mod.SERIAL_MEMORY_INTENSITY,
-        sched.switch_overhead,
-        sched.memory_overhead,
-        round(sched.traffic_capacity, 6),
     )
-    return hashlib.sha256(repr(parts).encode()).hexdigest()[:16]
+    key = calibration + (
+        ProportionalShareScheduler.switch_overhead,
+        ProportionalShareScheduler.memory_overhead,
+        XEON_L7555,
+    )
+    fingerprint = _FINGERPRINTS.get(key)
+    if fingerprint is None:
+        sched = ProportionalShareScheduler(XEON_L7555)
+        parts = calibration + (
+            sched.switch_overhead,
+            sched.memory_overhead,
+            round(sched.traffic_capacity, 6),
+        )
+        fingerprint = hashlib.sha256(repr(parts).encode()).hexdigest()[:16]
+        _FINGERPRINTS[key] = fingerprint
+    return fingerprint
 
 
 def simulator_fingerprint() -> str:

@@ -21,8 +21,8 @@ in this process, and a worker returns its summary pickled on its own
 pipe.  :mod:`repro.exec.child` forks the executor's workers and the
 serving fleet's shards; :mod:`repro.exec.shm` holds the shared-memory
 rings (:class:`~repro.exec.shm.ShmRing`) the fleet moves request and
-decision blocks through, and their segment ledger
-(:class:`ShmLedger`).  See ``docs/performance.md``.
+decision blocks through, anonymous mappings each shard inherits when
+it is forked.  See ``docs/performance.md``.
 """
 
 from .cache import RunCache, cache_enabled, default_cache_root
@@ -52,7 +52,6 @@ from .request import (
     WorkloadSpec,
     execute_request,
 )
-from .shm import ShmLedger
 
 __all__ = [
     "AttemptRecord",
@@ -69,7 +68,6 @@ __all__ = [
     "RunTimeoutError",
     "STATS",
     "SerialFallbackWarning",
-    "ShmLedger",
     "WorkloadSpec",
     "cache_enabled",
     "default_cache_root",

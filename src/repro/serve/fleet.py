@@ -31,11 +31,10 @@ decision but routing, batching and bookkeeping.
   :class:`~repro.exec.shm.ShmRing` shared-memory rings as
   structure-of-arrays columns (``float64`` round-trips every IEEE
   double bit-exactly); the control pipes carry only tiny
-  ``(slot, nbytes)`` doorbells.  Ring segments follow
-  :mod:`repro.exec.shm`'s cleanup discipline: parent-assigned,
-  :class:`~repro.exec.shm.ShmLedger`-tracked names; the
-  worker creates, the parent attaches and is the only side that
-  unlinks — so a SIGKILLed shard can never leak a segment.
+  ``(slot, nbytes)`` doorbells.  The parent maps a shard's two rings
+  anonymously before it forks the shard, which inherits them, so no
+  ring has a name that a SIGKILLed shard or parent could leak; the
+  parent closes its mappings when the shard stops or is torn down.
 * **Receiving** — each process shard's control pipe has one reader,
   :meth:`_ProcessShard._recv`.  :meth:`PolicyFleet.poll` waits on
   every shard's pipe in one ``multiprocessing.connection.wait`` call,
@@ -82,10 +81,9 @@ import numpy as np
 from ..compiler.features import CodeFeatures
 from ..core.persistence import move_aside
 from ..core.policies.base import PolicyContext, ThreadPolicy
-from ..exec import shm
 from ..exec.child import Child
 from ..exec.fault import RetryPolicy
-from ..exec.shm import ShmLedger
+from ..exec.shm import ShmRing
 from ..runtime.metrics import (Counter, FixedBucketHistogram, Gauge,
                                LatencyLedger)
 from ..sched.stats import EnvironmentSample
@@ -578,26 +576,21 @@ class ShardWorker:
 
 
 def _shard_worker_main(conn, policy_factory, state_dir, serve_config,
-                       request_name, decision_name, ring_slots,
-                       slot_bytes) -> None:
+                       request_ring: ShmRing,
+                       decision_ring: ShmRing) -> None:
     """Shard process body: recover, announce readiness, serve doorbells.
 
-    The worker *creates* both ring segments (under the parent-assigned
-    names), so a worker killed mid-creation leaves at most a torn
-    segment the parent's raw-unlink sweep handles.  Request blocks
-    arrive as ``("req", slot, nbytes)`` doorbells; each is answered
-    with a decision block in the same slot of the return ring.  The
-    control pipe also carries supervision traffic: ``("ping", seq)``
-    heartbeats (echoed as ``("pong", seq)``) and ``("drain", streams)``
-    migration barriers (answered ``("drained", resume indices)``).
+    Both rings were mapped by the parent before the fork.  Request
+    blocks arrive as ``("req", slot, nbytes)`` doorbells; each is
+    answered with a decision block in the same slot of the return
+    ring.  The control pipe also carries supervision traffic:
+    ``("ping", seq)`` heartbeats (echoed as ``("pong", seq)``) and
+    ``("drain", streams)`` migration barriers (answered
+    ``("drained", resume indices)``).
     A failed journal write ends the worker after one
     ``("failed", "journal-write", errno, stream)`` message, so the
     parent's failover knows why the shard died.
     """
-    request_ring = shm.ShmRing(request_name, ring_slots, slot_bytes,
-                               create=True)
-    decision_ring = shm.ShmRing(decision_name, ring_slots, slot_bytes,
-                                create=True)
     try:
         worker = ShardWorker(policy_factory, serve_config, state_dir)
         conn.send(("ready",))
@@ -631,8 +624,7 @@ def _shard_worker_main(conn, policy_factory, state_dir, serve_config,
         except OSError:
             pass
     except (EOFError, OSError, BrokenPipeError, KeyboardInterrupt):
-        # Parent died or tore the pipe down: exit quietly; the parent
-        # (or its ledger sweep) owns segment cleanup.
+        # Parent died or tore the pipe down: exit quietly.
         pass
     finally:
         request_ring.close()
@@ -690,8 +682,7 @@ class _InlineShard:
         worker.close()
         return worker.report(), worker.states()
 
-    def teardown(self, ledger: ShmLedger
-                 ) -> List[Tuple[int, List[StreamRequest]]]:
+    def teardown(self) -> List[Tuple[int, List[StreamRequest]]]:
         return []  # nothing is ever in flight inline
 
 
@@ -705,7 +696,6 @@ class _ProcessShard(Child):
 
     def __init__(self, index: int, generation: int, policy_factory,
                  serve_config, state_dir, fleet_config: FleetConfig,
-                 ledger: ShmLedger,
                  receive_by: Callable[[], float],
                  clock: Callable[[], float], events: Counter):
         self.index = index
@@ -724,32 +714,26 @@ class _ProcessShard(Child):
         #: Clock time of the first ping sent since the worker's last
         #: message; ``None`` while it owes no pong.
         self.owes_since: Optional[float] = None
-        self.request_name = ledger.issue(shm.segment_name())
-        self.decision_name = ledger.issue(shm.segment_name())
-        self.request_ring = None
-        self.decision_ring = None
+        self.request_ring, self.decision_ring = (
+            ShmRing(fleet_config.ring_slots, fleet_config.slot_bytes)
+            for _ in range(2))
         try:
             super().__init__(_shard_worker_main, (
                 policy_factory, state_dir, serve_config,
-                self.request_name, self.decision_name,
-                fleet_config.ring_slots, fleet_config.slot_bytes,
+                self.request_ring, self.decision_ring,
             ), daemon=True)
-            # Waits until the worker has created both rings and
-            # finished recovery; a death here surfaces as
-            # ShardLostError/EOFError for the spawn-retry loop.
+            # Waits until the worker has finished recovery; a death
+            # here surfaces as ShardLostError/EOFError for the
+            # spawn-retry loop.
             message = self._recv(self._receive_by())
             if message[0] != "ready":  # pragma: no cover - protocol error
                 raise RuntimeError(
                     f"shard sent {message[0]!r} before ready"
                 )
-            self.request_ring, self.decision_ring = (
-                shm.ShmRing(name, fleet_config.ring_slots,
-                            fleet_config.slot_bytes)
-                for name in (self.request_name, self.decision_name))
         except BaseException:
-            # Transient fork/shm failures are retried by the fleet's
-            # spawn loop; leave nothing behind for the next attempt.
-            self.teardown(ledger)
+            # Transient fork failures are retried by the fleet's spawn
+            # loop; leave nothing behind for the next attempt.
+            self.teardown()
             raise
 
     # -- transport ---------------------------------------------------------
@@ -858,19 +842,16 @@ class _ProcessShard(Child):
             self.collect(sink, self._receive_by())
         report, states = self._ask(("stop",), "stopped")
         # The worker closed every journal before it replied.
-        self.kill()
+        self.teardown()
         return report, states
 
     # -- failover ----------------------------------------------------------
 
-    def teardown(self, ledger: ShmLedger) -> List[Tuple[int, List[StreamRequest]]]:
-        """Release a lost or half-started shard; returns unacked batches."""
+    def teardown(self) -> List[Tuple[int, List[StreamRequest]]]:
+        """End the process and unmap its rings; returns unacked batches."""
         self.kill()
-        for ring in (self.request_ring, self.decision_ring):
-            if ring is not None:
-                ring.close()
-        ledger.release(self.request_name)
-        ledger.release(self.decision_name)
+        self.request_ring.close()
+        self.decision_ring.close()
         return list(self.inflight.values())
 
 
@@ -904,7 +885,6 @@ class PolicyFleet:
         sleep: Callable[[float], None] = time.sleep,
     ):
         self.config = config or FleetConfig()
-        self.ledger = ShmLedger()
         self.decisions: List[ServeDecision] = []
         self.shard_reports: List[ServeReport] = []
         #: Stream id -> exported online-learner state, filled at close.
@@ -939,11 +919,6 @@ class PolicyFleet:
                 raise ValueError(
                     "process mode requires state_root (failover "
                     "replays the shard journal)"
-                )
-            if not shm.shm_available():
-                raise RuntimeError(
-                    "shared memory is unavailable; run the fleet "
-                    "inline (processes=False)"
                 )
         self.epoch = 0
         self.generations: Dict[int, int] = {}
@@ -1018,7 +993,7 @@ class PolicyFleet:
     _SPAWN_ERRORS = (EOFError, OSError)
 
     def _spawn(self, index: int, generation: int):
-        """Start one shard, retrying transient fork/shm failures.
+        """Start one shard, retrying transient fork failures.
 
         Backoff comes from the executor's :class:`RetryPolicy` with
         deterministic jitter keyed on the shard's id + generation, so
@@ -1037,7 +1012,7 @@ class PolicyFleet:
                 return _ProcessShard(
                     index, generation, self._policy_factory,
                     self.config.serve, state_dir, self.config,
-                    self.ledger, self._receive_by,
+                    self._receive_by,
                     clock=self._clock, events=self.events,
                 )
             except self._SPAWN_ERRORS:
@@ -1096,7 +1071,7 @@ class PolicyFleet:
         self._failovers += 1
         self._failover_causes[cause] = (
             self._failover_causes.get(cause, 0) + 1)
-        unacked = dead.teardown(self.ledger)
+        unacked = dead.teardown()
         generation = dead.generation + 1
         if self._state_root is not None:
             target = self._fresh_generation_dir(index, generation)
@@ -1126,7 +1101,7 @@ class PolicyFleet:
         if len(self.members) <= 1:
             raise RuntimeError("cannot evacuate the last shard")
         dead = self._shards.pop(index)
-        unacked = dead.teardown(self.ledger)
+        unacked = dead.teardown()
         # The dead worker's own report died with it.
         self._retire(index, ServeReport())
         batches = [batch for _, batch in unacked]
@@ -1405,19 +1380,17 @@ class PolicyFleet:
 
         Leaves the on-disk state exactly as the crash left it — the
         next fleet constructed over the same ``state_root`` exercises
-        the recovery path; only shm segments are swept (the ledger
-        discipline: a killed fleet must not leak ``/dev/shm``).
+        the recovery path.
         """
         if self._closed:
             return
         for shard in self._shards.values():
-            shard.teardown(self.ledger)
+            shard.teardown()
         self._shards = {}
-        self.ledger.sweep()
         self._closed = True
 
     def close(self) -> FleetReport:
-        """Drain, stop every shard, sweep segments, aggregate."""
+        """Drain, stop every shard, aggregate."""
         if self._closed:
             raise RuntimeError("fleet is already closed")
         self.drain()
@@ -1439,7 +1412,6 @@ class PolicyFleet:
             reports.append((index, self._delivered_row(index, report)))
             self._merge_states(states)
         self._closed = True
-        self.ledger.sweep()
         self._report_ids = [member for member, _ in reports]
         self.shard_reports = [report for _, report in reports]
         wall = 0.0

@@ -216,7 +216,7 @@ class FleetReport:
     reinstatements: int = 0
     #: Liveness verdicts reached via heartbeat/doorbell deadline.
     heartbeat_timeouts: int = 0
-    #: Extra spawn attempts consumed by transient fork/shm failures.
+    #: Extra spawn attempts consumed by transient fork failures.
     spawn_retries: int = 0
     #: Histogram (seconds) of per-resize drain pauses — the window a
     #: migrating stream is quiesced between barrier and epoch swap.

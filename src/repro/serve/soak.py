@@ -238,6 +238,9 @@ def run_fleet_soak(
     (heartbeats, restart budgets, evacuation).
     """
     config = config or FleetConfig()
+    # Built before the fleet starts, so the fleet's wall clock times
+    # serving, not request generation.
+    requests = [make_request(spec, index) for index in range(spec.requests)]
     fleet = PolicyFleet(
         _fleet_policy_factory(bundle), config,
         state_root=state_root, processes=processes,
@@ -247,14 +250,13 @@ def run_fleet_soak(
         FleetSupervisor(fleet)
     pending_resizes = dict(resize_at or {})
     killed_shard: Optional[int] = None
-    for index in range(spec.requests):
+    for index, request in enumerate(requests):
         target = pending_resizes.pop(index, None)
         if target is not None:
             if isinstance(target, int):
                 fleet.resize(target)
             else:
                 fleet.resize(members=list(target))
-        request = make_request(spec, index)
         if kill_at is not None and index == kill_at:
             killed_shard = fleet.owner(request.ctx.loop_name)
             fleet.kill_shard(killed_shard)

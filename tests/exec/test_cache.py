@@ -136,6 +136,19 @@ class TestExecutorMemoisation:
         assert cache.hits == 0
         assert cache.stores == 2
 
+    def test_patched_engine_constant_changes_fingerprint(self, monkeypatch):
+        # The fingerprint is memoised, but on the constants it reads,
+        # so a recalibrated engine still misses the old entries.
+        from repro.core.training import simulator_fingerprint
+        from repro.runtime import engine
+
+        calibrated = simulator_fingerprint()
+        monkeypatch.setattr(engine, "SPIN_WASTE_COEFF",
+                            engine.SPIN_WASTE_COEFF * 2)
+        assert simulator_fingerprint() != calibrated
+        monkeypatch.undo()
+        assert simulator_fingerprint() == calibrated
+
     def test_untokened_requests_still_execute(self, cache):
         class Hostile:
             def __reduce__(self):

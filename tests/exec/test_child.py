@@ -16,17 +16,13 @@ from pathlib import Path
 
 import pytest
 
-from repro.exec import Executor, PolicySpec, RunRequest, shm
+from repro.exec import Executor, PolicySpec, RunRequest
 from repro.exec import executor as executor_module
 from repro.exec.child import Child
 from repro.serve.fleet import FleetConfig, PolicyFleet
 
-pytestmark = [
-    pytest.mark.skipif(not Path("/proc/self/fd").is_dir(),
-                       reason="needs /proc to read a process's fds"),
-    pytest.mark.skipif(not shm.shm_available(),
-                       reason="POSIX shared memory unavailable"),
-]
+pytestmark = pytest.mark.skipif(not Path("/proc/self/fd").is_dir(),
+                                reason="needs /proc to read a process's fds")
 
 #: Directory the fd-recording worker entry point writes into
 #: (inherited by forked workers).

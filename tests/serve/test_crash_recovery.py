@@ -309,7 +309,9 @@ class TestFailedJournalWrite:
     takes its shard down; the fleet fails over, reopens every stream of
     the shard from disk and ends bit-identical to an undisturbed twin."""
 
-    SPEC = SoakSpec(requests=600)
+    #: Long enough that every ``fail_at`` below is reached when every
+    #: batch fills: 2 inline shards then make 76 group writes.
+    SPEC = SoakSpec(requests=800)
 
     @pytest.mark.parametrize("processes,shards,fail_at,keep", [
         (False, 1, 40, 0.5), (False, 1, 90, 0.0), (False, 2, 61, 0.99),

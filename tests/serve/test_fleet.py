@@ -16,7 +16,6 @@ import pytest
 
 from repro.chaos.sensors import SensorFaultSpec
 from repro.core.persistence import dump_checked_json
-from repro.exec import shm
 from repro.serve.fleet import (
     RECOVERED_TIER,
     FleetConfig,
@@ -41,29 +40,55 @@ from repro.serve.soak import (
     verify_twin,
 )
 
-needs_shm = pytest.mark.skipif(
-    not shm.shm_available(), reason="POSIX shared memory unavailable"
-)
 
 SPEC = SoakSpec(requests=240, seed=3)
 
 SRC = str(Path(__file__).resolve().parents[2] / "src")
 
-#: A process that owns a 2-shard fleet, prints its shard pids and ring
-#: names, then idles until it is killed.  No request is ever served,
-#: so the policy factory is never called.
+#: A process that owns a 2-shard fleet, prints its shard pids, then
+#: idles until it is killed.  No request is ever served, so the policy
+#: factory is never called.
 _FLEET_OWNER = textwrap.dedent("""
     import sys, time
     from repro.serve.fleet import FleetConfig, PolicyFleet
     fleet = PolicyFleet(lambda: None, FleetConfig(shards=2),
                         state_root=sys.argv[1], processes=True)
-    shards = list(fleet._shards.values())
-    print(*(shard.process.pid for shard in shards))
-    print(*(name for shard in shards
-            for name in (shard.request_name, shard.decision_name)),
+    print(*(shard.process.pid for shard in fleet._shards.values()),
           flush=True)
     time.sleep(120)
 """)
+
+#: A process that runs a 2-shard process fleet through a shard kill and
+#: a resize, then prints the resource tracker's pid (``None`` if this
+#: process never started one).
+_KILL_AND_RESIZE = textwrap.dedent("""
+    import pickle, sys
+    from multiprocessing import resource_tracker
+    from repro.serve.fleet import FleetConfig
+    from repro.serve.soak import SoakSpec, run_fleet_soak
+    with open(sys.argv[1], "rb") as handle:
+        bundle = pickle.load(handle)
+    report, _, _ = run_fleet_soak(
+        SoakSpec(requests=120, seed=3), bundle,
+        config=FleetConfig(shards=2, batch_max=16, ring_slots=2),
+        state_root=sys.argv[2], processes=True,
+        kill_at=40, resize_at={80: 3},
+    )
+    assert report.failovers >= 1 and report.resizes == 1, report
+    print(resource_tracker._resource_tracker._pid, flush=True)
+""")
+
+
+def _shared_mappings() -> int:
+    """Shared file-backed or anonymous mappings this process holds."""
+    with open("/proc/self/maps") as maps:
+        return sum(1 for line in maps
+                   if "/dev/shm/" in line or "/dev/zero" in line)
+
+
+def _subprocess_env() -> dict:
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [SRC, os.environ.get("PYTHONPATH")])))
 
 
 def _exited(pid: int) -> bool:
@@ -395,7 +420,6 @@ class TestShipState:
         assert (tmp_path / "dest").is_dir()
 
 
-@needs_shm
 class TestProcessFleet:
     def test_decisions_match_inline_twin(self, tiny_bundle, tmp_path):
         config = FleetConfig(shards=2, batch_max=16, ring_slots=2)
@@ -430,35 +454,72 @@ class TestProcessFleet:
                         FleetConfig(shards=1), processes=True)
 
     def test_no_segments_leak(self, tiny_bundle, tmp_path):
-        import os
-
-        before = {
-            n for n in os.listdir("/dev/shm") if n.startswith("repro-")
-        }
+        before = set(os.listdir("/dev/shm"))
         run_fleet_soak(
             SPEC, tiny_bundle,
             config=FleetConfig(shards=2, batch_max=16),
             state_root=tmp_path, processes=True,
         )
-        after = {
-            n for n in os.listdir("/dev/shm") if n.startswith("repro-")
-        }
-        assert after <= before
+        assert set(os.listdir("/dev/shm")) == before
+
+    def test_kill_and_resize_touch_no_named_memory(self, tiny_bundle,
+                                                   tmp_path):
+        # A fresh process, so that no earlier test's resource tracker
+        # counts: the rings are anonymous, so neither a segment nor the
+        # tracker that would unlink one ever appears.
+        import pickle
+
+        bundle_path = tmp_path / "bundle.pkl"
+        bundle_path.write_bytes(pickle.dumps(tiny_bundle))
+        before = sorted(os.listdir("/dev/shm"))
+        done = subprocess.run(
+            [sys.executable, "-c", _KILL_AND_RESIZE, str(bundle_path),
+             str(tmp_path / "state")],
+            capture_output=True, text=True, env=_subprocess_env(),
+            timeout=300,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == ["None"]
+        assert sorted(os.listdir("/dev/shm")) == before
+
+    @pytest.mark.skipif(not Path("/proc/self/maps").is_file(),
+                        reason="needs /proc to list this process's maps")
+    def test_parent_unmaps_the_rings_of_every_gone_shard(self, tiny_bundle,
+                                                         tmp_path):
+        # Three ways a shard goes: a failover after kill_shard, a resize
+        # that retires a member, and close().  Each one's rings must be
+        # unmapped in the parent at once, not when they are collected.
+        before = _shared_mappings()
+        fleet = self._fleet(tiny_bundle, tmp_path)
+        gone = []
+        for index in range(120):
+            if index == 40:
+                gone.append(fleet._shards[fleet.members[0]])
+                fleet.kill_shard(fleet.members[0])
+            if index == 80:
+                gone.append(fleet._shards[fleet.members[-1]])
+                fleet.resize(members=fleet.members[:-1])
+            fleet.submit(make_request(SPEC, index))
+        gone.extend(fleet._shards.values())
+        report = fleet.close()
+        assert report.failovers == 1 and report.resizes == 1
+        assert len(gone) == 3
+        assert _shared_mappings() <= before
+        assert [ring._mmap.closed for shard in gone
+                for ring in (shard.request_ring, shard.decision_ring)] \
+            == [True] * 6
 
 
     @pytest.mark.skipif(not Path("/proc").is_dir(),
                         reason="needs /proc to see an orphan's state")
     def test_shards_exit_when_their_owner_is_killed(self, tmp_path):
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [SRC, os.environ.get("PYTHONPATH")])))
         owner = subprocess.Popen(
             [sys.executable, "-c", _FLEET_OWNER, str(tmp_path)],
-            stdout=subprocess.PIPE, text=True, env=env,
+            stdout=subprocess.PIPE, text=True, env=_subprocess_env(),
         )
-        pids, names = [], []
+        pids = []
         try:
             pids = [int(pid) for pid in owner.stdout.readline().split()]
-            names = owner.stdout.readline().split()
             assert len(pids) == 2
             owner.kill()
             owner.wait()
@@ -474,8 +535,6 @@ class TestProcessFleet:
             for pid in pids:
                 if not _exited(pid):
                     os.kill(pid, signal.SIGKILL)
-            for name in names:
-                shm.unlink(name)
 
     def _fleet(self, tiny_bundle, tmp_path):
         return PolicyFleet(
@@ -511,7 +570,6 @@ class TestProcessFleet:
 
 
 class TestFailover:
-    @needs_shm
     def test_shard_kill_recovers_losslessly(self, tiny_bundle,
                                             tmp_path):
         outcome = verify_twin(
@@ -523,7 +581,6 @@ class TestFailover:
         assert (outcome["compared_decisions"] + outcome["recovered"]
                 + outcome["deadline_missed"]) == SPEC.requests
 
-    @needs_shm
     def test_kill_without_failover_is_an_invariant_error(
             self, tiny_bundle, tmp_path, monkeypatch):
         # sanity on the harness itself: if the kill hook were a no-op
@@ -551,7 +608,6 @@ class TestFailover:
         assert (outcome["compared_decisions"]
                 + outcome["deadline_missed"]) == SPEC.requests
 
-    @needs_shm
     def test_per_shard_rows_survive_failover(self, tiny_bundle,
                                              tmp_path):
         # The row counts every generation's decisions, not just the

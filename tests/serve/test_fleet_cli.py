@@ -8,11 +8,6 @@ import os
 import pytest
 
 from repro.cli import main
-from repro.exec import shm
-
-needs_shm = pytest.mark.skipif(
-    not shm.shm_available(), reason="POSIX shared memory unavailable"
-)
 
 
 @pytest.fixture
@@ -39,7 +34,7 @@ def server_args(tmp_path):
 def shm_segments():
     if not os.path.isdir("/dev/shm"):
         return set()
-    return {n for n in os.listdir("/dev/shm") if n.startswith("repro-")}
+    return set(os.listdir("/dev/shm"))
 
 
 def test_text_report(tiny_bundle, fleet_args, capsys):
@@ -105,7 +100,6 @@ def test_sensor_rate_defaults_to_one(tiny_bundle, tmp_path, capsys):
     assert sum(row["trips"] for row in payload["per_shard"]) >= 4
 
 
-@needs_shm
 def test_kill_and_verify_recovery(tiny_bundle, tmp_path, capsys):
     assert main([
         "serve-fleet", "--tiny", "--requests", "200", "--shards", "2",
@@ -117,7 +111,6 @@ def test_kill_and_verify_recovery(tiny_bundle, tmp_path, capsys):
     assert "bit-identical to the inline twin" in out
 
 
-@needs_shm
 def test_resize_kill_and_verify_twin(tiny_bundle, tmp_path, capsys):
     assert main([
         "serve-fleet", "--tiny", "--requests", "240", "--shards", "2",

@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from repro.core.persistence import dump_checked_json, load_checked_json
-from repro.exec import shm
 from repro.serve.fleet import (
     RECOVERED_TIER,
     FleetConfig,
@@ -31,9 +30,6 @@ from repro.serve.soak import (
     verify_twin,
 )
 
-needs_shm = pytest.mark.skipif(
-    not shm.shm_available(), reason="POSIX shared memory unavailable"
-)
 
 SPEC = SoakSpec(requests=240, seed=3)
 
@@ -638,7 +634,6 @@ class TestCrashDuringEvacuation:
         assert_matches_twin(reborn, tiny_bundle, config, tmp_path / "twin")
 
 
-@needs_shm
 class TestProcessResize:
     def test_grow_and_shrink_mid_soak(self, tiny_bundle, tmp_path):
         config = FleetConfig(shards=2, batch_max=16, ring_slots=2)

@@ -9,7 +9,6 @@ import time
 
 import pytest
 
-from repro.exec import shm
 from repro.exec.fault import RetryPolicy
 from repro.serve.fleet import (
     FleetConfig,
@@ -28,9 +27,6 @@ from repro.serve.soak import (
 )
 from repro.serve.supervisor import FleetSupervisor, SupervisorConfig
 
-needs_shm = pytest.mark.skipif(
-    not shm.shm_available(), reason="POSIX shared memory unavailable"
-)
 
 SPEC = SoakSpec(requests=240, seed=3)
 
@@ -55,7 +51,6 @@ class TestSupervisorConfig:
             FleetConfig(doorbell_timeout_s=0.0)
 
 
-@needs_shm
 class TestLiveness:
     def test_doorbell_timeout_raises_instead_of_hanging(
             self, tiny_bundle, tmp_path):
@@ -144,7 +139,6 @@ class TestLiveness:
         _compare_decisions(twin_decisions, fleet.decisions, "idling")
 
 
-@needs_shm
 class TestRestartBudget:
     def test_exhausted_budget_evacuates_then_reinstates(
             self, tiny_bundle, tmp_path):
@@ -209,7 +203,6 @@ class TestRestartBudget:
         fleet.close()
 
 
-@needs_shm
 class TestSpawnRetry:
     def test_transient_spawn_failures_are_retried(self, tiny_bundle,
                                                   tmp_path, monkeypatch):
@@ -266,7 +259,6 @@ class TestSpawnRetry:
             )
 
 
-@needs_shm
 class TestOneReader:
     """Every message on a shard's pipe is read once, by its one reader."""
 
