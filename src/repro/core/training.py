@@ -33,6 +33,9 @@ import numpy as np
 from ..machine.topology import TWELVE_CORE, Topology, XEON_L7555
 from ..programs import registry
 from ..programs.model import ProgramModel
+from ..runtime import engine
+from ..sched.scheduler import ProportionalShareScheduler
+from . import expert
 from .expert import Expert, train_expert
 from .features import FeatureSample, env_norm_of
 from .policies.fixed import RecordingPolicy
@@ -456,8 +459,9 @@ _DATA_CACHE: Dict[TrainingConfig, tuple] = {}
 _PIPELINE_VERSION = 4
 
 
-#: Calibration constants -> their fingerprint.
-_FINGERPRINTS: Dict[tuple, str] = {}
+#: Calibration constants -> (the topology it was computed for, its
+#: fingerprint).
+_FINGERPRINTS: Dict[tuple, Tuple[Topology, str]] = {}
 
 
 def _simulator_fingerprint() -> str:
@@ -465,36 +469,32 @@ def _simulator_fingerprint() -> str:
 
     Cached training artefacts are invalid whenever the simulator's
     physics change, so those constants are part of the cache key.  The
-    hash is memoised on the constants themselves; the scheduler's
-    follow from its field defaults and the (frozen) topology.
+    hash is memoised on the constants themselves and the identity of
+    ``XEON_L7555``; the scheduler's follow from its field defaults and
+    the (frozen) topology.
     """
-    from ..runtime import engine as engine_mod
-    from ..sched.scheduler import ProportionalShareScheduler
-
-    from . import expert
-
     calibration = (
         _PIPELINE_VERSION,
         expert.DEFAULT_RIDGE,
-        engine_mod.SPIN_WASTE_COEFF,
-        engine_mod.MAX_SPIN_WASTE,
-        engine_mod.SERIAL_MEMORY_INTENSITY,
+        engine.SPIN_WASTE_COEFF,
+        engine.MAX_SPIN_WASTE,
+        engine.SERIAL_MEMORY_INTENSITY,
     )
     key = calibration + (
         ProportionalShareScheduler.switch_overhead,
         ProportionalShareScheduler.memory_overhead,
-        XEON_L7555,
     )
-    fingerprint = _FINGERPRINTS.get(key)
-    if fingerprint is None:
-        sched = ProportionalShareScheduler(XEON_L7555)
-        parts = calibration + (
-            sched.switch_overhead,
-            sched.memory_overhead,
-            round(sched.traffic_capacity, 6),
-        )
-        fingerprint = hashlib.sha256(repr(parts).encode()).hexdigest()[:16]
-        _FINGERPRINTS[key] = fingerprint
+    memo = _FINGERPRINTS.get(key)
+    if memo is not None and memo[0] is XEON_L7555:
+        return memo[1]
+    sched = ProportionalShareScheduler(XEON_L7555)
+    parts = calibration + (
+        sched.switch_overhead,
+        sched.memory_overhead,
+        round(sched.traffic_capacity, 6),
+    )
+    fingerprint = hashlib.sha256(repr(parts).encode()).hexdigest()[:16]
+    _FINGERPRINTS[key] = (XEON_L7555, fingerprint)
     return fingerprint
 
 

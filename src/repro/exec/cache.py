@@ -24,6 +24,10 @@ An entry is one pickled ``{"version", "summary"}`` dict.  Since version
 :class:`~repro.exec.request.SelectionLog`, so a load restores a few
 ``bytes`` columns instead of thousands of ``Selection`` objects;
 version-1 entries (a tuple log) are discarded as misses.
+
+A hit is the whole cost of replaying a run, so :meth:`RunCache.get`
+formats the entry path as one string, reads the file with one
+unbuffered ``read`` and unpickles the bytes with ``pickle.loads``.
 """
 
 from __future__ import annotations
@@ -55,29 +59,44 @@ def default_cache_root() -> Path:
     return cache_root() / "runs"
 
 
+def _read_entry(path: str) -> bytes:
+    """The bytes of the file at ``path``, in one ``read`` sized by
+    ``fstat``: entries are published by rename, so an open entry never
+    changes size under the reader."""
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        return os.read(fd, os.fstat(fd).st_size)
+    finally:
+        os.close(fd)
+
+
 class RunCache:
     """Fingerprint-keyed store of :class:`RunSummary` objects."""
 
     def __init__(self, root: Optional[Path] = None):
         self.root = Path(root) if root is not None else default_cache_root()
+        # "<root>/", so an entry path is one format, not two Path joins.
+        self._prefix = os.path.join(self.root, "")
         self.hits = 0
         self.misses = 0
         self.stores = 0
         self.quarantined = 0
         self._warned_quarantine = False
 
+    def _entry_path(self, fingerprint: str) -> str:
+        return f"{self._prefix}{fingerprint[:2]}/{fingerprint}.pkl"
+
     def path(self, fingerprint: str) -> Path:
-        return self.root / fingerprint[:2] / f"{fingerprint}.pkl"
+        return Path(self._entry_path(fingerprint))
 
     def quarantine_dir(self) -> Path:
         return self.root / "quarantine"
 
     def get(self, fingerprint: str) -> Optional[RunSummary]:
         """The cached summary, or ``None`` on miss/corruption."""
-        path = self.path(fingerprint)
+        path = self._entry_path(fingerprint)
         try:
-            with open(path, "rb") as fh:
-                entry = pickle.load(fh)
+            entry = pickle.loads(_read_entry(path))
         except FileNotFoundError:
             self.misses += 1
             return None
@@ -114,7 +133,7 @@ class RunCache:
             return
         self.stores += 1
 
-    def _quarantine(self, path: Path) -> None:
+    def _quarantine(self, path: str) -> None:
         """Move a corrupt entry into ``quarantine/``; delete as a last
         resort so a bad entry can never be read twice."""
         try:
@@ -134,8 +153,8 @@ class RunCache:
             )
 
     @staticmethod
-    def _discard(path: Path) -> None:
+    def _discard(path: str) -> None:
         try:
-            path.unlink()
+            os.unlink(path)
         except OSError:
             pass

@@ -66,6 +66,7 @@ from .child import Child
 from .fault import (
     AttemptRecord,
     FailureReport,
+    RequestReport,
     RetryPolicy,
     RunTimeoutError,
     SerialFallbackWarning,
@@ -624,8 +625,6 @@ class Executor:
 
 
 def _request_report(index: int, request):
-    from .fault import RequestReport
-
     policy = getattr(request, "policy", None)
     return RequestReport(
         index=index,

@@ -38,6 +38,8 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, Optional, Tuple
 
+from ..core import training
+from ..machine.topology import XEON_L7555
 from ..runtime.engine import Selection
 
 #: Bump whenever the semantics of executing a request change in a way
@@ -54,6 +56,31 @@ from ..runtime.engine import Selection
 #: stepped) and the batched path was removed, so the fingerprint tuple
 #: changed shape.
 RUN_FORMAT_VERSION = 5
+
+
+#: id(object) -> (object, repr) for the frozen-dataclass configuration
+#: objects a fingerprint reprs: the grid's few scenarios, topologies and
+#: affinities, each repr'd once instead of once per request.  Keyed by
+#: identity, never by value: equal objects may repr differently
+#: (``-0.0 == 0.0``).  Holding the object keeps its id from being
+#: reused; the memo empties when it reaches ``_REPRS_MAX`` entries.
+_REPRS: Dict[int, Tuple[object, str]] = {}
+_REPRS_MAX = 256
+
+
+def _config_repr(value: object) -> str:
+    """``repr(value)``, memoised by identity for ``None`` and frozen
+    dataclasses."""
+    memo = _REPRS.get(id(value))
+    if memo is not None and memo[0] is value:
+        return memo[1]
+    text = repr(value)
+    params = getattr(type(value), "__dataclass_params__", None)
+    if value is None or (params is not None and params.frozen):
+        if len(_REPRS) >= _REPRS_MAX:
+            _REPRS.clear()
+        _REPRS[id(value)] = (value, text)
+    return text
 
 
 def _stable_token(factory: Callable) -> Optional[str]:
@@ -394,8 +421,6 @@ class RunRequest:
     def resolved_topology(self):
         if self.topology is not None:
             return self.topology
-        from ..machine.topology import XEON_L7555
-
         return XEON_L7555
 
     def fingerprint(self) -> Optional[str]:
@@ -406,28 +431,28 @@ class RunRequest:
         policy/workload factory tokens so retrained or reconfigured
         policies miss the cache.
         """
-        from ..core.training import simulator_fingerprint
-
         if self.policy.token is None:
             return None
-        if self.workload is not None and self.workload.policy.token is None:
+        workload = self.workload
+        if workload is not None and workload.policy.token is None:
             return None
         parts = (
             RUN_FORMAT_VERSION,
             self.target,
             self.policy.token,
-            repr(self.scenario),
-            self.workload.fingerprint_parts() if self.workload else None,
+            _config_repr(self.scenario),
+            workload.fingerprint_parts() if workload else None,
             self.seed,
-            repr(self.resolved_topology()),
+            _config_repr(self.resolved_topology()),
             self.iterations_scale,
             self.dt,
             self.max_time,
             self.processors,
-            repr(self.target_affinity),
-            repr(self.workload_affinity),
+            _config_repr(self.target_affinity),
+            _config_repr(self.workload_affinity),
             self.record,
-            simulator_fingerprint(),
+            # Looked up per call, so a patched calibration takes effect.
+            training.simulator_fingerprint(),
         )
         return hashlib.sha256(repr(parts).encode()).hexdigest()
 

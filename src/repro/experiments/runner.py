@@ -254,6 +254,7 @@ def _comparison_requests(
     target_name: str,
     scenario: Scenario,
     specs: Dict[str, PolicySpec],
+    workload_policy: PolicySpec,
     seeds: Sequence[int],
     topology: Topology,
     iterations_scale: float,
@@ -263,8 +264,7 @@ def _comparison_requests(
 ) -> List[RunRequest]:
     """The request batch for one comparison, in sets x seeds x policies
     order (the same workload/seed configuration for every policy, per the
-    paper's protocol)."""
-    workload_policy = PolicySpec.of(DefaultPolicy, label="default")
+    paper's protocol); co-running jobs run ``workload_policy``."""
     requests: List[RunRequest] = []
     for workload_set in _scenario_sets(scenario):
         workload = (
@@ -370,7 +370,8 @@ def compare_policies(
         for name, factory in policies.items()
     }
     requests = _comparison_requests(
-        target_name, scenario, specs, seeds, topology,
+        target_name, scenario, specs,
+        PolicySpec.of(DefaultPolicy, label="default"), seeds, topology,
         iterations_scale, target_affinity, workload_affinity, max_time,
     )
     summaries = executor.run(requests)
@@ -457,10 +458,12 @@ def evaluate_scenario(
         name: PolicySpec.of(factory, label=name)
         for name, factory in policies.items()
     }
+    # Tokenised once per table, not once per target.
+    workload_policy = PolicySpec.of(DefaultPolicy, label="default")
     requests: List[RunRequest] = []
     for target in targets:
         requests.extend(_comparison_requests(
-            target, scenario, specs, seeds, topology,
+            target, scenario, specs, workload_policy, seeds, topology,
             iterations_scale, None, None, 3600.0,
         ))
     summaries = executor.run(requests)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import pickle
 
 import pytest
@@ -100,6 +101,60 @@ class TestRunCache:
         path.write_bytes(pickle.dumps(entry))
         assert cache.get(fingerprint) is None
 
+    @staticmethod
+    def _assert_quarantined(cache, fingerprint) -> None:
+        with pytest.warns(UserWarning, match="quarantined"):
+            assert cache.get(fingerprint) is None
+        assert not cache.path(fingerprint).exists()
+        assert [p.name for p in cache.quarantine_dir().iterdir()] == [
+            cache.path(fingerprint).name]
+        assert (cache.hits, cache.misses, cache.quarantined) == (0, 1, 1)
+
+    def test_empty_entry_is_quarantined(self, cache):
+        fingerprint = tiny_request().fingerprint()
+        path = cache.path(fingerprint)
+        path.parent.mkdir(parents=True)
+        path.write_bytes(b"")
+        self._assert_quarantined(cache, fingerprint)
+
+    def test_half_truncated_entry_is_quarantined(self, cache):
+        request = tiny_request()
+        fingerprint = request.fingerprint()
+        cache.put(fingerprint, execute_request(request))
+        path = cache.path(fingerprint)
+        blob = path.read_bytes()
+        path.write_bytes(blob[:len(blob) // 2])
+        self._assert_quarantined(cache, fingerprint)
+        moved = cache.quarantine_dir() / path.name
+        assert moved.read_bytes() == blob[:len(blob) // 2]
+
+    def test_directory_at_entry_path_is_quarantined(self, cache):
+        fingerprint = tiny_request().fingerprint()
+        path = cache.path(fingerprint)
+        path.mkdir(parents=True)
+        (path / "inside").write_bytes(b"kept")
+        self._assert_quarantined(cache, fingerprint)
+        moved = cache.quarantine_dir() / path.name
+        assert (moved / "inside").read_bytes() == b"kept"
+
+    def test_entry_dumped_to_a_file_round_trips(self, cache):
+        request = tiny_request()
+        fingerprint = request.fingerprint()
+        summary = execute_request(request)
+        path = cache.path(fingerprint)
+        path.parent.mkdir(parents=True)
+        with open(path, "wb") as fh:
+            pickle.dump({"version": CACHE_ENTRY_VERSION, "summary": summary},
+                        fh, protocol=4)
+        assert cache.get(fingerprint) == summary
+        assert (cache.hits, cache.misses, cache.quarantined) == (1, 0, 0)
+
+    def test_path_is_root_shard_fingerprint(self, tmp_path):
+        fingerprint = "ab" + "0" * 62
+        for root in (tmp_path / "runs", tmp_path / "runs/", "/"):
+            assert RunCache(root).path(fingerprint) == (
+                RunCache(root).root / "ab" / f"{fingerprint}.pkl")
+
     def test_cache_dir_env_redirect(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "elsewhere"))
         assert default_cache_root() == tmp_path / "elsewhere" / "runs"
@@ -148,6 +203,19 @@ class TestExecutorMemoisation:
         assert simulator_fingerprint() != calibrated
         monkeypatch.undo()
         assert simulator_fingerprint() == calibrated
+
+    def test_patched_platform_changes_fingerprint(self, monkeypatch):
+        # The memo checks the platform by identity: a replaced topology
+        # with more memory bandwidth has a new traffic capacity.
+        from repro.core import training
+
+        calibrated = training.simulator_fingerprint()
+        monkeypatch.setattr(training, "XEON_L7555", dataclasses.replace(
+            training.XEON_L7555,
+            mem_bandwidth_gbs=training.XEON_L7555.mem_bandwidth_gbs * 2))
+        assert training.simulator_fingerprint() != calibrated
+        monkeypatch.undo()
+        assert training.simulator_fingerprint() == calibrated
 
     def test_untokened_requests_still_execute(self, cache):
         class Hostile:

@@ -8,7 +8,10 @@ import pytest
 
 from repro.core.policies import DefaultPolicy
 from repro.exec import PolicySpec, RunRequest, WorkloadSpec, execute_request
-from repro.experiments.scenarios import SMALL_LOW
+from repro.exec import request as request_mod
+from repro.experiments.scenarios import LARGE_HIGH, SMALL_LOW, Scenario
+from repro.machine.affinity import CompactAffinity, NoAffinity, ScatterAffinity
+from repro.machine.topology import TWELVE_CORE, XEON_L7555
 from repro.workload.spec import workload_sets
 
 SCALE = 0.05
@@ -108,6 +111,99 @@ class TestFingerprint:
             "repro.core.training.simulator_fingerprint", lambda: "other",
         )
         assert tiny_request().fingerprint() != before
+
+
+def golden_requests() -> dict:
+    """One request per fingerprinted field group, built fresh per call."""
+    small = WorkloadSpec.from_set(workload_sets("small")[0],
+                                  PolicySpec.fixed(4))
+    burst = dataclasses.replace(
+        WorkloadSpec.from_set(workload_sets("large")[0],
+                              PolicySpec.fixed(2)),
+        start_times=(0.0, 2.5), restart=False,
+    )
+    return {
+        "static": tiny_request(),
+        "scenario_workload": tiny_request(
+            scenario=SMALL_LOW, seed=3, workload=small),
+        "topology_affinities": tiny_request(
+            topology=TWELVE_CORE, target_affinity=CompactAffinity(),
+            workload_affinity=ScatterAffinity(), processors=8),
+        "burst_record": tiny_request(
+            scenario=LARGE_HIGH, record=True, workload=burst),
+        "llc_zero": tiny_request(
+            topology=dataclasses.replace(XEON_L7555, llc_mb=0.0)),
+        "llc_negzero": tiny_request(
+            topology=dataclasses.replace(XEON_L7555, llc_mb=-0.0)),
+        "penalty_negzero": tiny_request(
+            target_affinity=NoAffinity(cross_socket_penalty=-0.0)),
+    }
+
+
+#: Fingerprints of :func:`golden_requests`.  A change here orphans every
+#: cached run: change these only together with ``RUN_FORMAT_VERSION`` or
+#: the simulator calibration.
+GOLDEN = {
+    "static":
+        "98cddf6f8bb8431e046a2a3631f255991a79719d380f01ccb168ca62ee6d809e",
+    "scenario_workload":
+        "b001e4054493ee9a1056f5df9919880f0a8e7d4ab91ffb7a858b077d1d3f4e9c",
+    "topology_affinities":
+        "8b50d2f58088d6679cd3516bf24f3c022f4359bd9032ee41e651670b3243bac1",
+    "burst_record":
+        "b5b854ff651cf8a06c0ec0dc18098e0a08eb69eca243103f09305f03824367b5",
+    "llc_zero":
+        "4e921e6262f629821c07d21f38b174375539e9f38f04d72df0fafb2a69a53c5c",
+    "llc_negzero":
+        "0f47b32aef4173474b1ea77d201cd4d9e2546b0ae53da7fcfb5d9561095d9dbd",
+    "penalty_negzero":
+        "a59c4de3dcb13552bc13893998a85f855b520f15109bad111e58469727f6f7fb",
+}
+
+
+class TestGoldenFingerprint:
+    def test_pinned_values(self):
+        prints = {name: request.fingerprint()
+                  for name, request in golden_requests().items()}
+        assert prints == GOLDEN
+
+    def test_pinned_values_in_reverse_order(self):
+        # -0.0 == 0.0 and they hash alike, so a value-keyed repr memo
+        # would hand the second topology the first one's repr.
+        requests = golden_requests()
+        for name in reversed(list(requests)):
+            assert requests[name].fingerprint() == GOLDEN[name], name
+
+    def test_equal_distinct_scenarios_agree(self):
+        twin = Scenario("small-low", "small", "low")
+        assert twin == SMALL_LOW and twin is not SMALL_LOW
+        request = golden_requests()["scenario_workload"]
+        assert (dataclasses.replace(request, scenario=twin).fingerprint()
+                == GOLDEN["scenario_workload"])
+
+    def test_replaced_scenario_misses(self):
+        request = golden_requests()["scenario_workload"]
+        request.fingerprint()
+        changed = dataclasses.replace(SMALL_LOW, hw_change="high")
+        assert changed.name == SMALL_LOW.name
+        assert (dataclasses.replace(request, scenario=changed).fingerprint()
+                != GOLDEN["scenario_workload"])
+
+    def test_mutable_scenario_is_never_memoised(self):
+        @dataclasses.dataclass
+        class Mutable:
+            name: str = "m"
+
+        scenario = Mutable()
+        before = tiny_request(scenario=scenario).fingerprint()
+        scenario.name = "n"
+        assert tiny_request(scenario=scenario).fingerprint() != before
+
+    def test_repr_memo_is_bounded(self):
+        for index in range(request_mod._REPRS_MAX + 10):
+            tiny_request(scenario=Scenario(f"s{index}", None,
+                                           "static")).fingerprint()
+            assert len(request_mod._REPRS) <= request_mod._REPRS_MAX
 
 
 class TestExecuteRequest:
