@@ -1,11 +1,12 @@
 """Happy-path overhead of the fault-tolerance machinery.
 
-Retries, per-run timeouts, checkpointing and failure reporting exist
+Retries, per-run timeouts, worker restarts and failure reporting exist
 for the unhappy path; a healthy grid must not pay for them.  This
-benchmark replays a fully-cached grid through an executor with every
+benchmark replays a fully-cached grid (the run cache is also what an
+interrupted grid resumes from) through an executor with every
 robustness feature switched on and asserts the per-request overhead
-(fingerprint, checkpoint and cache reads, report bookkeeping) stays
-far below the cost of even the tiniest real simulation.
+(fingerprint, cache read, report bookkeeping) stays far below the
+cost of even the tiniest real simulation.
 """
 
 import pytest
@@ -23,8 +24,7 @@ GRID = 40
 
 #: Generous absolute bound per cached request, seconds.  A real run at
 #: benchmark scale costs tens of milliseconds; replaying one through
-#: the full retry/timeout/checkpoint/report machinery must cost well
-#: under two.
+#: the full retry/timeout/report machinery must cost well under two.
 PER_REQUEST_BOUND = 2e-3
 
 
@@ -43,7 +43,7 @@ def grid_requests():
 def test_overhead_cached_grid_with_faults_armed(benchmark, tmp_path):
     requests = grid_requests()
     cache = RunCache(root=tmp_path / "runs")
-    Executor(jobs=1, cache=cache, checkpoint=None).run(requests)
+    Executor(jobs=1, cache=cache).run(requests)
     assert cache.stores == GRID
 
     def replay():
@@ -52,7 +52,6 @@ def test_overhead_cached_grid_with_faults_armed(benchmark, tmp_path):
             cache=cache,
             retry=RetryPolicy(max_retries=5),
             run_timeout=300.0,
-            checkpoint=RunCache(tmp_path / "grid"),
             max_pool_rebuilds=3,
         )
         summaries = executor.run(requests)

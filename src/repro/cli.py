@@ -857,13 +857,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
              "wall clock (pool execution only; default: "
              "$REPRO_RUN_TIMEOUT, else unlimited)",
     )
-    parser.add_argument(
-        "--resume", nargs="?", const="repro-checkpoint",
-        default=None, metavar="DIR",
-        help="publish each completed run to DIR (default "
-             "repro-checkpoint) and resume from it after an "
-             "interrupted grid (also: $REPRO_CHECKPOINT)",
-    )
     args = parser.parse_args(argv)
 
     if args.jobs is not None:
@@ -882,8 +875,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.run_timeout <= 0:
             parser.error("--run-timeout must be positive")
         os.environ["REPRO_RUN_TIMEOUT"] = str(args.run_timeout)
-    if args.resume is not None:
-        os.environ["REPRO_CHECKPOINT"] = args.resume
 
     if args.experiment == "list":
         for name, (description, _) in EXPERIMENTS.items():

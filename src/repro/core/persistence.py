@@ -9,9 +9,8 @@ rebuildable cache of the same bundles; this module is the *public*
 import/export format.
 
 It is also the one place that decides how any file is published and
-how a bad one is retired.  The run cache, the resume checkpoint, the
-training caches and the serving runtime (:mod:`repro.serve`) all build
-on these primitives:
+how a bad one is retired.  The run cache, the training caches and the
+serving runtime (:mod:`repro.serve`) all build on these primitives:
 
 * :func:`atomic_write` — every persistent write: temp file in the
   destination directory, then ``os.replace``.  :func:`save_bundle`,
@@ -27,7 +26,10 @@ on these primitives:
 * :func:`move_aside` / :func:`prune_quarantine` — the one quarantine:
   a bad file (or superseded state directory) is renamed aside under a
   name that never overwrites earlier evidence, and each quarantine
-  directory keeps the newest :data:`DEFAULT_QUARANTINE_KEEP` entries.
+  directory keeps the newest :data:`DEFAULT_QUARANTINE_KEEP` entries;
+* :class:`UnsupportedFormatError` — data intact but in a format no
+  reader accepts (a retired one): it is refused and left untouched,
+  never quarantined, truncated or misread.
 """
 
 from __future__ import annotations
@@ -210,6 +212,16 @@ def load_bundle(path: Union[str, Path]) -> ExpertBundle:
 
 class ChecksumError(ValueError):
     """A checksummed document is torn, truncated or corrupted."""
+
+
+class UnsupportedFormatError(Exception):
+    """Persisted data is in a format no reader here accepts.
+
+    Unlike a torn file, nothing is wrong with the bytes: they were
+    written by a retired format.  The reader refuses them and leaves
+    them exactly as found.  Deliberately not a :class:`ValueError`, so
+    no handler written for torn data catches it and moves it aside.
+    """
 
 
 def to_jsonable(value):

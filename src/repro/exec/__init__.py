@@ -9,11 +9,11 @@ through a content-addressed :class:`RunCache`.  See
 
 The executor is fault-tolerant: per-request retries with backoff
 (:class:`RetryPolicy`), per-run wall-clock timeouts, a restart of
-just the worker that crashed, and corrupt-cache quarantine.  Given a
-resume directory (:func:`resolve_checkpoint`), every completed summary
-is also published to a second :class:`RunCache` rooted there, so an
-interrupted grid resumes from every completed run.  Each run is accounted
-for in a structured :class:`FailureReport`.  See
+just the worker that crashed, and corrupt-cache quarantine.  Every
+completed summary is published to the run cache the moment it
+finishes, so an interrupted grid rerun over the same cache resumes
+from every completed run.  Each run is accounted for in a structured
+:class:`FailureReport`.  See
 ``docs/robustness.md``.
 
 Every request runs on its own, event-stepped, in a worker process or
@@ -39,7 +39,6 @@ from .fault import (
     RetryPolicy,
     RunTimeoutError,
     SerialFallbackWarning,
-    resolve_checkpoint,
     resolve_max_pool_rebuilds,
     resolve_retry,
     resolve_run_timeout,
@@ -72,7 +71,6 @@ __all__ = [
     "cache_enabled",
     "default_cache_root",
     "execute_request",
-    "resolve_checkpoint",
     "resolve_jobs",
     "resolve_max_pool_rebuilds",
     "resolve_retry",

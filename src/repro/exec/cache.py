@@ -16,8 +16,9 @@ while the run is transparently recomputed.  Entries from an older
 format version are simply deleted (expected churn, not corruption).
 Writes go through :func:`~repro.core.persistence.atomic_write` (temp
 file + ``os.replace``) so a crashed or killed run can corrupt at most
-its own in-flight entry.  The ``--resume`` checkpoint is a second
-:class:`RunCache` rooted at the resume directory.
+its own in-flight entry.  The executor publishes each run here the
+moment it finishes, so an interrupted grid rerun over the same cache
+(``REPRO_CACHE_DIR``) resumes from every completed run.
 
 An entry is one pickled ``{"version", "summary"}`` dict.  Since version
 2 the summary's selection log is a columnar

@@ -32,11 +32,10 @@ failure touches only the run that caused it:
 * a run past its wall-clock ``run_timeout`` (worker execution only; an
   in-process serial run cannot be stopped) has its own worker
   SIGKILLed and restarted, and is charged one ``"timeout"`` attempt;
-* every completed summary is published to the resume checkpoint (a
-  :class:`~repro.exec.cache.RunCache` rooted at the resume directory)
-  the moment it finishes, so an interrupted grid
-  (``KeyboardInterrupt``, SIGKILL, machine death) resumes from every
-  completed run via ``REPRO_CHECKPOINT`` / ``checkpoint=``;
+* every completed summary is published to the run cache the moment
+  it finishes, so an interrupted grid (``KeyboardInterrupt``, SIGKILL,
+  machine death) resumes from every completed run when it is rerun
+  over the same cache (``REPRO_CACHE_DIR`` / ``cache=``);
 * every worker is killed and reaped before :meth:`Executor.run`
   returns or raises;
 * everything that happened is recorded in a structured
@@ -47,7 +46,7 @@ Concurrency is picked from, in order: the ``jobs`` argument, the
 ``REPRO_JOBS`` environment variable, and a serial default of 1.
 Fault-tolerance knobs resolve the same way: constructor argument, then
 ``REPRO_MAX_RETRIES`` / ``REPRO_RUN_TIMEOUT`` /
-``REPRO_MAX_POOL_REBUILDS`` / ``REPRO_CHECKPOINT``, then defaults.
+``REPRO_MAX_POOL_REBUILDS``, then defaults.
 For chaos engineering, ``REPRO_CHAOS_WORKER_CRASH_RATE`` makes workers
 randomly die before executing a request (see ``docs/robustness.md``).
 """
@@ -70,7 +69,6 @@ from .fault import (
     RetryPolicy,
     RunTimeoutError,
     SerialFallbackWarning,
-    resolve_checkpoint,
     resolve_max_pool_rebuilds,
     resolve_retry,
     resolve_run_timeout,
@@ -230,9 +228,9 @@ class Executor:
 
     ``cache`` may be a :class:`RunCache`, ``None`` (no memoisation), or
     the default sentinel which honours ``REPRO_RUN_CACHE`` /
-    ``REPRO_CACHE_DIR``.  ``retry``, ``run_timeout``, ``checkpoint``
-    and ``max_pool_rebuilds`` accept explicit values, ``None`` (retry:
-    env default; run_timeout/checkpoint: feature off), or the
+    ``REPRO_CACHE_DIR``.  ``retry``, ``run_timeout`` and
+    ``max_pool_rebuilds`` accept explicit values, ``None`` (retry:
+    env default; run_timeout: feature off), or the
     ``"default"`` sentinel which honours the matching ``REPRO_*``
     environment knob.
     """
@@ -241,7 +239,6 @@ class Executor:
     cache: Union[RunCache, None, str] = "default"
     retry: Union[RetryPolicy, None, str] = "default"
     run_timeout: Union[float, None, str] = "default"
-    checkpoint: Union[RunCache, str, None] = "default"
     max_pool_rebuilds: Optional[int] = None
     #: Accepted for callers written before cross-run batching was
     #: removed: ``None`` or ``"off"`` only, and never stored.
@@ -266,7 +263,6 @@ class Executor:
             self.run_timeout = resolve_run_timeout(None)
         elif self.run_timeout is not None:
             self.run_timeout = resolve_run_timeout(self.run_timeout)
-        self.checkpoint = resolve_checkpoint(self.checkpoint)
         self.max_pool_rebuilds = resolve_max_pool_rebuilds(
             self.max_pool_rebuilds
         )
@@ -283,29 +279,23 @@ class Executor:
         results: List[Optional[RunSummary]] = [None] * len(requests)
         fingerprints: List[Optional[str]] = [None] * len(requests)
 
-        checkpoint = self.checkpoint
-        stores = [s for s in (checkpoint, self.cache) if s is not None]
-        quarantined_before = sum(s.quarantined for s in stores)
+        cache = self.cache
+        quarantined_before = 0 if cache is None else cache.quarantined
 
         pending: List[int] = []
         for index, request in enumerate(requests):
-            fingerprint = request.fingerprint() if stores else None
+            if cache is None:
+                pending.append(index)
+                continue
+            fingerprint = request.fingerprint()
             fingerprints[index] = fingerprint
-            resumed = cached = None
-            if fingerprint is not None and checkpoint is not None:
-                resumed = checkpoint.get(fingerprint)
-            if (fingerprint is not None and resumed is None
-                    and self.cache is not None):
-                cached = self.cache.get(fingerprint)
-            if resumed is not None:
-                results[index] = resumed
-                report.requests[index].resumed = True
-            elif cached is not None:
+            cached = None if fingerprint is None else cache.get(fingerprint)
+            if cached is None:
+                pending.append(index)
+            else:
                 results[index] = cached
                 report.requests[index].cached = True
                 STATS.cache_hits += 1
-            else:
-                pending.append(index)
 
         try:
             if self.jobs > 1 and len(pending) > 1:
@@ -317,9 +307,8 @@ class Executor:
                     requests, pending, fingerprints, results, report
                 )
         finally:
-            report.quarantined = (
-                sum(s.quarantined for s in stores) - quarantined_before
-            )
+            if cache is not None:
+                report.quarantined = cache.quarantined - quarantined_before
         return results  # type: ignore[return-value]
 
     # -- internals --------------------------------------------------------
@@ -335,10 +324,7 @@ class Executor:
         STATS.executed += 1
         fingerprint = fingerprints[index]
         if fingerprint:
-            if self.cache is not None:
-                self.cache.put(fingerprint, summary)
-            if self.checkpoint is not None:
-                self.checkpoint.put(fingerprint, summary)
+            self.cache.put(fingerprint, summary)
 
     def _run_serial(
         self,

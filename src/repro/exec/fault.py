@@ -9,11 +9,6 @@ the :class:`~repro.exec.executor.Executor` composes into that story:
 * :class:`RetryPolicy` — bounded per-request retries with exponential
   backoff and *deterministic* jitter (hashed from the request key and
   attempt number, so reruns sleep identically and tests are stable);
-* :func:`resolve_checkpoint` — the resume checkpoint, a
-  :class:`~repro.exec.cache.RunCache` rooted at the resume directory:
-  every completed summary is published there the moment it finishes,
-  so an interrupted grid resumes from partial results instead of
-  starting over;
 * :class:`FailureReport` / :class:`RequestReport` /
   :class:`AttemptRecord` — the structured account of what every request
   went through (attempts, error classes, elapsed wall clock), threaded
@@ -24,7 +19,7 @@ the :class:`~repro.exec.executor.Executor` composes into that story:
 
 Environment knobs (all optional, resolved by the ``resolve_*``
 helpers): ``REPRO_MAX_RETRIES``, ``REPRO_RUN_TIMEOUT``,
-``REPRO_MAX_POOL_REBUILDS``, ``REPRO_CHECKPOINT``.
+``REPRO_MAX_POOL_REBUILDS``.
 """
 
 from __future__ import annotations
@@ -33,11 +28,7 @@ import hashlib
 import os
 import warnings
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import List, Optional
-
-from ..core.persistence import move_aside
-from .cache import RunCache
 
 #: Default number of retries after the first attempt fails.
 DEFAULT_MAX_RETRIES = 2
@@ -183,14 +174,10 @@ class RequestReport:
     policy: str
     attempts: List[AttemptRecord] = field(default_factory=list)
     cached: bool = False
-    resumed: bool = False
 
     @property
     def ok(self) -> bool:
-        return (
-            self.cached or self.resumed
-            or any(a.ok for a in self.attempts)
-        )
+        return self.cached or any(a.ok for a in self.attempts)
 
     @property
     def retried(self) -> bool:
@@ -221,9 +208,7 @@ class FailureReport:
 
     @property
     def executed(self) -> int:
-        return sum(
-            1 for r in self.requests if not (r.cached or r.resumed)
-        )
+        return sum(1 for r in self.requests if not r.cached)
 
     @property
     def retried(self) -> List[RequestReport]:
@@ -249,9 +234,6 @@ class FailureReport:
             f"{self.executed} executed",
             f"{sum(1 for r in self.requests if r.cached)} cached",
         ]
-        resumed = sum(1 for r in self.requests if r.resumed)
-        if resumed:
-            parts.append(f"{resumed} resumed")
         if self.retried:
             parts.append(f"{len(self.retried)} retried")
         if self.timeouts:
@@ -272,29 +254,3 @@ class FailureReport:
             parts.append(f"{len(self.failures)} FAILED")
         return "; ".join(parts)
 
-
-def resolve_checkpoint(checkpoint="default") -> Optional[RunCache]:
-    """Checkpoint resolution: argument > ``REPRO_CHECKPOINT`` > None.
-
-    The checkpoint is a :class:`~repro.exec.cache.RunCache` rooted at
-    the resume directory.  Accepts a :class:`RunCache`, a path, ``None``
-    (off), or the ``"default"`` sentinel which honours the environment
-    knob.  A non-directory at the path (such as a single-file checkpoint
-    written by an older version) is moved aside with a warning and the
-    grid starts fresh.
-    """
-    if checkpoint is None or isinstance(checkpoint, RunCache):
-        return checkpoint
-    if checkpoint == "default":
-        checkpoint = os.environ.get("REPRO_CHECKPOINT", "").strip()
-        if not checkpoint:
-            return None
-    path = Path(checkpoint)
-    if path.exists() and not path.is_dir():
-        target = move_aside(path, path.with_name(path.name + ".quarantine"))
-        warnings.warn(
-            f"repro.exec: {path} is not a checkpoint directory; moved "
-            f"aside to {target}, starting fresh",
-            stacklevel=2,
-        )
-    return RunCache(path)

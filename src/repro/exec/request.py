@@ -123,8 +123,8 @@ def _warn_untokened(label: str, factory: Callable) -> None:
     warnings.warn(
         f"repro.exec: policy factory {name!r} (label {label!r}) cannot "
         f"be pickled, so runs built from it get no content fingerprint "
-        f"— they will execute but never be memoised (no run cache, no "
-        f"checkpoint resume)",
+        f"— they will execute but never be memoised (no run cache, so "
+        f"an interrupted grid reruns them)",
         stacklevel=3,
     )
 

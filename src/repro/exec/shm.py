@@ -18,10 +18,12 @@ Each ring is an anonymous shared mapping.  The parent makes a shard's
 two rings before it forks the shard, so the child inherits the same
 pages: no ring has a name in ``/dev/shm``, nothing can leak one, and
 its pages are freed once every process that maps them has closed them
-or died.  The parent closes its mappings when it stops the shard or
-tears it down.  A shard or executor worker forked later also inherits
-the rings alive at that moment; it never touches them, and they go
-when it exits.
+or died.  Only a parent and the child it forks share a ring, so both
+sides always run the same code: a block carries no format version.
+The parent closes its mappings when it stops the shard or tears it
+down.  A shard or executor worker forked later also inherits the rings
+alive at that moment; it never touches them, and they go when it
+exits.
 """
 
 from __future__ import annotations
@@ -32,9 +34,6 @@ import struct
 from typing import Tuple
 
 import numpy as np
-
-#: Bump when the block layout changes; decoders reject other versions.
-SHM_FORMAT_VERSION = 1
 
 _HEADER_LEN = struct.Struct(">Q")
 
@@ -58,11 +57,8 @@ def pack_block(meta: dict, arrays: dict) -> bytes:
                             offset))
         chunks.append(array.tobytes())
         offset += array.nbytes
-    header = pickle.dumps({
-        "version": SHM_FORMAT_VERSION,
-        "meta": meta,
-        "arrays": descriptors,
-    }, protocol=4)
+    header = pickle.dumps({"meta": meta, "arrays": descriptors},
+                          protocol=4)
     prefix = _HEADER_LEN.pack(len(header)) + header
     prefix += b"\0" * ((-len(prefix)) % 8)
     return prefix + b"".join(chunks)
@@ -72,11 +68,6 @@ def unpack_block(buffer) -> Tuple[dict, dict]:
     """Inverse of :func:`pack_block`; arrays are copied out."""
     (header_len,) = _HEADER_LEN.unpack_from(buffer, 0)
     header = pickle.loads(bytes(buffer[8:8 + header_len]))
-    if header.get("version") != SHM_FORMAT_VERSION:
-        raise ValueError(
-            f"block has format {header.get('version')!r}, expected "
-            f"{SHM_FORMAT_VERSION}"
-        )
     base = 8 + header_len + ((-(8 + header_len)) % 8)
     arrays = {}
     for key, dtype, count, offset in header["arrays"]:

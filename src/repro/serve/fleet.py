@@ -434,9 +434,8 @@ class ShardWorker:
         #: shard-level latency summary is exact (raw samples), not a
         #: lossy merge of per-stream percentiles.
         self.latency = LatencyLedger()
-        #: Flush-level gauges: depth/size of whole micro-batches as
+        #: Flush-level gauge: size of whole micro-batches as
         #: dispatched, regardless of how they split across streams.
-        self.queue_depth = Gauge()
         self.batch_sizes = Gauge()
         #: Reports of servers drained away by a migration — their
         #: served requests still belong in this shard's totals.
@@ -547,7 +546,6 @@ class ShardWorker:
                 for request, decision in zip(requests[skip:], decisions):
                     answered[(stream, request.index)] = decision
         self.recovered += deduped
-        self.queue_depth.record(float(len(batch)))
         self.batch_sizes.record(float(len(batch)))
         return [answered[key] for key in order], deduped
 
@@ -560,7 +558,6 @@ class ShardWorker:
             reports,
             latency=self.latency.snapshot(),
             latency_histogram=self.latency.histogram.snapshot(),
-            queue_depth=self.queue_depth.snapshot(),
             batch_sizes=self.batch_sizes.snapshot(),
         )
 
@@ -924,7 +921,6 @@ class PolicyFleet:
         self.generations: Dict[int, int] = {}
         members = list(range(self.config.shards))
         placement: Dict[str, int] = {}
-        pending: Dict[str, str] = {}
         if self._state_root is not None:
             from .resize import FleetTopology, sweep_state_root
 
@@ -937,23 +933,12 @@ class PolicyFleet:
                                 for k, v in topology.generations.items()}
             # One reclamation path for planned drains *and* crashes:
             # quarantine staging leftovers and stream dirs the topology
-            # places elsewhere (adopting streams it predates).
-            sweep_state_root(self._state_root, topology,
-                             self.config.replicas)
+            # does not place where they are.
+            sweep_state_root(self._state_root, topology)
             placement = topology.placement
-            pending = topology.pending
         self.members: List[int] = sorted(members)
         self.router = ShardRouter(self.members, self.config.replicas,
                                   placement)
-        # Documents written while evacuation shipped lazily list
-        # evacuated streams whose state still sits with the lost member:
-        # ship each to its owner before any worker opens its directory.
-        # The save below drops the list.
-        for stream, source in sorted(pending.items()):
-            member = self.router.route(stream)
-            home = (self._shard_dir(member, self.generations.get(member, 0))
-                    / stream_dirname(stream))
-            publish_home(stage_home(stream, home, Path(source)))
         self._save_topology()
         self._shards: Dict[int, Any] = {}
         for member in self.members:
@@ -1430,13 +1415,10 @@ class PolicyFleet:
 
     def _aggregate(self, wall_s: float) -> FleetReport:
         histogram = FixedBucketHistogram()
-        queue_depth = Gauge()
         batch_sizes = Gauge()
         for report in self.shard_reports:
             if report.latency_histogram.get("counts"):
                 histogram.merge(report.latency_histogram)
-            if report.queue_depth.get("count"):
-                queue_depth.merge(report.queue_depth)
             if report.batch_sizes.get("count"):
                 batch_sizes.merge(report.batch_sizes)
         answered = sum(
@@ -1466,6 +1448,5 @@ class PolicyFleet:
             shard_ids=list(self._report_ids),
             per_shard=list(self.shard_reports),
             latency_histogram=histogram.snapshot(),
-            queue_depth=queue_depth.snapshot(),
             batch_sizes=batch_sizes.snapshot(),
         )

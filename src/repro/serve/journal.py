@@ -8,9 +8,10 @@ The serving runtime's durability story has two layers:
   through :meth:`~repro.core.selector.HyperplaneSelector.attach_journal`)
   plus the circuit breaker's compact state.  Each record ends in a
   crc32; a torn tail (the classic crash artifact) is detected,
-  quarantined for post-mortem, and truncated away.  Journals written
-  before the binary record (one JSON line per request) still replay,
-  and binary records continue them in place;
+  quarantined for post-mortem, and truncated away.  A journal in the
+  retired JSON-line format is refused whole
+  (:class:`~repro.core.persistence.UnsupportedFormatError`) and left
+  as it is;
 * periodic **snapshots** (:class:`SnapshotStore`) — checksummed,
   atomically-written documents of the full online state (the
   primitives in :mod:`repro.core.persistence`).  A corrupt
@@ -41,7 +42,6 @@ until its stream is reopened from disk.
 from __future__ import annotations
 
 import errno
-import json
 import math
 import os
 import struct
@@ -53,11 +53,11 @@ import numpy as np
 
 from ..core.persistence import (
     ChecksumError,
+    UnsupportedFormatError,
     atomic_copy,
     dump_checked_json,
     load_checked_json,
     move_aside,
-    payload_checksum,
     prune_quarantine,
 )
 from .breaker import STATE_FIELDS
@@ -66,10 +66,10 @@ from .breaker import STATE_FIELDS
 #: crash victim, and then its predecessor is the recovery point.
 SNAPSHOTS_KEPT = 2
 
-#: First byte of a binary journal record, format version 1.  A legacy
-#: JSON record starts with ``{``, and 0xB1 is a UTF-8 continuation
-#: byte, so no text line can start with it: replay tells the two
-#: formats apart by this one byte.
+#: First byte of a binary journal record, format version 1.  A journal
+#: of the retired JSON-line format starts with ``{``, and 0xB1 is a
+#: UTF-8 continuation byte, so no text line can start with it: replay
+#: refuses such a journal by its first byte.
 RECORD_MAGIC = 0xB1
 
 # Record layout, all little-endian (docs/robustness.md):
@@ -225,16 +225,6 @@ def _decode_body(body: memoryview) -> Tuple[int, list, dict]:
     return req, ops, extra
 
 
-def _decode_json_line(raw: bytes) -> Tuple[int, list, dict]:
-    """One legacy JSON record (either separator style)."""
-    record = json.loads(raw.decode("utf-8"))
-    payload = {"req": record["req"], "ops": record["ops"],
-               "extra": record.get("extra", {})}
-    if record.get("crc") != payload_checksum(payload):
-        raise ValueError("crc mismatch")
-    return payload["req"], payload["ops"], payload["extra"]
-
-
 class JournalWriteError(OSError):
     """A group write failed (``ENOSPC``, ``EIO``, a short write).
 
@@ -284,8 +274,7 @@ class SelectorJournal:
     in one group; a crash can therefore only damage the final group,
     which :meth:`replay` cuts back to its last whole record,
     quarantining and truncating the rest.  The file keeps its
-    historical name ``journal.jsonl``: legacy JSON-line journals under
-    that name replay and are continued in place.
+    historical name ``journal.jsonl``.
     """
 
     def __init__(self, path: Union[str, Path]):
@@ -454,46 +443,42 @@ class SelectorJournal:
     @staticmethod
     def _next_record(data: bytes, start: int):
         """``((req, ops, extra), end)`` for the record at ``start``, or
-        None when it is torn or fails its check.  The first byte picks
-        the format: :data:`RECORD_MAGIC` or a legacy JSON line."""
-        if data[start] == RECORD_MAGIC:
-            if start + _HEAD.size > len(data):
-                return None
-            _, size = _HEAD.unpack_from(data, start)
-            body_end = start + _HEAD.size + size
-            end = body_end + _CRC.size
-            if end > len(data):
-                return None
-            view = memoryview(data)
-            (crc,) = _CRC.unpack_from(data, body_end)
-            if zlib.crc32(view[start:body_end]) != crc:
-                return None
-            try:
-                return _decode_body(view[start + _HEAD.size:body_end]), end
-            except (IndexError, ValueError, struct.error):
-                return None
-        newline = data.find(b"\n", start)
-        if data[start] != ord("{") or newline < 0:
-            # A group write cut just before a JSON line's newline is a
-            # torn tail too: keeping it would glue the next record on.
+        None when it is torn or fails its check."""
+        if data[start] != RECORD_MAGIC or start + _HEAD.size > len(data):
+            return None
+        _, size = _HEAD.unpack_from(data, start)
+        body_end = start + _HEAD.size + size
+        end = body_end + _CRC.size
+        if end > len(data):
+            return None
+        view = memoryview(data)
+        (crc,) = _CRC.unpack_from(data, body_end)
+        if zlib.crc32(view[start:body_end]) != crc:
             return None
         try:
-            return _decode_json_line(data[start:newline + 1]), newline + 1
-        except (KeyError, TypeError, ValueError, UnicodeDecodeError):
+            return _decode_body(view[start + _HEAD.size:body_end]), end
+        except (IndexError, ValueError, struct.error):
             return None
 
     def replay(self, after_req: int = -1) -> Iterator[Tuple[int, list, dict]]:
         """Yield ``(req, ops, extra)`` for good records with
         ``req > after_req``; stops at (and repairs) a torn tail.
-        Binary records and legacy JSON lines (compact or spaced) may
-        follow each other in one file.
 
-        Materialised eagerly so the tail repair happens even if the
-        caller stops consuming early.
+        A journal whose first byte is ``{`` is in the retired JSON-line
+        format: it raises
+        :class:`~repro.core.persistence.UnsupportedFormatError` before
+        anything is quarantined or truncated.  Materialised eagerly so
+        the tail repair happens even if the caller stops consuming
+        early.
         """
         if not self.path.exists():
             return iter(())
         data = self.path.read_bytes()
+        if data[:1] == b"{":
+            raise UnsupportedFormatError(
+                f"{self.path} is a JSON-line journal, a retired format; "
+                "it was left untouched"
+            )
         records: List[Tuple[int, list, dict]] = []
         good_bytes = 0
         while good_bytes < len(data):

@@ -115,7 +115,6 @@ def merge_serve_reports(
     *,
     latency: Dict[str, float],
     latency_histogram: Dict[str, list],
-    queue_depth: Dict[str, float],
     batch_sizes: Dict[str, float],
 ) -> "ServeReport":
     """Fold several :class:`ServeReport` objects into one.
@@ -128,7 +127,9 @@ def merge_serve_reports(
     ``final_tier`` takes the most-degraded stream.  Latency and gauge
     snapshots cannot be merged exactly from summaries, so the caller
     passes the shard-level instruments (the shard worker's shared
-    latency ledger and flush-level gauges).
+    latency ledger and flush-level batch-size gauge).  The merged
+    report has no queue-depth gauge: a shard serves every flush from
+    position 0, so the batch sizes already say it.
     """
     merged = ServeReport()
     for report in reports:
@@ -161,7 +162,6 @@ def merge_serve_reports(
     merged.transitions.sort(key=lambda t: t.request_index)
     merged.latency = latency
     merged.latency_histogram = latency_histogram
-    merged.queue_depth = queue_depth
     merged.batch_sizes = batch_sizes
     return merged
 
@@ -226,7 +226,6 @@ class FleetReport:
     shard_ids: List[int] = field(default_factory=list)
     per_shard: List[ServeReport] = field(default_factory=list)
     latency_histogram: Dict[str, list] = field(default_factory=dict)
-    queue_depth: Dict[str, float] = field(default_factory=dict)
     batch_sizes: Dict[str, float] = field(default_factory=dict)
 
     @property
@@ -279,7 +278,6 @@ class FleetReport:
             "drain_pause": dict(self.drain_pause),
             "shard_ids": list(self.shard_ids),
             "latency_histogram": dict(self.latency_histogram),
-            "queue_depth": dict(self.queue_depth),
             "batch_sizes": dict(self.batch_sizes),
             "per_shard": [r.to_jsonable() for r in self.per_shard],
         }
@@ -328,14 +326,9 @@ class FleetReport:
         histogram = _histogram_line(self.latency_histogram)
         if histogram:
             lines.append(histogram)
-        gauges = [
-            fragment for fragment in (
-                _gauge_fragment("queue depth", self.queue_depth),
-                _gauge_fragment("batch size", self.batch_sizes),
-            ) if fragment
-        ]
-        if gauges:
-            lines.append("; ".join(gauges))
+        batch_sizes = _gauge_fragment("batch size", self.batch_sizes)
+        if batch_sizes:
+            lines.append(batch_sizes)
         for position, report in enumerate(self.per_shard):
             if position < len(self.shard_ids):
                 shard_index = self.shard_ids[position]

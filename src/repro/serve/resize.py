@@ -36,8 +36,9 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
-from ..core.persistence import (ChecksumError, dump_checked_json,
-                                load_checked_json, move_aside)
+from ..core.persistence import (ChecksumError, UnsupportedFormatError,
+                                dump_checked_json, load_checked_json,
+                                move_aside)
 from .fleet import ShardRouter
 from .layout import (publish_home, quarantine_dir, shard_dirname,
                      stage_home, stream_dirname, stream_homes)
@@ -68,22 +69,20 @@ class FleetTopology:
     stream placement table.
     Whatever this document says at recovery time *is* the fleet —
     everything on disk that disagrees with it is quarantined by
-    :func:`sweep_state_root`.
+    :func:`sweep_state_root`.  A document holding other keys than
+    :meth:`to_jsonable` writes (one from before placement tables, or
+    one listing lazily shipped evacuations) is refused with
+    :class:`~repro.core.persistence.UnsupportedFormatError`.
     """
 
     epoch: int = 0
     members: List[int] = field(default_factory=list)
     generations: Dict[int, int] = field(default_factory=dict)
-    #: Stream id -> source directory of state evacuated from a lost
-    #: shard, in documents written while evacuation shipped lazily.
-    #: Read, never written: opening the fleet ships these streams.
-    pending: Dict[str, str] = field(default_factory=dict)
-    #: Stream id -> member id serving it (absent in documents written
-    #: before placement tables; :func:`sweep_state_root` adopts those
-    #: streams).
+    #: Stream id -> member id serving it.
     placement: Dict[str, int] = field(default_factory=dict)
 
     FILENAME = "topology.json"
+    KEYS = frozenset(("epoch", "members", "generations", "placement"))
 
     def to_jsonable(self) -> dict:
         return {
@@ -99,16 +98,21 @@ class FleetTopology:
 
     @classmethod
     def from_jsonable(cls, doc: dict) -> "FleetTopology":
-        return cls(
-            epoch=int(doc["epoch"]),
-            members=[int(m) for m in doc["members"]],
-            generations={int(k): int(v)
-                         for k, v in doc.get("generations", {}).items()},
-            pending={str(k): str(v)
-                     for k, v in doc.get("pending", {}).items()},
-            placement={str(k): int(v)
-                       for k, v in doc.get("placement", {}).items()},
-        )
+        try:
+            if set(doc) != cls.KEYS:
+                raise ValueError(f"keys {sorted(map(str, doc))}")
+            return cls(
+                epoch=int(doc["epoch"]),
+                members=[int(m) for m in doc["members"]],
+                generations={int(k): int(v)
+                             for k, v in doc["generations"].items()},
+                placement={str(k): int(v)
+                           for k, v in doc["placement"].items()},
+            )
+        except (AttributeError, TypeError, ValueError) as error:
+            raise UnsupportedFormatError(
+                f"unsupported topology document ({error})"
+            ) from error
 
     def save(self, state_root: Union[str, Path]) -> Path:
         path = Path(state_root) / self.FILENAME
@@ -119,48 +123,44 @@ class FleetTopology:
     def load_or_create(
         cls, state_root: Union[str, Path], default_members: Sequence[int]
     ) -> "FleetTopology":
+        """The committed topology, or the configured shape when there
+        is none.  A document of the wrong shape raises
+        :class:`~repro.core.persistence.UnsupportedFormatError` and
+        stays where it is."""
         path = Path(state_root) / cls.FILENAME
         if path.exists():
             try:
-                return cls.from_jsonable(load_checked_json(path))
-            except (ChecksumError, KeyError, TypeError, ValueError):
+                doc = load_checked_json(path)
+            except ChecksumError:
                 # dump_checked_json is atomic, so a torn topology means
                 # outside interference; quarantine it and start from
                 # the configured shape rather than guessing.
                 move_aside(path, Path(state_root) / "quarantine",
                            "torn")
+            else:
+                return cls.from_jsonable(doc)
         return cls(epoch=0, members=sorted(int(m) for m in default_members))
 
 
 def sweep_state_root(
     state_root: Union[str, Path], topology: FleetTopology,
-    replicas: int = 64,
 ) -> List[Path]:
     """Reconcile on-disk state with the committed topology.
 
     The single reclamation path shared by planned drains and crash
     failovers: quarantine every ``*.stage`` leftover (a crash mid-copy)
     or home with a torn sidecar, and every stream home whose sidecar
-    names a stream the topology places on another member (a crash between place and
-    retire, or a superseded source after a committed resize).  A stream
-    missing from ``topology.placement`` was written before placement
-    tables: it is adopted into the table if its ring owner is the
-    member hosting it — where hash-only routing kept it — and
-    quarantined as superseded otherwise.  The sweep never places a
-    stream.  Returns the quarantined paths.
+    names a stream the topology does not place on its member (a crash
+    between place and retire, or a superseded source after a committed
+    resize).  The sweep never places a stream.  Returns the
+    quarantined paths.
     """
     state_root = Path(state_root)
-    if not topology.members:
-        return []
-    ring = ShardRouter(topology.members, replicas)
     quarantined: List[Path] = []
     for member in topology.members:
         generation = topology.generations.get(member, 0)
         directory = state_root / shard_dirname(member, generation)
         for stream, home in stream_homes(directory, quarantined).items():
-            if (stream not in topology.placement
-                    and next(ring.ring_order(stream)) == member):
-                topology.placement[stream] = member
             if topology.placement.get(stream) != member:
                 moved = move_aside(home, quarantine_dir(directory),
                                    "superseded")

@@ -46,7 +46,7 @@ def grid_requests():
 @pytest.fixture(scope="module")
 def baseline():
     """Clean serial results for the grid (no chaos, no cache)."""
-    return Executor(jobs=1, cache=None, checkpoint=None).run(
+    return Executor(jobs=1, cache=None).run(
         grid_requests()
     )
 
@@ -55,7 +55,7 @@ class TestKillResilience:
     def test_grid_survives_crashing_workers(self, baseline, monkeypatch):
         monkeypatch.setenv("REPRO_CHAOS_WORKER_CRASH_RATE", CRASH_RATE)
         executor = Executor(
-            jobs=4, cache=None, checkpoint=None, retry=RETRY,
+            jobs=4, cache=None, retry=RETRY,
             max_pool_rebuilds=10_000,
         )
         requests = grid_requests()
@@ -91,7 +91,7 @@ class TestKillResilience:
 
         monkeypatch.setenv("REPRO_CHAOS_WORKER_CRASH_RATE", CRASH_RATE)
         executor = Executor(
-            jobs=4, cache=cache, checkpoint=None, retry=RETRY,
+            jobs=4, cache=cache, retry=RETRY,
             max_pool_rebuilds=10_000,
         )
         with pytest.warns(UserWarning, match="quarantined"):
@@ -115,19 +115,17 @@ class TestKillResilience:
         path = tmp_path / "grid"
         requests = grid_requests()
         first = Executor(
-            jobs=4, cache=None, checkpoint=RunCache(path),
-            retry=RETRY, max_pool_rebuilds=10_000,
+            jobs=4, cache=RunCache(path), retry=RETRY,
+            max_pool_rebuilds=10_000,
         )
         first.run(requests)
 
         # A fresh executor (fresh process in real life) resumes the
-        # whole grid from the checkpoint without executing anything.
+        # whole grid from the run cache without executing anything.
         monkeypatch.delenv("REPRO_CHAOS_WORKER_CRASH_RATE")
-        resumer = Executor(
-            jobs=4, cache=None, checkpoint=RunCache(path),
-        )
+        resumer = Executor(jobs=4, cache=RunCache(path))
         resumed = resumer.run(requests)
         assert resumed == baseline
         report = resumer.last_report
         assert report.executed == 0
-        assert all(r.resumed for r in report.requests)
+        assert all(r.cached for r in report.requests)

@@ -391,10 +391,10 @@ def chaos_requests():
 class TestChaosDeterminism:
     def test_serial_and_parallel_are_bit_identical(self):
         requests = chaos_requests()
-        serial = Executor(jobs=1, cache=None, checkpoint=None).run(
+        serial = Executor(jobs=1, cache=None).run(
             requests
         )
-        parallel = Executor(jobs=4, cache=None, checkpoint=None).run(
+        parallel = Executor(jobs=4, cache=None).run(
             requests
         )
         assert serial == parallel
@@ -402,7 +402,7 @@ class TestChaosDeterminism:
 
     def test_event_stepping_matches_fixed_under_faults(self):
         requests = chaos_requests()
-        event = Executor(jobs=1, cache=None, checkpoint=None).run(requests)
+        event = Executor(jobs=1, cache=None).run(requests)
         fixed = [_simulate(request, "fixed")[0] for request in requests]
         for e, f in zip(event, fixed):
             assert [

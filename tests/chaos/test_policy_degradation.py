@@ -187,7 +187,7 @@ class TestEndToEndDegradation:
             target="cg", policy=spec, scenario=SMALL_LOW,
             iterations_scale=SCALE,
         )
-        (summary,) = Executor(jobs=1, cache=None, checkpoint=None).run(
+        (summary,) = Executor(jobs=1, cache=None).run(
             [request]
         )
         threads = [s.threads for s in summary.selections]
@@ -222,5 +222,5 @@ class TestEndToEndDegradation:
             target="cg", policy=spec, scenario=SMALL_LOW,
             iterations_scale=SCALE,
         )
-        executor = Executor(jobs=1, cache=None, checkpoint=None)
+        executor = Executor(jobs=1, cache=None)
         assert executor.run([request]) == executor.run([request])

@@ -126,7 +126,7 @@ class TestInheritedEnds:
             requests = [RunRequest(target="cg", policy=PolicySpec.fixed(8),
                                    iterations_scale=0.05, seed=seed)
                         for seed in range(3)]
-            Executor(jobs=2, cache=None, checkpoint=None).run(requests)
+            Executor(jobs=2, cache=None).run(requests)
         finally:
             fleet.abort()
         held = {path.stem: set(path.read_text().split())

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import multiprocessing
 import os
-import pickle
 import subprocess
 import sys
 import textwrap
@@ -30,12 +29,10 @@ from repro.exec import (
     RunRequest,
     RunTimeoutError,
     SerialFallbackWarning,
-    resolve_checkpoint,
     resolve_max_pool_rebuilds,
     resolve_retry,
     resolve_run_timeout,
 )
-from repro.core.persistence import DEFAULT_QUARANTINE_KEEP
 from repro.core.policies import DefaultPolicy
 from repro.exec.fault import DEFAULT_MAX_POOL_REBUILDS
 
@@ -213,18 +210,6 @@ class TestResolvers:
         assert resolve_max_pool_rebuilds() == 9
         assert resolve_max_pool_rebuilds(0) == 0
 
-    def test_checkpoint_sentinel(self, tmp_path, monkeypatch):
-        monkeypatch.delenv("REPRO_CHECKPOINT", raising=False)
-        assert resolve_checkpoint(None) is None
-        assert resolve_checkpoint("default") is None
-        monkeypatch.setenv("REPRO_CHECKPOINT", str(tmp_path / "grid"))
-        resolved = resolve_checkpoint("default")
-        assert isinstance(resolved, RunCache)
-        assert resolved.root == tmp_path / "grid"
-        explicit = RunCache(tmp_path / "other")
-        assert resolve_checkpoint(explicit) is explicit
-        assert resolve_checkpoint(tmp_path / "p").root == tmp_path / "p"
-
 
 class TestFailureReport:
     def test_empty_report_is_clean(self):
@@ -273,36 +258,35 @@ class TestFailureReport:
         assert "cause" not in summary
 
     def test_cached_and_resumed_are_ok_without_attempts(self):
+        # A resumed run is a cache hit: there is no separate flag.
         cached = RequestReport(
             index=0, target="cg", policy="p", cached=True
         )
-        resumed = RequestReport(
-            index=1, target="cg", policy="p", resumed=True
-        )
-        report = FailureReport(requests=[cached, resumed])
-        assert cached.ok and resumed.ok
+        report = FailureReport(requests=[cached])
+        assert cached.ok
         assert report.executed == 0
-        assert "1 resumed" in report.summary()
+        assert "1 cached" in report.summary()
 
 
 class TestCheckpoint:
-    """The resume checkpoint is a run cache rooted at the resume path."""
+    """An interrupted grid resumes from the run cache: each completed
+    run is published there, and a damaged entry is rerun."""
 
     def run_grid(self, path, requests):
-        executor = Executor(jobs=1, cache=None, checkpoint=path)
+        executor = Executor(jobs=1, cache=RunCache(path))
         executor.run(requests)
         return executor.last_report
 
     def test_round_trip(self, tmp_path):
         path = tmp_path / "grid"
         requests = [tiny_request(seed=s) for s in range(3)]
-        first = Executor(jobs=1, cache=None, checkpoint=path)
+        first = Executor(jobs=1, cache=RunCache(path))
         results = first.run(requests)
         # Each completed run is published as its own entry.
-        checkpoint = resolve_checkpoint(path)
+        cache = RunCache(path)
         for request, summary in zip(requests, results):
-            assert checkpoint.path(request.fingerprint()).is_file()
-            assert checkpoint.get(request.fingerprint()) == summary
+            assert cache.path(request.fingerprint()).is_file()
+            assert cache.get(request.fingerprint()) == summary
 
     def test_corrupt_file_moved_aside(self, tmp_path):
         path = tmp_path / "grid"
@@ -313,8 +297,8 @@ class TestCheckpoint:
         with pytest.warns(UserWarning, match="quarantined"):
             report = self.run_grid(path, requests)
         # The damaged run is recomputed, the intact one resumed, and
-        # the checkpoint's quarantine is counted in the report.
-        assert [r.resumed for r in report.requests] == [False, True]
+        # the cache's quarantine is counted in the report.
+        assert [r.cached for r in report.requests] == [False, True]
         assert report.quarantined == 1
         quarantined = path / "quarantine" / entry.name
         assert quarantined.read_bytes() == b"definitely not a pickle"
@@ -334,36 +318,11 @@ class TestCheckpoint:
         assert (quarantine / entry.name).read_bytes() == b"garbage #0"
         assert (quarantine / f"{entry.name}.1").read_bytes() == b"garbage #1"
 
-    def test_quarantine_retention_is_bounded(self, tmp_path):
-        path = tmp_path / "grid"
-        for round_ in range(DEFAULT_QUARANTINE_KEEP + 2):
-            path.write_bytes(b"old checkpoint #%d" % round_)
-            with pytest.warns(UserWarning, match="not a checkpoint"):
-                resolve_checkpoint(path)
-        quarantine = tmp_path / "grid.quarantine"
-        assert len(list(quarantine.iterdir())) == DEFAULT_QUARANTINE_KEEP
-
-    def test_alien_payload_moved_aside(self, tmp_path):
-        # A single-file checkpoint from an older version sits where the
-        # checkpoint directory belongs: it is kept aside and the grid
-        # starts fresh.
-        path = tmp_path / "grid"
-        legacy = pickle.dumps({"version": 1, "entries": {}})
-        path.write_bytes(legacy)
-        requests = [tiny_request(seed=s) for s in range(2)]
-        with pytest.warns(UserWarning, match="not a checkpoint directory"):
-            report = self.run_grid(path, requests)
-        assert report.executed == 2
-        assert path.is_dir()
-        moved = tmp_path / "grid.quarantine" / "grid"
-        assert moved.read_bytes() == legacy
-        assert all(r.resumed for r in self.run_grid(path, requests).requests)
-
 
 class TestSerialRetry:
     def test_transient_error_is_retried(self):
         executor = Executor(
-            jobs=1, cache=None, checkpoint=None,
+            jobs=1, cache=None,
             retry=RetryPolicy(max_retries=2, base_delay=0.0),
         )
         spec = PolicySpec.of(flaky_factory(fail_times=1), label="flaky")
@@ -378,7 +337,7 @@ class TestSerialRetry:
 
     def test_budget_exhaustion_raises_original_error(self):
         executor = Executor(
-            jobs=1, cache=None, checkpoint=None,
+            jobs=1, cache=None,
             retry=RetryPolicy(max_retries=1, base_delay=0.0),
         )
         spec = PolicySpec.of(flaky_factory(fail_times=10), label="flaky")
@@ -390,7 +349,7 @@ class TestSerialRetry:
 
     def test_zero_retries_fails_immediately(self):
         executor = Executor(
-            jobs=1, cache=None, checkpoint=None,
+            jobs=1, cache=None,
             retry=RetryPolicy(max_retries=0),
         )
         spec = PolicySpec.of(flaky_factory(fail_times=1), label="flaky")
@@ -414,7 +373,7 @@ class TestSerialFallbackWarning:
     def test_points_at_the_caller_of_run(self):
         with pytest.warns(UserWarning, match="cannot be pickled"):
             spec = PolicySpec.of(_Unpicklable(), label="unpicklable")
-        executor = Executor(jobs=2, cache=None, checkpoint=None)
+        executor = Executor(jobs=2, cache=None)
         requests = [tiny_request(seed=s, policy=spec) for s in (0, 1)]
         with pytest.warns(SerialFallbackWarning) as caught:
             executor.run(requests)
@@ -430,7 +389,7 @@ class TestWorkerCrashRecovery:
     def test_degrades_to_serial_after_rebuild_budget(self, monkeypatch):
         monkeypatch.setenv("REPRO_CHAOS_WORKER_CRASH_RATE", "1.0")
         executor = Executor(
-            jobs=2, cache=None, checkpoint=None, max_pool_rebuilds=0,
+            jobs=2, cache=None, max_pool_rebuilds=0,
             retry=RetryPolicy(max_retries=50, base_delay=0.0),
         )
         requests = [tiny_request(seed=s) for s in (0, 1)]
@@ -446,13 +405,13 @@ class TestWorkerCrashRecovery:
         # The serial fallback produced the same results a healthy
         # serial executor would have.
         monkeypatch.delenv("REPRO_CHAOS_WORKER_CRASH_RATE")
-        clean = Executor(jobs=1, cache=None, checkpoint=None)
+        clean = Executor(jobs=1, cache=None)
         assert summaries == clean.run(requests)
 
     def test_repeated_crashes_exhaust_request_budget(self, monkeypatch):
         monkeypatch.setenv("REPRO_CHAOS_WORKER_CRASH_RATE", "1.0")
         executor = Executor(
-            jobs=2, cache=None, checkpoint=None, max_pool_rebuilds=1000,
+            jobs=2, cache=None, max_pool_rebuilds=1000,
             retry=RetryPolicy(max_retries=1, base_delay=0.0),
         )
         with pytest.raises(RuntimeError, match="crashed its worker"):
@@ -481,7 +440,7 @@ class TestRunTimeout:
             "repro.exec.executor._execute_blob", _hang_once_blob
         )
         executor = Executor(
-            jobs=2, cache=None, checkpoint=None, run_timeout=0.4,
+            jobs=2, cache=None, run_timeout=0.4,
             retry=RetryPolicy(max_retries=3, base_delay=0.01),
         )
         requests = [tiny_request(seed=s) for s in range(3)]
@@ -500,7 +459,7 @@ class TestRunTimeout:
             "repro.exec.executor._execute_blob", _hang_forever_blob
         )
         executor = Executor(
-            jobs=2, cache=None, checkpoint=None, run_timeout=0.3,
+            jobs=2, cache=None, run_timeout=0.3,
             retry=RetryPolicy(max_retries=0),
         )
         with pytest.raises(RunTimeoutError, match="timed out"):
@@ -512,7 +471,7 @@ class TestRunTimeout:
             "repro.exec.executor._execute_blob", _hang_forever_blob
         )
         executor = Executor(
-            jobs=2, cache=None, checkpoint=None, run_timeout=0.3,
+            jobs=2, cache=None, run_timeout=0.3,
             retry=RetryPolicy(max_retries=0),
         )
         with pytest.raises(RunTimeoutError):
@@ -532,16 +491,14 @@ class TestFaultIsolation:
         monkeypatch.setenv(_MARKER_ENV, str(tmp_path))
         monkeypatch.setattr("repro.exec.executor._execute_blob", entry_point)
         executor = Executor(
-            jobs=2, cache=None, checkpoint=None,
+            jobs=2, cache=None,
             retry=RetryPolicy(max_retries=2, base_delay=0.01), **kwargs,
         )
         requests = [tiny_request(seed=s) for s in range(4)]
         summaries = executor.run(requests)
         assert multiprocessing.active_children() == []
         monkeypatch.undo()
-        assert summaries == Executor(
-            jobs=1, cache=None, checkpoint=None
-        ).run(requests)
+        assert summaries == Executor(jobs=1, cache=None).run(requests)
         kinds = [[a.kind for a in r.attempts]
                  for r in executor.last_report.requests]
         assert kinds[1:] == [["ok"]] * 3
@@ -580,7 +537,7 @@ class TestWorkerErrors:
 
     def run(self, requests):
         executor = Executor(
-            jobs=2, cache=None, checkpoint=None,
+            jobs=2, cache=None,
             retry=RetryPolicy(max_retries=1, base_delay=0.0),
         )
         try:
@@ -603,29 +560,27 @@ class TestCheckpointResume:
     def test_resume_skips_completed_requests(self, tmp_path):
         path = tmp_path / "grid"
         requests = [tiny_request(seed=s) for s in range(3)]
-        first = Executor(jobs=1, cache=None, checkpoint=RunCache(path))
+        first = Executor(jobs=1, cache=RunCache(path))
         results = first.run(requests)
         assert first.last_report.executed == 3
 
-        second = Executor(jobs=1, cache=None, checkpoint=RunCache(path))
+        second = Executor(jobs=1, cache=RunCache(path))
         resumed = second.run(requests)
         assert resumed == results
         report = second.last_report
         assert report.executed == 0
-        assert all(r.resumed for r in report.requests)
+        assert all(r.cached for r in report.requests)
 
     def test_resume_is_keyed_by_fingerprint_not_position(self, tmp_path):
         path = tmp_path / "grid"
         requests = [tiny_request(seed=s) for s in range(3)]
-        Executor(
-            jobs=1, cache=None, checkpoint=RunCache(path)
-        ).run(requests)
+        Executor(jobs=1, cache=RunCache(path)).run(requests)
         # A reordered, partially-overlapping follow-up grid still
         # resumes the completed entries.
         follow_up = [requests[2], tiny_request(seed=9), requests[0]]
-        executor = Executor(jobs=1, cache=None, checkpoint=RunCache(path))
+        executor = Executor(jobs=1, cache=RunCache(path))
         executor.run(follow_up)
-        flags = [r.resumed for r in executor.last_report.requests]
+        flags = [r.cached for r in executor.last_report.requests]
         assert flags == [True, False, True]
 
     def test_interrupted_grid_keeps_partial_results(self, tmp_path):
@@ -636,16 +591,15 @@ class TestCheckpointResume:
             policy=PolicySpec.of(flaky_factory(10), label="flaky"),
         )
         executor = Executor(
-            jobs=1, cache=None, checkpoint=RunCache(path),
-            retry=RetryPolicy(max_retries=0),
+            jobs=1, cache=RunCache(path), retry=RetryPolicy(max_retries=0),
         )
         with pytest.raises(RuntimeError):
             executor.run([good, bad])
         # The good run was published the moment it completed.
         assert RunCache(path).path(good.fingerprint()).is_file()
-        resumer = Executor(jobs=1, cache=None, checkpoint=RunCache(path))
+        resumer = Executor(jobs=1, cache=RunCache(path))
         resumer.run([good])
-        assert resumer.last_report.requests[0].resumed
+        assert resumer.last_report.requests[0].cached
 
     def test_killed_grid_keeps_every_completed_run(self, tmp_path):
         # A process killed without unwinding (SIGKILL, OOM kill) runs no
@@ -653,7 +607,7 @@ class TestCheckpointResume:
         path = tmp_path / "grid"
         script = textwrap.dedent(f"""
             import os
-            from repro.exec import Executor, PolicySpec, RunRequest
+            from repro.exec import Executor, PolicySpec, RunCache, RunRequest
 
             def die():
                 os._exit(1)
@@ -665,20 +619,18 @@ class TestCheckpointResume:
             requests = [request(0, PolicySpec.fixed(8)),
                         request(1, PolicySpec.fixed(8)),
                         request(2, PolicySpec.of(die, label="die"))]
-            Executor(jobs=1, cache=None, checkpoint={str(path)!r}).run(
-                requests)
+            Executor(jobs=1, cache=RunCache({str(path)!r})).run(requests)
         """)
         env = dict(os.environ, PYTHONPATH=SRC)
-        env.pop("REPRO_CHECKPOINT", None)
         done = subprocess.run([sys.executable, "-c", script], env=env,
                               timeout=120)
         assert done.returncode == 1
         entries = list(path.glob("*/*.pkl"))
         assert len(entries) == 2
         requests = [tiny_request(seed=s) for s in range(2)]
-        resumer = Executor(jobs=1, cache=None, checkpoint=RunCache(path))
+        resumer = Executor(jobs=1, cache=RunCache(path))
         resumer.run(requests)
-        assert all(r.resumed for r in resumer.last_report.requests)
+        assert all(r.cached for r in resumer.last_report.requests)
 
 
 class TestStatsSnapshot:

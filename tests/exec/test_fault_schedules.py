@@ -69,7 +69,7 @@ def _request(seed_: int) -> RunRequest:
 def _serial(seed_: int):
     if seed_ not in _SERIAL:
         (_SERIAL[seed_],) = Executor(
-            jobs=1, cache=None, checkpoint=None).run([_request(seed_)])
+            jobs=1, cache=None).run([_request(seed_)])
     return _SERIAL[seed_]
 
 
@@ -112,7 +112,7 @@ def test_executor_under_drawn_fault_schedules(
     requests = [_request(index) for index in range(len(schedule))]
     hangs = any(fault == "hang" for fault, _ in schedule)
     executor = Executor(
-        jobs=jobs, cache=None, checkpoint=None,
+        jobs=jobs, cache=None,
         retry=RetryPolicy(max_retries=max_retries, base_delay=0.0),
         run_timeout=RUN_TIMEOUT if hangs else None,
         max_pool_rebuilds=max_pool_rebuilds,

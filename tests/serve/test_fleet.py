@@ -286,6 +286,12 @@ class TestInlineFleet:
         # exactly batch_max and only the final drain flush is short
         assert report.batch_sizes["max"] == 8.0
         assert report.total == SPEC.requests
+        # A shard serves every flush from position 0, so the report
+        # carries batch sizes once and no queue-depth copy of them.
+        assert "queue_depth" not in report.to_jsonable()
+        assert "queue depth" not in report.format()
+        assert "batch size" in report.format()
+        assert all(shard.queue_depth == {} for shard in report.per_shard)
 
     def test_linger_flushes_partial_batches(self, tiny_bundle,
                                             tmp_path):

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import errno
 import hashlib
-import json
 import struct
 import zlib
 
@@ -19,7 +18,6 @@ import numpy as np
 import pytest
 
 from repro.chaos import SensorFaultSpec
-from repro.core.persistence import payload_checksum
 from repro.serve import (PolicyServer, SelectorJournal, ServeConfig,
                          SnapshotStore, SoakSpec, build_policy,
                          make_request)
@@ -36,20 +34,6 @@ def record_ends(data: bytes):
         pos += 9 + struct.unpack_from("<I", data, pos + 1)[0]
         ends.append(pos)
     return ends
-
-
-def write_legacy_json(path, records, spaced: bool) -> None:
-    """Records as the JSON-line writer wrote them, one per line."""
-    with open(path, "w") as fh:
-        for req, ops, extra in records:
-            record = {"req": req, "ops": ops, "extra": extra}
-            record["crc"] = payload_checksum(dict(record))
-            if spaced:
-                line = json.dumps(record, allow_nan=False, sort_keys=True)
-            else:
-                line = json.dumps(record, allow_nan=False, sort_keys=True,
-                                  separators=(",", ":"))
-            fh.write(line + "\n")
 
 
 class TestSelectorJournal:
@@ -245,69 +229,6 @@ class TestGroupCommit:
                 torn.append(req, [["clear"]])
             torn.close()
             assert [req for req, _, _ in torn.replay()] == list(range(7))
-
-    def test_old_spaced_format_still_replays(self, tmp_path):
-        # Journals written before group commit used json.dumps'
-        # default separators; replay re-verifies the canonical form.
-        path = tmp_path / "journal.jsonl"
-        records = [
-            (0, [["select", [1.0, 2.0]]], {"breaker": {"tier": 0}}),
-            (1, [["update", [1.0], [0.5, 0.25]], ["clear"]], {}),
-        ]
-        with open(path, "w") as fh:
-            for req, ops, extra in records:
-                record = {"req": req, "ops": ops, "extra": extra}
-                record["crc"] = payload_checksum(dict(record))
-                fh.write(json.dumps(record, allow_nan=False,
-                                    sort_keys=True) + "\n")
-        assert ", " in path.read_text()
-        journal = SelectorJournal(path)
-        assert list(journal.replay()) == records
-        # New compact records continue an old journal.
-        journal.append(2, [["clear"]])
-        journal.close()
-        assert [req for req, _, _ in journal.replay()] == [0, 1, 2]
-        assert journal.tails_quarantined == 0
-
-    @pytest.mark.parametrize("spaced", [False, True])
-    def test_legacy_json_journal_continues_with_binary_records(
-            self, tmp_path, spaced):
-        path = tmp_path / "journal.jsonl"
-        legacy = [
-            (0, [["select", [1.0, 2.0]]], {"breaker": {"tier": 0}}),
-            (1, [["update", [1.0], [0.5, 0.25]], ["clear"]],
-             {"breaker": {"tier": 1, "failures": 2}}),
-            (2, [], {}),
-        ]
-        write_legacy_json(path, legacy, spaced)
-        legacy_size = path.stat().st_size
-        journal = SelectorJournal(path)
-        assert list(journal.replay()) == legacy
-        binary = [
-            (3, [["update", [0.25, -1.5], [0.125, 8.0]]],
-             {"breaker": {"tier": 0, "failures": 0, "cooldown": 0,
-                          "probe_streak": 0}}),
-            (4, [["select", [3.0, 4.0]]], {"breaker": {"tier": 2}}),
-        ]
-        for record in binary:
-            journal.append(*record)
-        journal.flush()
-        journal.append(5, [["clear"]])
-        journal.close()
-        data = path.read_bytes()
-        assert data[legacy_size] == RECORD_MAGIC
-        reopened = SelectorJournal(path)
-        assert list(reopened.replay()) == legacy + binary + [
-            (5, [["clear"]], {})]
-        assert [req for req, _, _ in reopened.replay(after_req=1)] == \
-            [2, 3, 4, 5]
-        # A torn binary group after the JSON prefix cuts back to the
-        # last whole record, JSON or binary.
-        path.write_bytes(data[:legacy_size + 3])
-        torn = SelectorJournal(path)
-        assert list(torn.replay()) == legacy
-        assert torn.tails_quarantined == 1
-        assert path.stat().st_size == legacy_size
 
 
 class _FailingHandle:

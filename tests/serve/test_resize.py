@@ -7,7 +7,7 @@ import itertools
 import numpy as np
 import pytest
 
-from repro.core.persistence import dump_checked_json, load_checked_json
+from repro.core.persistence import dump_checked_json
 from repro.serve.fleet import (
     RECOVERED_TIER,
     FleetConfig,
@@ -95,7 +95,7 @@ class TestPlanResize:
         assert max(counts) - min(counts) <= 1
 
     def test_unbalanced_table_is_rebalanced_with_fewest_moves(self):
-        # A hash-only (adopted) layout: three streams on member 0.
+        # An unbalanced layout: three streams on member 0.
         table = {"a": 0, "b": 0, "c": 0, "d": 1}
         plan = plan_resize([0, 1], [0, 1], sorted(table), placement=table)
         assert per_member(plan.placement, [0, 1]) == [2, 2]
@@ -141,14 +141,14 @@ def ring_owner(router, stream):
 
 class TestSweep:
     def test_quarantines_stage_and_misrouted_dirs(self, tmp_path):
-        # No placement table: the sweep adopts a stream its ring owner
-        # hosts and quarantines one hosted anywhere else.
-        topology = FleetTopology(members=[0, 1])
-        router = ShardRouter([0, 1])
-        owned = next(s for s in STREAMS if ring_owner(router, s) == 0)
-        stray = next(s for s in STREAMS if ring_owner(router, s) == 1)
+        # Shard 0 hosts the stream the table places on it, one the
+        # table places on shard 1, one the table does not place at
+        # all, and a staging leftover: only the first is kept.
+        owned, stray, unplaced = STREAMS[:3]
+        placement = {owned: 0, stray: 1}
+        topology = FleetTopology(members=[0, 1], placement=dict(placement))
         home = tmp_path / shard_dirname(0, 0)
-        for stream in (owned, stray):
+        for stream in (owned, stray, unplaced):
             directory = home / stream_dirname(stream)
             directory.mkdir(parents=True)
             dump_checked_json({"stream": stream},
@@ -158,12 +158,15 @@ class TestSweep:
 
         quarantined = sweep_state_root(tmp_path, topology)
         names = {p.name for p in quarantined}
+        assert len(names) == 3
         assert any("stage" in n for n in names)
         assert any(stream_dirname(stray) in n for n in names)
-        # the correctly-routed stream is untouched, and adopted
+        assert any(stream_dirname(unplaced) in n for n in names)
+        # the correctly-placed stream is untouched, and the sweep
+        # never places a stream
         assert (home / stream_dirname(owned)).is_dir()
         assert not staging.exists()
-        assert topology.placement == {owned: 0}
+        assert topology.placement == placement
 
     def test_placement_table_overrides_the_ring(self, tmp_path):
         router = ShardRouter([0, 1])
@@ -205,12 +208,9 @@ def assert_lossless(reborn, served_before):
 class TestPlacementRecovery:
     HALF = 120
 
-    def crash_half_way(self, tiny_bundle, config, root, placement=None):
+    def crash_half_way(self, tiny_bundle, config, root):
         fleet = PolicyFleet(lambda: build_policy(tiny_bundle), config,
                             state_root=root)
-        if placement is not None:
-            fleet.router = ShardRouter(fleet.members, config.replicas,
-                                       placement)
         drive(fleet, stop=self.HALF)
         table = dict(fleet.router.placement)
         served = {d.index for d in fleet.decisions
@@ -232,39 +232,6 @@ class TestPlacementRecovery:
         assert not (root / "quarantine").exists()
         drive(reborn)
         reborn.close()
-        assert_lossless(reborn, served)
-        assert_matches_twin(reborn, tiny_bundle, config, tmp_path / "twin")
-
-    def test_topology_without_placement_is_adopted(self, tiny_bundle,
-                                                   tmp_path):
-        # A state root written by hash-only routing: stream dirs at
-        # their ring owners and no placement key in topology.json.
-        config = FleetConfig(shards=2, batch_max=16)
-        root = tmp_path / "legacy"
-        ring = ShardRouter(2)
-        by_ring = {s: ring_owner(ring, s) for s in STREAMS}
-        _, served = self.crash_half_way(tiny_bundle, config, root,
-                                        placement=by_ring)
-        path = root / FleetTopology.FILENAME
-        doc = load_checked_json(path)
-        del doc["placement"]
-        dump_checked_json(doc, path)
-        served_streams = {
-            s for s in STREAMS
-            if (root / shard_dirname(by_ring[s], 0)
-                / stream_dirname(s)).is_dir()
-        }
-        assert served_streams
-
-        reborn = PolicyFleet(lambda: build_policy(tiny_bundle), config,
-                             state_root=root)
-        assert reborn.router.placement == {
-            s: by_ring[s] for s in served_streams
-        }
-        assert not (root / "quarantine").exists()
-        drive(reborn)
-        report = reborn.close()
-        assert report.recovered == len(served) > 0
         assert_lossless(reborn, served)
         assert_matches_twin(reborn, tiny_bundle, config, tmp_path / "twin")
 
@@ -298,45 +265,6 @@ class TestPlacementRecovery:
         report = fleet.close()
         assert report.answered == SPEC.requests
         assert_matches_twin(fleet, tiny_bundle, config, tmp_path / "twin")
-
-    def test_topology_with_pending_ships_is_adopted(self, tiny_bundle,
-                                                    tmp_path):
-        # A state root written while evacuation shipped lazily: the lost
-        # member is gone from topology.json and its streams are placed
-        # on survivors, but their state still sits in the lost member's
-        # directory, listed under "pending".
-        config = FleetConfig(shards=3, batch_max=16)
-        root = tmp_path / "lazy"
-        table, served = self.crash_half_way(tiny_bundle, config, root)
-        victim = 2
-        survivors = [0, 1]
-        router = ShardRouter(survivors, config.replicas, {
-            s: m for s, m in table.items() if m != victim
-        })
-        lost = sorted(s for s, m in table.items() if m == victim)
-        assert lost
-        for stream in lost:
-            router.route(stream)
-        path = root / FleetTopology.FILENAME
-        doc = load_checked_json(path)
-        doc.update(epoch=1, members=survivors, placement=router.placement,
-                   pending={s: str(root / shard_dirname(victim, 0)
-                                   / stream_dirname(s)) for s in lost})
-        dump_checked_json(doc, path)
-
-        reborn = PolicyFleet(lambda: build_policy(tiny_bundle), config,
-                             state_root=root)
-        assert reborn.members == survivors
-        assert reborn.router.placement == router.placement
-        for stream in lost:
-            owner = router.placement[stream]
-            assert (root / shard_dirname(owner, 0)
-                    / stream_dirname(stream)).is_dir()
-        assert "pending" not in load_checked_json(path)
-        drive(reborn)
-        reborn.close()
-        assert_lossless(reborn, served)
-        assert_matches_twin(reborn, tiny_bundle, config, tmp_path / "twin")
 
 
 class TestUncommittedGeneration:

@@ -112,6 +112,11 @@ class TestAdmission:
             [request(i) for i in range(3, 6)], start_position=2
         )
         assert [d.shed for d in decisions] == [False, True, True]
+        # A standalone server's queue depth counts the offset, so it
+        # is not the batch size.
+        report = server.report()
+        assert report.queue_depth["last"] == 5.0
+        assert report.batch_sizes["last"] == 3.0
 
 
 class TestDeadlines:
